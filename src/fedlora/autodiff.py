@@ -2,16 +2,18 @@
 
 Define-by-run: ops executed inside a `with Graph() as g:` block are recorded
 on the tape in insertion order; `g.backward(loss)` replays the tape in exact
-reverse insertion order, accumulating gradients into `.grad` slots. Ops
-executed with no open graph run forward-only (evaluation mode).
+reverse insertion order, accumulating gradients into `.grad` slots, and then
+drops the tape. Ops executed with no open graph run forward-only (evaluation
+mode).
 
 Gradients are summed into `.grad`; callers zero them explicitly per batch
-(see zero_grads). Leaves with requires_grad=False never receive a gradient.
+(see zero_grads). Leaves with requires_grad=False never receive a gradient,
+and ops do not compute one for them.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,19 +47,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-_LOCAL = threading.local()
-
-
-def _stack() -> list["Graph"]:
-    # per-thread stack so parallel client updates don't share a tape
-    if not hasattr(_LOCAL, "stack"):
-        _LOCAL.stack = []
-    return _LOCAL.stack
+_STACK: list["Graph"] = []
 
 
 def _active() -> "Graph | None":
-    stack = _stack()
-    return stack[-1] if stack else None
+    return _STACK[-1] if _STACK else None
 
 
 class Graph:
@@ -69,20 +63,24 @@ class Graph:
         self._done = False
 
     def __enter__(self):
-        _stack().append(self)
+        _STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _stack().pop()
+        _STACK.pop()
         return False
 
     def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]):
         self._nodes.append((out, backward_fn))
         self._produced.add(id(out))
 
+    def needs_grad(self, t: Tensor) -> bool:
+        """False for a frozen leaf, whose gradient `accumulate` would drop."""
+        return t.requires_grad or id(t) in self._produced
+
     def accumulate(self, t: Tensor, delta: np.ndarray):
         """Add `delta` to t.grad unless t is a frozen leaf."""
-        if id(t) not in self._produced and not t.requires_grad:
+        if not self.needs_grad(t):
             return
         if t.grad is None:
             t.grad = delta.copy()
@@ -100,9 +98,15 @@ class Graph:
             raise ShapeError(f"loss must be scalar (1x1), got {loss.data.shape}")
         self._done = True
         loss.grad = np.ones((1, 1))
-        for out, backward_fn in reversed(self._nodes):
-            if out.grad is not None:
-                backward_fn(out.grad)
+        try:
+            for out, backward_fn in reversed(self._nodes):
+                if out.grad is not None:
+                    backward_fn(out.grad)
+        finally:
+            # each node's closure refers back to this graph; dropping the nodes
+            # breaks that cycle, so the activations are freed now, not by the GC
+            self._nodes.clear()
+            self._produced.clear()
 
 
 def zero_grads(tensors: Sequence[Tensor]):
@@ -127,8 +131,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
 
     def backward(g, grad_out):
-        g.accumulate(a, grad_out @ b.data.T)
-        g.accumulate(b, a.data.T @ grad_out)
+        if g.needs_grad(a):
+            g.accumulate(a, grad_out @ b.data.T)
+        if g.needs_grad(b):
+            g.accumulate(b, a.data.T @ grad_out)
 
     return _emit(a.data @ b.data, backward)
 
@@ -220,9 +226,10 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise DataError(f"row index out of range for table of {table.data.shape[0]} rows")
 
     def backward(g, grad_out):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, grad_out)
-        g.accumulate(table, full)
+        if g.needs_grad(table):
+            full = np.zeros_like(table.data)
+            np.add.at(full, idx, grad_out)
+            g.accumulate(table, full)
 
     return _emit(table.data[idx, :].copy(), backward)
 
@@ -254,8 +261,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = (x.data - mu) * inv
 
     def backward(g, grad_out):
-        g.accumulate(gamma, (grad_out * xhat).sum(axis=0, keepdims=True))
-        g.accumulate(beta, grad_out.sum(axis=0, keepdims=True))
+        if g.needs_grad(gamma):
+            g.accumulate(gamma, (grad_out * xhat).sum(axis=0, keepdims=True))
+        if g.needs_grad(beta):
+            g.accumulate(beta, grad_out.sum(axis=0, keepdims=True))
         dxhat = grad_out * gamma.data
         m1 = dxhat.mean(axis=1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
@@ -284,6 +293,63 @@ def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
         g.accumulate(logits, grad_out[0, 0] * probs / n)
 
     return _emit(np.array([[loss]]), backward)
+
+
+MASK_BIAS = -1e9  # underflows to exactly zero weight after the softmax shift
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int,
+              attn_trace: list | None = None) -> Tensor:
+    """Masked multi-head scaled dot-product attention over packed sequences.
+
+    q, k and v hold B sequences of T rows each, stacked as (B*T, d); key_mask
+    is (B, T), true at real tokens. Every head attends within its own
+    sequence only, and a masked key gets a MASK_BIAS pre-softmax bias, so its
+    weight is exactly zero. If attn_trace is a list, one (T x T weights, key
+    mask) pair per sequence and head is appended to it.
+    """
+    mask = np.asarray(key_mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ShapeError(f"attention key_mask must be (B, T), got shape {mask.shape}")
+    n_seq, seq_len = mask.shape
+    n, d = q.data.shape
+    if n != n_seq * seq_len or k.data.shape != (n, d) or v.data.shape != (n, d):
+        raise ShapeError(
+            f"attention q, k, v must be ({n_seq * seq_len}, d) for a {mask.shape} mask, "
+            f"got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention width {d} does not split into {n_heads} heads")
+    dh = d // n_heads
+    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+
+    def split(x):  # (B*T, d) -> (B, H, T, dh)
+        return x.reshape(n_seq, seq_len, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (B, H, T, dh) -> (B*T, d)
+        return x.transpose(0, 2, 1, 3).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    key_bias = np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt_dh + key_bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    if attn_trace is not None:
+        for b in range(n_seq):
+            for h in range(n_heads):
+                attn_trace.append((p[b, h].copy(), mask[b].astype(int).tolist()))
+
+    def backward(g, grad_out):
+        dctx = split(grad_out)
+        dp = dctx @ vh.transpose(0, 1, 3, 2)
+        dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt_dh
+        if g.needs_grad(q):
+            g.accumulate(q, merge(dscores @ kh))
+        if g.needs_grad(k):
+            g.accumulate(k, merge(dscores.transpose(0, 1, 3, 2) @ qh))
+        if g.needs_grad(v):
+            g.accumulate(v, merge(p.transpose(0, 1, 3, 2) @ dctx))
+
+    return _emit(merge(p @ vh), backward)
 
 
 # ---------------------------------------------------------------------------

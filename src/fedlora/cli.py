@@ -8,19 +8,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 import time
 
 from . import checkpoint
-from .config import apply_base_seed, load_experiment
+from .config import load_experiment
 from .errors import ConfigError, FedLoraError, SchemaError
 from .federation import run_centralized, run_federated
 from .lora import trainable_param_count
 
 
-def _write_run_artifacts(out_dir: str, exp, state, wall_time: float):
+def _write_run_artifacts(out_dir: str, state, wall_time: float):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
         for report in state.history:
@@ -52,9 +53,9 @@ def cmd_train_federated(args) -> int:
     records = exp.data.load_records()
     t0 = time.perf_counter()
     state = run_federated(exp.model, exp.lora, exp.fed, records, exp.data.partition,
-                          eval_frac=exp.data.eval_frac, threads=args.threads)
+                          eval_frac=exp.data.eval_frac)
     out_dir = args.output_dir or exp.output_dir
-    summary = _write_run_artifacts(out_dir, exp, state, time.perf_counter() - t0)
+    summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0)
     print(f"federated run complete: {state.round_idx} rounds, "
           f"accuracy {summary['final_eval_accuracy']:.4f}, "
           f"F1 {summary['final_eval_f1']:.4f} -> {out_dir}")
@@ -69,9 +70,9 @@ def cmd_train_centralized(args) -> int:
     records = exp.data.load_records()
     t0 = time.perf_counter()
     state = run_centralized(exp.model, exp.lora, exp.fed, records,
-                            eval_frac=exp.data.eval_frac, threads=args.threads)
+                            eval_frac=exp.data.eval_frac)
     out_dir = args.output_dir or exp.output_dir
-    summary = _write_run_artifacts(out_dir, exp, state, time.perf_counter() - t0)
+    summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0)
     print(f"centralized run complete: {state.round_idx} rounds, "
           f"accuracy {summary['final_eval_accuracy']:.4f}, "
           f"F1 {summary['final_eval_f1']:.4f} -> {out_dir}")
@@ -95,8 +96,6 @@ def parse_grid(text: str):
 
 
 def cmd_ablate(args) -> int:
-    import dataclasses
-
     grid = parse_grid(args.grid)
     exp = load_experiment(args.config, args.set)
     rows = []
@@ -106,8 +105,7 @@ def cmd_ablate(args) -> int:
         try:
             records = cell_exp.data.load_records()
             state = run_federated(cell_exp.model, cell_exp.lora, cell_exp.fed, records,
-                                  cell_exp.data.partition, eval_frac=cell_exp.data.eval_frac,
-                                  threads=args.threads)
+                                  cell_exp.data.partition, eval_frac=cell_exp.data.eval_frac)
             last = state.history[-1]
             rows.append((k, e, r, last.eval_accuracy, last.eval_f1, ""))
         except FedLoraError as exc:
@@ -181,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="experiment config JSON file")
         p.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="override a config leaf, e.g. fed.eta=0.1")
-        p.add_argument("--threads", type=int, default=1,
-                       help="client worker threads (1 = sequential, bit-deterministic)")
         p.add_argument("--output-dir", help="override the config's output_dir")
 
     p = sub.add_parser("train-federated", help="run the federated pipeline")

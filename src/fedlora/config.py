@@ -14,7 +14,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import rng
 from .data import PartitionSpec, load_corpus, synth_corpus
 from .errors import ConfigError
 from .federation import FedConfig
@@ -153,19 +152,3 @@ def load_experiment(path, overrides=None) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return parse_experiment(apply_overrides(doc, overrides))
-
-
-def apply_base_seed(exp: ExperimentConfig, base_seed: int) -> ExperimentConfig:
-    """Re-seed every sub-config deterministically from one base seed."""
-    exp = dataclasses.replace(
-        exp,
-        model=dataclasses.replace(exp.model, seed=rng.derive(base_seed, "model")),
-        lora=dataclasses.replace(exp.lora, seed=rng.derive(base_seed, "lora")),
-        fed=dataclasses.replace(exp.fed, seed=rng.derive(base_seed, "fed")),
-        data=dataclasses.replace(
-            exp.data,
-            seed=rng.derive(base_seed, "data"),
-            partition=dataclasses.replace(exp.data.partition, seed=rng.derive(base_seed, "partition")),
-        ),
-    )
-    return exp

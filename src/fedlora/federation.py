@@ -2,8 +2,9 @@
 server, per-round evaluation and communication accounting.
 
 Determinism contract: every batch shuffle is derived from
-(seed, client_id, round, epoch), and aggregation sums in client-id order, so
-sequential and parallel execution produce bit-identical results.
+(seed, client_id, round, epoch), clients train one after another in
+client-id order, and aggregation sums in that order, so a run is
+bit-reproducible.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
 population); the federation trains on the first `fed.n_clients` of them, so
@@ -17,8 +18,8 @@ K=1 federated run is bit-equal to centralized training.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,32 +190,20 @@ def evaluate(model, eval_set: EncodedSet, batch_size: int = 64) -> tuple[float, 
 
 
 def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
-              global_eval: EncodedSet, threads: int = 1) -> GlobalState:
+              global_eval: EncodedSet) -> GlobalState:
     """One global round: broadcast, local training, FedAvg, evaluation."""
     t0 = time.perf_counter()
     template = state.model
     snapshot = state.theta.copy()
     round_idx = state.round_idx
 
-    def train_one(cid):
-        try:
-            return cid, client_update(template, snapshot, client_sets[cid], cfg, round_idx, cid)
-        except ClientError:
-            return cid, None  # skipped for this round
-
     results, losses = {}, {}
-    order = sorted(client_sets)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(train_one, order))
-    else:
-        outcomes = [train_one(cid) for cid in order]
-    for cid, outcome in outcomes:
-        if outcome is None:
-            losses[cid] = None
-        else:
-            results[cid] = outcome[0]
-            losses[cid] = outcome[1]
+    for cid in sorted(client_sets):
+        try:
+            results[cid], losses[cid] = client_update(
+                template, snapshot, client_sets[cid], cfg, round_idx, cid)
+        except ClientError:
+            losses[cid] = None  # skipped for this round
     if not results:
         raise RoundError(f"round {round_idx}: every client failed")
 
@@ -244,8 +233,7 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
 
 
 def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConfig,
-                  records, partition: PartitionSpec, eval_frac: float = 0.2,
-                  threads: int = 1) -> GlobalState:
+                  records, partition: PartitionSpec, eval_frac: float = 0.2) -> GlobalState:
     """Full pipeline: carve global eval, partition, initialize, run R rounds."""
     fed_cfg.validate()
     partition.validate()
@@ -273,16 +261,14 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
 
     state = GlobalState(theta=theta, round_idx=0, model=am, vocab=vocab)
     for _ in range(fed_cfg.rounds):
-        run_round(state, client_sets, fed_cfg, global_eval, threads=threads)
+        run_round(state, client_sets, fed_cfg, global_eval)
     return state
 
 
 def run_centralized(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConfig,
-                    records, eval_frac: float = 0.2, threads: int = 1) -> GlobalState:
+                    records, eval_frac: float = 0.2) -> GlobalState:
     """Single-client pipeline: same machinery, no partitioning or averaging."""
-    import dataclasses
-
     central_fed = dataclasses.replace(fed_cfg, n_clients=1)
     partition = PartitionSpec(n_clients=1, strategy="iid", seed=central_fed.seed)
     return run_federated(model_cfg, lora_cfg, central_fed, records, partition,
-                         eval_frac=eval_frac, threads=threads)
+                         eval_frac=eval_frac)

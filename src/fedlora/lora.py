@@ -83,10 +83,6 @@ class Adapter:
         return r * (d + k)
 
 
-adapter_delta = Adapter.delta
-effective_weight = Adapter.effective_weight
-
-
 class AdaptedModel:
     """Frozen EncoderModel plus trainable adapters and classifier head.
 
@@ -201,7 +197,6 @@ def merge_adapters(am: AdaptedModel) -> EncoderModel:
         layers=layers,
         head_w=Tensor(am.head_w.data.copy()),
         head_b=Tensor(am.head_b.data.copy()),
-        _merged_from_adapters=True,
     )
 
 

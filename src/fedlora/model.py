@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ CLS_ID = 2
 N_RESERVED = 3
 
 LN_EPS = 1e-5
-MASK_BIAS = -1e9
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -81,17 +80,6 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[list[int], list[int
     return ids + [PAD_ID] * pad, mask + [0] * pad
 
 
-def vocab_coverage(vocab: Vocab, corpus) -> float:
-    """Fraction of corpus tokens that map to a non-UNK id."""
-    total = known = 0
-    for item in corpus:
-        text = item.text if hasattr(item, "text") else item
-        for tok in word_tokens(text):
-            total += 1
-            known += tok in vocab.token_to_id
-    return known / total if total else 1.0
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
@@ -132,13 +120,9 @@ class EncoderModel:
     layers: list[dict]
     head_w: Tensor
     head_b: Tensor
-    _merged_from_adapters: bool = field(default=False, repr=False)
 
     def linear(self, x: Tensor, layer_idx: int, name: str) -> Tensor:
         return ad.matmul(x, self.layers[layer_idx][name])
-
-    def base_matrix(self, layer_idx: int, name: str) -> Tensor:
-        return self.layers[layer_idx][name]
 
     def parameters(self) -> list[Tensor]:
         """All parameters in the fixed enumeration order."""
@@ -153,9 +137,6 @@ class EncoderModel:
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-    def head_parameters(self) -> list[Tensor]:
-        return [self.head_w, self.head_b]
 
 
 def init_model(cfg: ModelConfig) -> EncoderModel:
@@ -196,48 +177,60 @@ def init_model(cfg: ModelConfig) -> EncoderModel:
     )
 
 
+def _pack_batch(ids_batch, mask_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) id and boolean mask arrays, cut after the last column holding a
+    real token in any row.
+
+    Raises DataError for an empty or ragged batch, rows wider than
+    max_seq_len, and rows without a real token.
+    """
+    if len(ids_batch) != len(mask_batch):
+        raise DataError(f"{len(ids_batch)} id rows but {len(mask_batch)} mask rows")
+    if not len(ids_batch):
+        raise DataError("empty batch")
+    widths = {len(row) for row in ids_batch} | {len(row) for row in mask_batch}
+    if len(widths) != 1:
+        raise DataError(f"ragged batch: row widths {sorted(widths)}; pad every row to one length")
+    width = widths.pop()
+    if width > max_seq_len:
+        raise DataError(f"sequence length {width} exceeds max_seq_len {max_seq_len}")
+    mask = np.asarray(mask_batch) != 0
+    empty = np.nonzero(~mask.any(axis=1))[0]
+    if empty.size:
+        raise DataError(f"row {int(empty[0])} of the batch has no real token")
+    keep = int(np.nonzero(mask.any(axis=0))[0][-1]) + 1
+    ids = np.asarray(ids_batch, dtype=np.intp)
+    return ids[:, :keep], mask[:, :keep]
+
+
 def forward(model, ids_batch, mask_batch, attn_trace: list | None = None) -> Tensor:
     """Logits [batch x n_classes] for padded id sequences with attention masks.
 
     `model` is an EncoderModel or anything exposing the same surface (the
     LoRA-adapted wrapper routes targeted matrices through its adapters).
-    Masked key positions get a -1e9 pre-softmax bias, which underflows to
-    exactly zero attention weight in double precision, so logits are exactly
-    independent of padding content.
+
+    The whole batch runs at once: after `_pack_batch` drops the padding
+    columns that no row needs, the B sequences of T tokens are stacked as
+    (B*T) x d rows, so projections, adapters, layer norm and feed-forward
+    layers each take one op, and `autodiff.attention` keeps every sequence
+    to its own keys. Masked keys get a -1e9 pre-softmax bias, which
+    underflows to exactly zero attention weight in double precision, so the
+    logits do not depend on padding content, and each row equals that
+    example run alone up to summation order.
     """
     cfg = model.cfg
-    d, n_heads = cfg.d_model, cfg.n_heads
-    dh = d // n_heads
-    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+    ids, mask = _pack_batch(ids_batch, mask_batch, cfg.max_seq_len)
+    n_seq, seq_len = ids.shape
 
-    rows = []
-    for ids, mask in zip(ids_batch, mask_batch):
-        seq_len = len(ids)
-        if seq_len > cfg.max_seq_len:
-            raise DataError(f"sequence length {seq_len} exceeds max_seq_len {cfg.max_seq_len}")
-        key_bias = Tensor(np.where(np.asarray(mask, dtype=bool), 0.0, MASK_BIAS).reshape(1, -1))
-
-        x = ad.add(ad.gather_rows(model.tok_emb, ids), ad.slice_rows(model.pos_emb, 0, seq_len))
-        for li in range(cfg.n_layers):
-            layer = model.layers[li]
-            q = model.linear(x, li, "wq")
-            k = model.linear(x, li, "wk")
-            v = model.linear(x, li, "wv")
-            ctx_heads = []
-            for h in range(n_heads):
-                lo, hi = h * dh, (h + 1) * dh
-                qh = ad.slice_cols(q, lo, hi)
-                kh = ad.slice_cols(k, lo, hi)
-                vh = ad.slice_cols(v, lo, hi)
-                scores = ad.add(ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt_dh), key_bias)
-                attn = ad.softmax_rows(scores)
-                if attn_trace is not None:
-                    attn_trace.append((attn.data.copy(), list(mask)))
-                ctx_heads.append(ad.matmul(attn, vh))
-            attn_out = model.linear(ad.concat_cols(ctx_heads), li, "wo")
-            x = ad.layer_norm(ad.add(x, attn_out), layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
-            ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
-            x = ad.layer_norm(ad.add(x, ff), layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)
-        cls = ad.slice_rows(x, 0, 1)
-        rows.append(ad.add(ad.matmul(cls, model.head_w), model.head_b))
-    return ad.concat_rows(rows)
+    x = ad.add(ad.gather_rows(model.tok_emb, ids.ravel()),
+               ad.gather_rows(model.pos_emb, np.tile(np.arange(seq_len), n_seq)))
+    for li, layer in enumerate(model.layers):
+        q = model.linear(x, li, "wq")
+        k = model.linear(x, li, "wk")
+        v = model.linear(x, li, "wv")
+        attn_out = model.linear(ad.attention(q, k, v, mask, cfg.n_heads, attn_trace), li, "wo")
+        x = ad.layer_norm(ad.add(x, attn_out), layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
+        ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
+        x = ad.layer_norm(ad.add(x, ff), layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)
+    cls = ad.gather_rows(x, np.arange(n_seq) * seq_len)
+    return ad.add(ad.matmul(cls, model.head_w), model.head_b)

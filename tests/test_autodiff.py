@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,90 @@ def test_frozen_leaf_receives_no_grad():
     assert free.grad is not None
 
 
+def test_backward_frees_the_tape_without_gc():
+    w = Tensor(np.ones((3, 3)), requires_grad=True)
+    with Graph() as g:
+        hidden = ad.relu(ad.matmul(Tensor(np.ones((1, 3))), w))
+        loss = ad.matmul(hidden, Tensor(np.ones((3, 1))))
+    activation = weakref.ref(hidden.data)
+    del hidden
+    g.backward(loss)
+    # the graph itself is still referenced here; only its tape must be gone
+    assert activation() is None
+    assert np.array_equal(w.grad, np.ones((3, 3)))
+
+
+def test_frozen_inputs_get_no_gradient_work():
+    # a frozen base weight and a frozen table: no delta is even computed for them
+    frozen_w = Tensor(np.ones((3, 2)))
+    table = Tensor(np.ones((5, 3)))
+    gamma, beta = Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3)))
+    head = Tensor(np.ones((2, 1)), requires_grad=True)
+    with Graph() as g:
+        x = ad.layer_norm(ad.gather_rows(table, [0, 3]), gamma, beta)
+        loss = ad.matmul(Tensor(np.ones((1, 2))), ad.matmul(ad.matmul(x, frozen_w), head))
+    seen = []
+    accumulate = g.accumulate
+    g.accumulate = lambda t, delta: (seen.append(t), accumulate(t, delta))
+    g.backward(loss)
+    assert not any(t is frozen_w or t is table or t is gamma or t is beta for t in seen)
+    assert head.grad is not None
+
+
+def _attention_by_parts(q, k, v, mask, n_heads):
+    """Per sequence and head, out of the 2-D ops: the path the fused op replaced."""
+    n_seq, seq_len = mask.shape
+    dh = q.shape[1] // n_heads
+    rows = []
+    for b in range(n_seq):
+        lo_r, hi_r = b * seq_len, (b + 1) * seq_len
+        qb, kb, vb = (ad.slice_rows(t, lo_r, hi_r) for t in (q, k, v))
+        key_bias = Tensor(np.where(mask[b], 0.0, ad.MASK_BIAS).reshape(1, -1))
+        heads = []
+        for h in range(n_heads):
+            lo, hi = h * dh, (h + 1) * dh
+            scores = ad.scale(ad.matmul(ad.slice_cols(qb, lo, hi),
+                                        ad.transpose(ad.slice_cols(kb, lo, hi))), 1.0 / math.sqrt(dh))
+            attn = ad.softmax_rows(ad.add(scores, key_bias))
+            heads.append(ad.matmul(attn, ad.slice_cols(vb, lo, hi)))
+        rows.append(ad.concat_cols(heads))
+    return ad.concat_rows(rows)
+
+
+def test_attention_matches_per_sequence_ops():
+    gen = np.random.default_rng(4)
+    q, k, v = (Tensor(gen.normal(size=(3 * 5, 6)), requires_grad=True) for _ in range(3))
+    mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 1, 1, 0]], dtype=bool)
+    weights = Tensor(gen.normal(size=(6, 1)))
+    ones = Tensor(np.ones((1, 15)))
+    results = []
+    for op in (ad.attention, _attention_by_parts):
+        ad.zero_grads([q, k, v])
+        with Graph() as g:
+            out = op(q, k, v, mask, 3)
+            loss = ad.matmul(ones, ad.matmul(out, weights))
+        g.backward(loss)
+        results.append([out.data] + [t.grad.copy() for t in (q, k, v)])
+    for fused, parts in zip(*results):
+        assert np.abs(fused - parts).max() <= 1e-12
+
+
+def test_attention_trace_and_shape_checks():
+    gen = np.random.default_rng(8)
+    q = Tensor(gen.normal(size=(4, 4)))
+    mask = np.array([[1, 0], [1, 1]], dtype=bool)
+    trace = []
+    ad.attention(q, q, q, mask, 2, attn_trace=trace)
+    assert len(trace) == 2 * 2
+    weights, key_mask = trace[0]
+    assert key_mask == [1, 0]
+    assert np.all(weights[:, 1] == 0.0) and np.all(weights[:, 0] == 1.0)
+    with pytest.raises(ShapeError):
+        ad.attention(q, q, q, np.ones((3, 2), dtype=bool), 2)
+    with pytest.raises(ShapeError):
+        ad.attention(q, q, q, mask, 3)
+
+
 def test_grad_accumulates_until_zeroed():
     leaf = Tensor([[1.0]], requires_grad=True)
     for expected in (2.0, 4.0):
@@ -217,7 +302,7 @@ def test_grad_check_square():
 
 @pytest.mark.parametrize("op", ["matmul", "add", "add_broadcast", "scale", "relu",
                                 "transpose", "slice", "concat", "gather",
-                                "softmax", "layer_norm", "cross_entropy"])
+                                "softmax", "layer_norm", "attention", "cross_entropy"])
 def test_every_op_gradient_over_seeds(op):
     # 100 seeded trials per op, per the gradient-correctness contract
     for seed in range(100):
@@ -273,6 +358,15 @@ def test_every_op_gradient_over_seeds(op):
             beta = Tensor(gen.normal(size=(1, 4)), requires_grad=True)
             params = [a, gamma, beta]
             f = lambda: to_scalar(ad.layer_norm(a, gamma, beta, eps=1e-5))
+        elif op == "attention":
+            # two packed sequences of three keys, width 4 split into two heads
+            q, k, v = (Tensor(gen.normal(size=(6, 4)), requires_grad=True) for _ in range(3))
+            mask = gen.random((2, 3)) < 0.5
+            mask[:, 0] = True  # every sequence keeps a real key
+            mask[1, 2] = False  # and at least one key is masked
+            rows = Tensor(np.ones((1, 6)))
+            params = [q, k, v]
+            f = lambda: ad.matmul(ad.matmul(rows, ad.attention(q, k, v, mask, 2)), reduce_w)
         else:  # cross_entropy
             a = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
             labels = gen.integers(0, 3, size=4)

@@ -183,18 +183,6 @@ def test_zero_eta_round_keeps_theta():
     assert np.abs(fresh.theta - theta0).max() < 1e-290
 
 
-def test_parallel_equals_sequential():
-    records = synth_corpus(60, seed=21)
-    args = (ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5),
-            FedConfig(n_clients=3, rounds=2, local_epochs=1, eta=0.3, batch_size=8, seed=4),
-            records, PartitionSpec(n_clients=3, strategy="iid", seed=6))
-    seq = run_federated(*args, threads=1)
-    par = run_federated(*args, threads=3)
-    assert np.array_equal(seq.theta, par.theta)
-    for a, b in zip(seq.history, par.history):
-        assert a.eval_f1 == b.eval_f1 and a.client_losses == b.client_losses
-
-
 def test_run_round_client_order_independent():
     am, train = training_fixture()
     theta = extract_trainable(am)

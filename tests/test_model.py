@@ -4,6 +4,7 @@ import pytest
 from fedlora import model as M
 from fedlora.autodiff import Tensor
 from fedlora.errors import ConfigError, DataError
+from fedlora.lora import LoraConfig, attach_adapters
 from fedlora.model import ModelConfig, build_vocab, forward, init_model, tokenize
 
 
@@ -114,7 +115,9 @@ def test_forward_mask_invariance():
     mask = [1, 1, 1, 0, 0, 0, 0, 0]
     a = [2, 5, 9, 0, 0, 0, 0, 0]
     b = [2, 5, 9, 17, 3, 8, 1, 60]  # junk in every masked slot
-    logits = forward(m, [a, b], [mask, mask])
+    # a full-length row keeps the masked columns in the trimmed batch
+    full = [2, 4, 6, 8, 10, 12, 14, 16]
+    logits = forward(m, [a, b, full], [mask, mask, [1] * 8])
     assert np.array_equal(logits.data[0], logits.data[1])
 
 
@@ -139,11 +142,13 @@ def test_forward_finite_on_random_inputs():
 
 def test_attention_rows_sum_to_one_over_unmasked_keys():
     m = init_model(small_cfg())
-    ids = [2, 5, 9, 13, 0, 0, 0, 0]
-    mask = [1, 1, 1, 1, 0, 0, 0, 0]
+    # the full-length second row keeps the first row's masked keys in the trimmed batch
+    ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 4, 6, 8, 10, 12, 14, 16]]
+    mask = [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8]
     trace = []
-    forward(m, [ids], [mask], attn_trace=trace)
+    forward(m, ids, mask, attn_trace=trace)
     assert trace
+    assert any(0 in mk for _, mk in trace)
     for attn, mk in trace:
         unmasked = np.asarray(mk, dtype=bool)
         assert np.allclose(attn[:, unmasked].sum(axis=1), 1.0, atol=1e-12)
@@ -160,3 +165,46 @@ def test_forward_is_pure():
     assert np.array_equal(l1.data, l2.data)
     for p, b in zip(m.parameters(), before):
         assert np.array_equal(p.data, b)
+
+
+def test_forward_trims_columns_no_row_needs():
+    m = init_model(small_cfg())
+    trace = []
+    forward(m, [[2, 5, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]],
+            [[1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]], attn_trace=trace)
+    assert {attn.shape for attn, _ in trace} == {(2, 2)}
+
+
+@pytest.mark.parametrize("adapted", [False, True])
+def test_batched_rows_equal_examples_run_alone(adapted):
+    m = init_model(small_cfg(n_layers=2))
+    gen = np.random.default_rng(12)
+    if adapted:
+        m = attach_adapters(m, LoraConfig(rank=2, seed=3, targets=("q", "k", "v", "o", "ff1", "ff2")))
+        for adapter in m.adapters.values():
+            adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.5
+    cfg = m.cfg
+    ids, masks = [], []
+    for length in (1, cfg.max_seq_len, 3, 5, 2, 7):
+        row = [M.CLS_ID] + list(gen.integers(3, cfg.vocab_size, size=length - 1))
+        pad = cfg.max_seq_len - length
+        ids.append(row + list(gen.integers(0, cfg.vocab_size, size=pad)))  # junk padding
+        masks.append([1] * length + [0] * pad)
+    batched = forward(m, ids, masks).data
+    for i in range(len(ids)):
+        alone = forward(m, [ids[i]], [masks[i]]).data
+        assert np.abs(batched[i] - alone[0]).max() <= 1e-12
+
+
+def test_forward_rejects_ragged_and_tokenless_batches():
+    m = init_model(small_cfg())
+    with pytest.raises(DataError, match="ragged"):
+        forward(m, [[2, 5, 0], [2, 5]], [[1, 1, 0], [1, 1]])
+    with pytest.raises(DataError, match="ragged"):
+        forward(m, [[2, 5, 0]], [[1, 1]])
+    with pytest.raises(DataError, match="mask rows"):
+        forward(m, [[2, 5, 0]], [[1, 1, 0], [1, 0, 0]])
+    with pytest.raises(DataError, match="row 1 .*no real token"):
+        forward(m, [[2, 5, 0], [0, 0, 0]], [[1, 1, 0], [0, 0, 0]])
+    with pytest.raises(DataError, match="empty batch"):
+        forward(m, [], [])
