@@ -255,10 +255,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm affine shapes must be (1, {d}), got {gamma.data.shape} and {beta.data.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    xhat = xc * inv
 
     def backward(g, grad_out):
         if g.needs_grad(gamma):

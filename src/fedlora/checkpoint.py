@@ -1,27 +1,32 @@
 """Binary checkpoint formats (little-endian).
 
-Model file:   magic b"FLMC", u32 version, 8 x i64 config fields
-              (vocab_size, d_model, n_heads, n_layers, ff_dim, max_seq_len,
-              n_classes, seed), then every parameter array as <f8 in the
-              model's fixed enumeration order.
+Model file:   magic b"FLMC", u32 version, 8 x i64 config fields in
+              ModelConfig field order (vocab_size, d_model, n_heads,
+              n_layers, ff_dim, max_seq_len, n_classes, seed), then every
+              parameter array as <f8 in the model's fixed enumeration order.
 Adapter file: magic b"FLLA", u32 version, i64 rank, f8 alpha, i64 seed,
-              u32 target-name blob length + utf-8 comma-joined names, then
-              A and B arrays (<f8) per adapter in enumeration order, then
-              the classifier head weight and bias (the head is part of the
+              u32 target-name blob length + utf-8 comma-joined "layer:name"
+              entries, then the trainable vector theta as <f8, in
+              `lora.extract_trainable` order (each adapter's A then B, then
+              the classifier head weight and bias: the head is part of the
               trainable set, so it ships with the adapters).
 Vocab file:   one token per line, utf-8; id = line number - 1 + 3 (ids 0-2
               are reserved for PAD/UNK/CLS).
+
+A file that is short, carries trailing bytes, or holds a header the model
+or adapter config rejects raises SchemaError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import SchemaError
-from .lora import AdaptedModel, LoraConfig, attach_adapters
+from .errors import ConfigError, SchemaError
+from .lora import (AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable,
+                   trainable_param_count)
 from .model import EncoderModel, ModelConfig, Vocab, init_model
 
 MODEL_MAGIC = b"FLMC"
@@ -33,38 +38,55 @@ def _write_array(fh, arr: np.ndarray):
     fh.write(arr.astype("<f8").tobytes())
 
 
+def _read(fh, n: int) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise SchemaError(f"checkpoint truncated: wanted {n} bytes, got {len(buf)}")
+    return buf
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
+
+
 def _read_array(fh, shape) -> np.ndarray:
     n = int(np.prod(shape))
-    buf = fh.read(n * 8)
-    if len(buf) != n * 8:
-        raise SchemaError("checkpoint truncated while reading parameter array")
-    return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    return np.frombuffer(_read(fh, n * 8), dtype="<f8").reshape(shape).copy()
+
+
+def _read_preamble(fh, path, magic: bytes, kind: str):
+    if fh.read(4) != magic:
+        raise SchemaError(f"{path} is not a fedlora {kind} checkpoint")
+    (version,) = _unpack(fh, "<I")
+    if version != VERSION:
+        raise SchemaError(f"unsupported {kind} checkpoint version {version}")
+
+
+def _expect_end(fh, path):
+    if fh.read(1):
+        raise SchemaError(f"{path} has trailing bytes after the last array")
 
 
 def save_model(path, m: EncoderModel):
-    cfg = m.cfg
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<8q", cfg.vocab_size, cfg.d_model, cfg.n_heads,
-                             cfg.n_layers, cfg.ff_dim, cfg.max_seq_len,
-                             cfg.n_classes, cfg.seed))
+        fh.write(struct.pack("<8q", *dataclasses.astuple(m.cfg)))
         for p in m.parameters():
             _write_array(fh, p.data)
 
 
 def load_model(path) -> EncoderModel:
     with open(path, "rb") as fh:
-        if fh.read(4) != MODEL_MAGIC:
-            raise SchemaError(f"{path} is not a model checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise SchemaError(f"unsupported model checkpoint version {version}")
-        fields = struct.unpack("<8q", fh.read(64))
-        cfg = ModelConfig(*fields)
-        m = init_model(cfg)  # establishes shapes; data overwritten below
+        _read_preamble(fh, path, MODEL_MAGIC, "model")
+        fields = _unpack(fh, "<8q")
+        try:
+            m = init_model(ModelConfig(*fields))  # establishes shapes; data overwritten below
+        except ConfigError as exc:
+            raise SchemaError(f"{path} has an invalid model header: {exc}") from exc
         for p in m.parameters():
             p.data = _read_array(fh, p.data.shape)
+        _expect_end(fh, path)
     return m
 
 
@@ -79,36 +101,35 @@ def save_adapters(path, am: AdaptedModel):
         fh.write(struct.pack("<qdq", cfg.rank, alpha, cfg.seed))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for adapter in am.adapters.values():
-            _write_array(fh, adapter.a.data)
-            _write_array(fh, adapter.b.data)
-        _write_array(fh, am.head_w.data)
-        _write_array(fh, am.head_b.data)
+        _write_array(fh, extract_trainable(am))
+
+
+def _parse_adapter_names(blob: bytes) -> list[tuple[int, str]]:
+    try:
+        keys = []
+        for entry in blob.decode("utf-8").split(","):
+            li, name = entry.split(":")
+            keys.append((int(li), name))
+        return keys
+    except ValueError as exc:  # also covers UnicodeDecodeError
+        raise SchemaError(f"malformed adapter name list: {exc}") from exc
 
 
 def load_adapters(path, base: EncoderModel) -> AdaptedModel:
     with open(path, "rb") as fh:
-        if fh.read(4) != ADAPTER_MAGIC:
-            raise SchemaError(f"{path} is not an adapter checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise SchemaError(f"unsupported adapter checkpoint version {version}")
-        rank, alpha, seed = struct.unpack("<qdq", fh.read(24))
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        keys = []
-        for entry in fh.read(blob_len).decode("utf-8").split(","):
-            li, name = entry.split(":")
-            keys.append((int(li), name))
+        _read_preamble(fh, path, ADAPTER_MAGIC, "adapter")
+        rank, alpha, seed = _unpack(fh, "<qdq")
+        (blob_len,) = _unpack(fh, "<I")
+        keys = _parse_adapter_names(_read(fh, blob_len))
         targets = tuple(dict.fromkeys(name for _, name in keys))
-        cfg = LoraConfig(rank=rank, alpha=alpha, targets=targets, seed=seed)
-        am = attach_adapters(base, cfg)
+        try:
+            am = attach_adapters(base, LoraConfig(rank=rank, alpha=alpha, targets=targets, seed=seed))
+        except ConfigError as exc:
+            raise SchemaError(f"{path} has an invalid adapter header: {exc}") from exc
         if list(am.adapters) != keys:
             raise SchemaError("adapter checkpoint layout does not match the base model")
-        for adapter in am.adapters.values():
-            adapter.a.data = _read_array(fh, adapter.a.data.shape)
-            adapter.b.data = _read_array(fh, adapter.b.data.shape)
-        am.head_w.data = _read_array(fh, am.head_w.data.shape)
-        am.head_b.data = _read_array(fh, am.head_b.data.shape)
+        load_trainable(am, _read_array(fh, (trainable_param_count(am)[0],)))
+        _expect_end(fh, path)
     return am
 
 
@@ -119,6 +140,9 @@ def save_vocab(path, vocab: Vocab):
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not valid utf-8: {exc}") from exc
     return Vocab(token_to_id={t: i + 3 for i, t in enumerate(tokens)}, id_to_token=tokens)

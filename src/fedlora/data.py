@@ -31,10 +31,6 @@ class ClientShard:
     train: list[Record]
     eval: list[Record]
 
-    @property
-    def records(self) -> list[Record]:
-        return self.train + self.eval
-
 
 @dataclass
 class PartitionSpec:
@@ -178,7 +174,7 @@ _FILLER_WORDS = [
 ]
 
 
-def synth_corpus(n: int, seed: int = 0, n_classes: int = 2) -> list[Record]:
+def synth_corpus(n: int, seed: int = 0) -> list[Record]:
     """Balanced two-class keyword corpus, deterministic per seed.
 
     Each text draws 10 tokens: with probability 0.6 a word from its class
@@ -188,8 +184,6 @@ def synth_corpus(n: int, seed: int = 0, n_classes: int = 2) -> list[Record]:
     """
     if n < 2:
         raise DataError(f"synthetic corpus needs n >= 2, got {n}")
-    if n_classes != 2:
-        raise ConfigError(f"synthetic corpus is binary, got n_classes={n_classes}")
     gen = rng.np_generator(rng.derive(seed, "synth"))
     pools = (_CALM_WORDS, _STRESS_WORDS)
     records = []

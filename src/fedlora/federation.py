@@ -13,7 +13,10 @@ which is the question the partition strategies exist to probe.
 
 Wire accounting assumes a single-precision payload (4 bytes per trainable
 scalar); the in-process exchange itself stays double precision so that the
-K=1 federated run is bit-equal to centralized training.
+K=1 federated run is bit-equal to centralized training. Uplink counts the
+clients that returned an update; downlink counts every client the round
+broadcast theta to, since a client that fails after the broadcast still
+received it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 
 from . import rng
 from .autodiff import Graph, cross_entropy, zero_grads
-from .data import ClientShard, PartitionSpec, make_shards, split_train_eval
+from .data import PartitionSpec, make_shards, split_train_eval
 from .errors import ClientError, ConfigError, ProtocolError, RoundError
-from .lora import AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable, trainable_param_count
+from .lora import AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable
 from .metrics import accuracy, confusion, f1_binary, predict_labels
 from .model import ModelConfig, Vocab, build_vocab, forward, init_model, tokenize
 
@@ -66,15 +69,10 @@ class RoundReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "client_losses": {str(k): v for k, v in self.client_losses.items()},
-            "eval_accuracy": self.eval_accuracy,
-            "eval_f1": self.eval_f1,
-            "uplink_bytes": self.uplink_bytes,
-            "downlink_bytes": self.downlink_bytes,
-            "wall_time": self.wall_time,
-        }
+        """JSON-ready fields; client ids become string keys."""
+        out = dataclasses.asdict(self)
+        out["client_losses"] = {str(k): v for k, v in self.client_losses.items()}
+        return out
 
 
 @dataclass
@@ -123,10 +121,9 @@ def sgd_step(params, eta: float):
             p.data -= eta * p.grad
 
 
-def comm_cost(cfg: FedConfig, n_trainable: int) -> tuple[int, int]:
-    """(uplink, downlink) bytes per round for the trainable payload."""
-    per_direction = cfg.n_clients * n_trainable * WIRE_BYTES_PER_PARAM
-    return per_direction, per_direction
+def comm_cost(n_clients: int, n_trainable: int) -> int:
+    """Bytes one direction of a round moves: one trainable vector per client."""
+    return n_clients * n_trainable * WIRE_BYTES_PER_PARAM
 
 
 def fedavg(thetas, weights=None) -> np.ndarray:
@@ -215,15 +212,13 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
 
     load_trainable(template, new_theta)
     acc, f1 = evaluate(template, global_eval)
-    n_trainable = new_theta.size
-    per_direction = len(reporting) * n_trainable * WIRE_BYTES_PER_PARAM
     report = RoundReport(
         round=round_idx,
         client_losses=losses,
         eval_accuracy=acc,
         eval_f1=f1,
-        uplink_bytes=per_direction,
-        downlink_bytes=per_direction,
+        uplink_bytes=comm_cost(len(reporting), new_theta.size),
+        downlink_bytes=comm_cost(len(client_sets), new_theta.size),
         wall_time=time.perf_counter() - t0,
     )
     state.theta = new_theta

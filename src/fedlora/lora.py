@@ -3,14 +3,15 @@
 An adapter on a (d x k) base matrix holds A (r x k) and B (d x r); the
 effective weight is W0 + (alpha / r) * B @ A. B starts at zero, so a freshly
 adapted model is exactly the base model. The trainable set is the adapters
-plus the classifier head, flattened in a fixed enumeration order (layer
-ascending, then matrix name in TARGET_ORDER, A before B, head last) — that
-ordering is the wire contract with the federation layer.
+plus the classifier head, flattened in the order of
+`AdaptedModel.trainable_parameters()` (layer ascending, then matrix name in
+`model.LAYER_MATRIX_NAMES` order, A before B, head last) — that ordering is
+the wire contract with the federation layer and the adapter checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +19,9 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
 from .errors import ConfigError, ProtocolError
-from .model import EncoderModel, _xavier
+from .model import LAYER_MATRIX_NAMES, EncoderModel, _xavier
 
-TARGET_ORDER = ("wq", "wk", "wv", "wo", "ff1", "ff2")
-
-_ALIASES = {
-    "q": "wq", "k": "wk", "v": "wv", "o": "wo",
-    "wq": "wq", "wk": "wk", "wv": "wv", "wo": "wo",
-    "ff1": "ff1", "ff2": "ff2",
-}
+_ALIASES = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", **{n: n for n in LAYER_MATRIX_NAMES}}
 
 
 def canonical_target(name: str) -> str:
@@ -50,7 +45,7 @@ class LoraConfig:
 
     def canonical_targets(self) -> tuple[str, ...]:
         names = {canonical_target(t) for t in self.targets}
-        return tuple(n for n in TARGET_ORDER if n in names)
+        return tuple(n for n in LAYER_MATRIX_NAMES if n in names)
 
     def validate(self):
         if self.rank < 1:
@@ -66,21 +61,11 @@ class LoraConfig:
 class Adapter:
     a: Tensor  # (r x k)
     b: Tensor  # (d x r)
-    w0: Tensor  # frozen (d x k)
     scale: float
 
     def delta(self) -> Tensor:
         """scale * B @ A, the low-rank weight update."""
         return Tensor(self.scale * (self.b.data @ self.a.data))
-
-    def effective_weight(self) -> Tensor:
-        """W0 + delta; W0 itself is never modified."""
-        return Tensor(self.w0.data + self.delta().data)
-
-    def param_count(self) -> int:
-        d, r = self.b.data.shape
-        k = self.a.data.shape[1]
-        return r * (d + k)
 
 
 class AdaptedModel:
@@ -135,7 +120,7 @@ class AdaptedModel:
         for key, adp in self.adapters.items():
             a = Tensor(adp.a.data.copy(), requires_grad=True)
             b = Tensor(adp.b.data.copy(), requires_grad=True)
-            adapters[key] = Adapter(a=a, b=b, w0=adp.w0, scale=adp.scale)
+            adapters[key] = Adapter(a=a, b=b, scale=adp.scale)
         return AdaptedModel(
             base=self.base,
             lora_cfg=self.lora_cfg,
@@ -151,8 +136,7 @@ def attach_adapters(base: EncoderModel, cfg: LoraConfig) -> AdaptedModel:
     adapters = {}
     for li in range(base.cfg.n_layers):
         for name in cfg.canonical_targets():
-            w0 = base.layers[li][name]
-            d, k = w0.data.shape
+            d, k = base.layers[li][name].data.shape
             if cfg.rank >= min(d, k):
                 raise ConfigError(
                     f"lora.rank {cfg.rank} must be < min(d, k) = {min(d, k)} for matrix {name}"
@@ -161,7 +145,6 @@ def attach_adapters(base: EncoderModel, cfg: LoraConfig) -> AdaptedModel:
             adapters[(li, name)] = Adapter(
                 a=Tensor(_xavier(a_seed, cfg.rank, k), requires_grad=True),
                 b=Tensor(np.zeros((d, cfg.rank)), requires_grad=True),
-                w0=w0,
                 scale=cfg.scale,
             )
     return AdaptedModel(
@@ -185,10 +168,8 @@ def merge_adapters(am: AdaptedModel) -> EncoderModel:
         merged = {}
         for name, tensor in layer.items():
             adapter = am.adapters.get((li, name))
-            if adapter is not None:
-                merged[name] = adapter.effective_weight()
-            else:
-                merged[name] = Tensor(tensor.data.copy())
+            data = tensor.data.copy() if adapter is None else tensor.data + adapter.delta().data
+            merged[name] = Tensor(data)
         layers.append(merged)
     return EncoderModel(
         cfg=base.cfg,
@@ -203,14 +184,14 @@ def merge_adapters(am: AdaptedModel) -> EncoderModel:
 def trainable_param_count(am: AdaptedModel) -> tuple[int, dict]:
     """Total trainable parameters with a per-component breakdown.
 
-    Each adapter contributes r*(d+k); the head contributes d*n_classes +
-    n_classes.
+    Every component is a consecutive pair in `trainable_parameters()`: each
+    adapter's A and B (r*(d+k) scalars), then the head weight and bias
+    (d*n_classes + n_classes).
     """
-    breakdown = {}
-    for (li, name), adapter in am.adapters.items():
-        breakdown[f"layer{li}.{name}"] = adapter.param_count()
-    breakdown["head"] = am.head_w.data.size + am.head_b.data.size
-    return sum(breakdown.values()), breakdown
+    sizes = [p.data.size for p in am.trainable_parameters()]
+    names = [f"layer{li}.{name}" for li, name in am.adapters] + ["head"]
+    breakdown = {name: sizes[2 * i] + sizes[2 * i + 1] for i, name in enumerate(names)}
+    return sum(sizes), breakdown
 
 
 def extract_trainable(am: AdaptedModel) -> np.ndarray:
@@ -221,13 +202,14 @@ def extract_trainable(am: AdaptedModel) -> np.ndarray:
 def load_trainable(am: AdaptedModel, vec: np.ndarray):
     """Inverse of extract_trainable; load(extract(am)) is a bit-exact no-op."""
     vec = np.asarray(vec, dtype=np.float64)
-    expected = trainable_param_count(am)[0]
+    params = am.trainable_parameters()
+    expected = sum(p.data.size for p in params)
     if vec.ndim != 1 or vec.size != expected:
         raise ProtocolError(
             f"trainable vector length {vec.size} does not match expected {expected}"
         )
     offset = 0
-    for p in am.trainable_parameters():
+    for p in params:
         n = p.data.size
         p.data = vec[offset:offset + n].reshape(p.data.shape).copy()
         offset += n

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from fedlora.cli import main, parse_grid
+from fedlora.data import save_corpus, synth_corpus
 from fedlora.errors import ConfigError
 
 TINY_DOC = {
@@ -52,6 +53,26 @@ def test_rerun_is_deterministic(tmp_path):
     second = read_summary(out)
     for key in ("final_eval_accuracy", "final_eval_f1", "total_uplink_bytes"):
         assert first[key] == second[key]
+
+
+def test_csv_source_trains_like_the_same_synthetic_records(tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    save_corpus(synth_corpus(60, seed=3), corpus)  # the records TINY_DOC synthesizes
+    cfg, out = write_config(tmp_path, data=dict(TINY_DOC["data"], source={"csv": str(corpus)}))
+    assert main(["train-federated", cfg]) == 0
+    synthetic_cfg, _ = write_config(tmp_path, output_dir=str(tmp_path / "synthetic"))
+    assert main(["train-federated", synthetic_cfg]) == 0
+    assert (tmp_path / "run" / "adapters.bin").read_bytes() \
+        == (tmp_path / "synthetic" / "adapters.bin").read_bytes()
+
+
+def test_unparsable_csv_label_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("text,label\ncalm sunny day,0\nmystery row,maybe\n", encoding="utf-8")
+    cfg, _ = write_config(tmp_path, data=dict(TINY_DOC["data"], source={"csv": str(corpus)}))
+    assert main(["train-federated", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "unparsable label" in err
 
 
 def test_set_override_changes_rounds(tmp_path):

@@ -163,11 +163,9 @@ def test_history_length_equals_rounds():
 
 def test_round_report_bytes_match_comm_cost():
     state = small_run()
-    cfg = FedConfig(n_clients=2, rounds=2, local_epochs=1, eta=0.3, batch_size=8, seed=4)
-    up, down = comm_cost(cfg, state.theta.size)
+    per_direction = comm_cost(2, state.theta.size)
     for report in state.history:
-        assert report.uplink_bytes == up
-        assert report.downlink_bytes == down
+        assert report.uplink_bytes == report.downlink_bytes == per_direction
 
 
 def test_zero_eta_round_keeps_theta():
@@ -212,8 +210,12 @@ def test_skipped_client_excluded_from_average():
     cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
     state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am.clone())
     run_round(state, {0: train, 1: empty}, cfg, train)
-    assert state.history[0].client_losses[1] is None
-    assert state.history[0].client_losses[0] is not None
+    report = state.history[0]
+    assert report.client_losses[1] is None
+    assert report.client_losses[0] is not None
+    # uplink counts the one update that came back, downlink both broadcasts
+    assert report.uplink_bytes == comm_cost(1, state.theta.size)
+    assert report.downlink_bytes == comm_cost(2, state.theta.size)
 
 
 def test_fed_clients_cannot_exceed_partition_population():
@@ -254,6 +256,4 @@ def test_weighted_aggregation_runs():
 
 
 def test_comm_cost_arithmetic():
-    cfg = FedConfig(n_clients=3)
-    up, down = comm_cost(cfg, 1024)
-    assert up == down == 3 * 1024 * 4 == 12_288
+    assert comm_cost(3, 1024) == 3 * 1024 * 4 == 12_288

@@ -61,23 +61,23 @@ def test_adapter_delta_zero_when_b_zero():
 
 
 def test_adapter_delta_hand_outer_product():
-    adapter = Adapter(a=Tensor([[3.0, 4.0]]), b=Tensor([[1.0], [2.0]]),
-                      w0=Tensor(np.eye(2)), scale=1.0)
+    adapter = Adapter(a=Tensor([[3.0, 4.0]]), b=Tensor([[1.0], [2.0]]), scale=1.0)
     assert np.array_equal(adapter.delta().data, [[3.0, 4.0], [6.0, 8.0]])
-    assert np.array_equal(adapter.effective_weight().data, [[4.0, 4.0], [6.0, 9.0]])
-    # frozen base untouched
-    assert np.array_equal(adapter.w0.data, np.eye(2))
 
 
 def test_merged_delta_round_trips():
-    _, am = make_adapted()
+    base, am = make_adapted()
+    frozen_before = [p.data.copy() for p in base.parameters()]
     gen = np.random.default_rng(2)
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape)
     merged = merge_adapters(am)
     for (li, name), adapter in am.adapters.items():
-        extracted = merged.layers[li][name].data - adapter.w0.data
+        extracted = merged.layers[li][name].data - base.layers[li][name].data
         assert np.allclose(extracted, adapter.delta().data, atol=1e-12)
+    # merging leaves the frozen base untouched
+    for p, b in zip(base.parameters(), frozen_before):
+        assert np.array_equal(p.data, b)
 
 
 def test_merge_equivalence_on_random_batches():
@@ -108,10 +108,12 @@ def test_double_merge_rejected():
 
 def test_trainable_count_formula_paper_scale():
     # one 768x768 matrix at rank 8: r(d+k) = 12,288 versus dk = 589,824
-    adapter = Adapter(a=Tensor(np.zeros((8, 768))), b=Tensor(np.zeros((768, 8))),
-                      w0=Tensor(np.zeros((1, 1))), scale=1.0)
-    assert adapter.param_count() == 12_288
-    assert 768 * 768 == 589_824
+    cfg = ModelConfig(vocab_size=8, d_model=768, n_heads=1, n_layers=1,
+                      ff_dim=8, max_seq_len=4, n_classes=2, seed=0)
+    am = attach_adapters(init_model(cfg), LoraConfig(rank=8, seed=0, targets=("q",)))
+    _, breakdown = trainable_param_count(am)
+    assert breakdown["layer0.wq"] == 12_288
+    assert am.base.layers[0]["wq"].data.size == 589_824
 
 
 def test_trainable_count_desk_config():
@@ -169,10 +171,10 @@ def test_gradient_flows_to_adapters_not_base():
     with Graph() as g:
         loss = ad.cross_entropy(forward(am, ids, masks), [0, 1, 0, 1])
     g.backward(loss)
-    for adapter in am.adapters.values():
+    for (li, name), adapter in am.adapters.items():
         assert adapter.a.grad is not None and np.any(adapter.a.grad != 0.0)
         assert adapter.b.grad is not None and np.any(adapter.b.grad != 0.0)
-        assert adapter.w0.grad is None
+        assert base.layers[li][name].grad is None
     assert am.head_w.grad is not None
     assert base.tok_emb.grad is None
 
