@@ -6,9 +6,15 @@ reverse insertion order, accumulating gradients into `.grad` slots, and then
 drops the tape. Ops executed with no open graph run forward-only (evaluation
 mode).
 
-Gradients are summed into `.grad`; callers zero them explicitly per batch
-(see zero_grads). Leaves with requires_grad=False never receive a gradient,
-and ops do not compute one for them.
+`Tensor.requires_grad` is the one record of gradient need: an op's output
+needs a gradient iff one of its inputs does, and an op with only frozen
+inputs is not taped. A frozen input never receives a gradient; matmul,
+gather_rows, layer_norm and attention do not even compute one. Gradients
+are summed into `.grad`; callers zero them per batch (see zero_grads).
+
+`backward` checks one thing: the loss must be an output on this graph's
+tape. That rejects an empty tape (no op ran, or backward already ran and
+cleared it), another graph's loss, and a loss built only from frozen tensors.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
@@ -39,9 +43,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -59,8 +60,6 @@ class Graph:
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._produced: set[int] = set()
-        self._done = False
 
     def __enter__(self):
         _STACK.append(self)
@@ -72,15 +71,10 @@ class Graph:
 
     def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]):
         self._nodes.append((out, backward_fn))
-        self._produced.add(id(out))
-
-    def needs_grad(self, t: Tensor) -> bool:
-        """False for a frozen leaf, whose gradient `accumulate` would drop."""
-        return t.requires_grad or id(t) in self._produced
 
     def accumulate(self, t: Tensor, delta: np.ndarray):
-        """Add `delta` to t.grad unless t is a frozen leaf."""
-        if not self.needs_grad(t):
+        """Add `delta` to t.grad unless t needs no gradient."""
+        if not t.requires_grad:
             return
         if t.grad is None:
             t.grad = delta.copy()
@@ -88,15 +82,11 @@ class Graph:
             t.grad += delta
 
     def backward(self, loss: Tensor):
-        if self._done:
-            raise StateError("backward already ran on this graph; rebuild it")
-        if not self._nodes:
-            raise StateError("backward before any recorded forward op")
-        if id(loss) not in self._produced:
-            raise StateError("loss tensor was not produced by this graph")
+        if not any(out is loss for out, _ in reversed(self._nodes)):
+            raise StateError("loss is not an output on this graph's tape (empty tape, backward "
+                             "already ran, another graph's loss, or a loss that needs no gradient)")
         if loss.data.shape != (1, 1):
             raise ShapeError(f"loss must be scalar (1x1), got {loss.data.shape}")
-        self._done = True
         loss.grad = np.ones((1, 1))
         try:
             for out, backward_fn in reversed(self._nodes):
@@ -106,18 +96,17 @@ class Graph:
             # each node's closure refers back to this graph; dropping the nodes
             # breaks that cycle, so the activations are freed now, not by the GC
             self._nodes.clear()
-            self._produced.clear()
 
 
 def zero_grads(tensors: Sequence[Tensor]):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
 
 
-def _emit(out_data: np.ndarray, backward_fn) -> Tensor:
-    out = Tensor(out_data)
+def _emit(out_data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     g = _active()
-    if g is not None:
+    if g is not None and out.requires_grad:
         g.record(out, lambda grad_out, fn=backward_fn, graph=g: fn(graph, grad_out))
     return out
 
@@ -131,12 +120,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
 
     def backward(g, grad_out):
-        if g.needs_grad(a):
+        if a.requires_grad:
             g.accumulate(a, grad_out @ b.data.T)
-        if g.needs_grad(b):
+        if b.requires_grad:
             g.accumulate(b, a.data.T @ grad_out)
 
-    return _emit(a.data @ b.data, backward)
+    return _emit(a.data @ b.data, backward, a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -154,14 +143,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         else:
             g.accumulate(b, grad_out)
 
-    return _emit(a.data + b.data, backward)
+    return _emit(a.data + b.data, backward, a, b)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g, grad_out):
         g.accumulate(a, grad_out * c)
 
-    return _emit(a.data * c, backward)
+    return _emit(a.data * c, backward, a)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -170,14 +159,14 @@ def relu(a: Tensor) -> Tensor:
     def backward(g, grad_out):
         g.accumulate(a, grad_out * mask)
 
-    return _emit(np.where(mask, a.data, 0.0), backward)
+    return _emit(np.where(mask, a.data, 0.0), backward, a)
 
 
 def transpose(a: Tensor) -> Tensor:
     def backward(g, grad_out):
         g.accumulate(a, grad_out.T)
 
-    return _emit(a.data.T.copy(), backward)
+    return _emit(a.data.T.copy(), backward, a)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -186,7 +175,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = grad_out
         g.accumulate(a, full)
 
-    return _emit(a.data[:, start:stop].copy(), backward)
+    return _emit(a.data[:, start:stop].copy(), backward, a)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -195,7 +184,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop, :] = grad_out
         g.accumulate(a, full)
 
-    return _emit(a.data[start:stop, :].copy(), backward)
+    return _emit(a.data[start:stop, :].copy(), backward, a)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -206,7 +195,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             g.accumulate(p, grad_out[:, lo:hi])
 
-    return _emit(np.concatenate([p.data for p in parts], axis=1), backward)
+    return _emit(np.concatenate([p.data for p in parts], axis=1), backward, *parts)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -217,7 +206,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             g.accumulate(p, grad_out[lo:hi, :])
 
-    return _emit(np.concatenate([p.data for p in parts], axis=0), backward)
+    return _emit(np.concatenate([p.data for p in parts], axis=0), backward, *parts)
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -226,12 +215,12 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise DataError(f"row index out of range for table of {table.data.shape[0]} rows")
 
     def backward(g, grad_out):
-        if g.needs_grad(table):
+        if table.requires_grad:
             full = np.zeros_like(table.data)
             np.add.at(full, idx, grad_out)
             g.accumulate(table, full)
 
-    return _emit(table.data[idx, :].copy(), backward)
+    return _emit(table.data[idx, :].copy(), backward, table)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -243,7 +232,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         dot = (grad_out * s).sum(axis=1, keepdims=True)
         g.accumulate(x, s * (grad_out - dot))
 
-    return _emit(s, backward)
+    return _emit(s, backward, x)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -260,16 +249,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = xc * inv
 
     def backward(g, grad_out):
-        if g.needs_grad(gamma):
+        if gamma.requires_grad:
             g.accumulate(gamma, (grad_out * xhat).sum(axis=0, keepdims=True))
-        if g.needs_grad(beta):
+        if beta.requires_grad:
             g.accumulate(beta, grad_out.sum(axis=0, keepdims=True))
-        dxhat = grad_out * gamma.data
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        g.accumulate(x, (dxhat - m1 - xhat * m2) * inv)
+        if x.requires_grad:
+            dxhat = grad_out * gamma.data
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            g.accumulate(x, (dxhat - m1 - xhat * m2) * inv)
 
-    return _emit(gamma.data * xhat + beta.data, backward)
+    return _emit(gamma.data * xhat + beta.data, backward, x, gamma, beta)
 
 
 def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -291,21 +281,19 @@ def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
         probs[np.arange(n), idx] -= 1.0
         g.accumulate(logits, grad_out[0, 0] * probs / n)
 
-    return _emit(np.array([[loss]]), backward)
+    return _emit(np.array([[loss]]), backward, logits)
 
 
 MASK_BIAS = -1e9  # underflows to exactly zero weight after the softmax shift
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int,
-              attn_trace: list | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor:
     """Masked multi-head scaled dot-product attention over packed sequences.
 
     q, k and v hold B sequences of T rows each, stacked as (B*T, d); key_mask
     is (B, T), true at real tokens. Every head attends within its own
     sequence only, and a masked key gets a MASK_BIAS pre-softmax bias, so its
-    weight is exactly zero. If attn_trace is a list, one (T x T weights, key
-    mask) pair per sequence and head is appended to it.
+    weight is exactly zero.
     """
     mask = np.asarray(key_mask, dtype=bool)
     if mask.ndim != 2:
@@ -332,23 +320,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int,
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt_dh + key_bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    if attn_trace is not None:
-        for b in range(n_seq):
-            for h in range(n_heads):
-                attn_trace.append((p[b, h].copy(), mask[b].astype(int).tolist()))
 
     def backward(g, grad_out):
         dctx = split(grad_out)
         dp = dctx @ vh.transpose(0, 1, 3, 2)
         dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt_dh
-        if g.needs_grad(q):
+        if q.requires_grad:
             g.accumulate(q, merge(dscores @ kh))
-        if g.needs_grad(k):
+        if k.requires_grad:
             g.accumulate(k, merge(dscores.transpose(0, 1, 3, 2) @ qh))
-        if g.needs_grad(v):
+        if v.requires_grad:
             g.accumulate(v, merge(p.transpose(0, 1, 3, 2) @ dctx))
 
-    return _emit(merge(p @ vh), backward)
+    return _emit(merge(p @ vh), backward, q, k, v)
 
 
 # ---------------------------------------------------------------------------

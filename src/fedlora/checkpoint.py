@@ -14,12 +14,14 @@ Vocab file:   one token per line, utf-8; id = line number - 1 + 3 (ids 0-2
               are reserved for PAD/UNK/CLS).
 
 A file that is short, carries trailing bytes, or holds a header the model
-or adapter config rejects raises SchemaError.
+or adapter config rejects raises SchemaError, and a length or model size
+that exceeds the bytes left in the file is refused before any allocation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, SchemaError
 from .lora import (AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable,
                    trainable_param_count)
-from .model import EncoderModel, ModelConfig, Vocab, init_model
+from .model import EncoderModel, ModelConfig, Vocab, init_model, param_shapes
 
 MODEL_MAGIC = b"FLMC"
 ADAPTER_MAGIC = b"FLLA"
@@ -38,11 +40,15 @@ def _write_array(fh, arr: np.ndarray):
     fh.write(arr.astype("<f8").tobytes())
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise SchemaError(f"checkpoint truncated: wanted {n} bytes, got {len(buf)}")
-    return buf
+    left = _bytes_left(fh)
+    if n > left:  # refuse before reading, so a bad length allocates nothing
+        raise SchemaError(f"checkpoint truncated: wanted {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def _unpack(fh, fmt: str) -> tuple:
@@ -79,11 +85,17 @@ def save_model(path, m: EncoderModel):
 def load_model(path) -> EncoderModel:
     with open(path, "rb") as fh:
         _read_preamble(fh, path, MODEL_MAGIC, "model")
-        fields = _unpack(fh, "<8q")
+        cfg = ModelConfig(*_unpack(fh, "<8q"))
         try:
-            m = init_model(ModelConfig(*fields))  # establishes shapes; data overwritten below
+            cfg.validate()
         except ConfigError as exc:
             raise SchemaError(f"{path} has an invalid model header: {exc}") from exc
+        left = _bytes_left(fh)
+        for _, (rows, cols) in param_shapes(cfg):  # before init_model allocates the model
+            left -= 8 * rows * cols
+            if left < 0:
+                raise SchemaError(f"{path} is too short for the model its header describes")
+        m = init_model(cfg)  # establishes shapes; data overwritten below
         for p in m.parameters():
             p.data = _read_array(fh, p.data.shape)
         _expect_end(fh, path)

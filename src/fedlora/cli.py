@@ -43,8 +43,7 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
 
     checkpoint.save_adapters(os.path.join(out_dir, "adapters.bin"), state.model)
     checkpoint.save_model(os.path.join(out_dir, "base_model.bin"), state.model.base)
-    if state.vocab is not None:
-        checkpoint.save_vocab(os.path.join(out_dir, "vocab.txt"), state.vocab)
+    checkpoint.save_vocab(os.path.join(out_dir, "vocab.txt"), state.vocab)
     return summary
 
 

@@ -1,8 +1,8 @@
 """Corpus ingestion, train/eval splitting, client partitioning, synthesis.
 
 CSV input needs at least `text` and `label` columns (RFC-4180 quoting, so
-embedded commas/newlines in post text are fine); extra columns such as the
-Dreaddit subreddit field are kept as the optional domain tag.
+embedded commas/newlines in post text are fine); extra columns, such as the
+Dreaddit subreddit field, are ignored. `save_corpus` writes id,text,label.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class Record:
     id: int
     text: str
     label: int
-    domain: str | None = None
 
 
 @dataclass
@@ -70,7 +69,7 @@ def load_corpus(path) -> list[Record]:
             text = (row["text"] or "").strip()
             if not text:
                 raise DataError(f"empty text at row {i + 2} of {path}")
-            records.append(Record(id=i, text=text, label=int(raw), domain=row.get("subreddit") or row.get("domain")))
+            records.append(Record(id=i, text=text, label=int(raw)))
     return records
 
 
@@ -78,9 +77,9 @@ def save_corpus(records, path):
     """Write records to the same CSV schema load_corpus reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "text", "label", "domain"])
+        writer.writerow(["id", "text", "label"])
         for r in records:
-            writer.writerow([r.id, r.text, r.label, r.domain or ""])
+            writer.writerow([r.id, r.text, r.label])
 
 
 def split_train_eval(records, eval_frac: float, seed: int):
@@ -196,6 +195,6 @@ def synth_corpus(n: int, seed: int = 0) -> list[Record]:
                 words.append(pool[gen.integers(len(pool))])
             else:
                 words.append(_FILLER_WORDS[gen.integers(len(_FILLER_WORDS))])
-        records.append(Record(id=i, text=" ".join(words), label=label, domain="synthetic"))
+        records.append(Record(id=i, text=" ".join(words), label=label))
     perm = rng.permutation(rng.derive(seed, "synth_order"), n)
     return [records[i] for i in perm]

@@ -125,56 +125,52 @@ class EncoderModel:
         return ad.matmul(x, self.layers[layer_idx][name])
 
     def parameters(self) -> list[Tensor]:
-        """All parameters in the fixed enumeration order."""
-        out = [self.tok_emb, self.pos_emb]
-        for layer in self.layers:
-            out.extend(layer[n] for n in LAYER_MATRIX_NAMES[:4])
-            out.extend([layer["ln1_gamma"], layer["ln1_beta"]])
-            out.extend([layer["ff1"], layer["ff2"]])
-            out.extend([layer["ln2_gamma"], layer["ln2_beta"]])
-        out.extend([self.head_w, self.head_b])
-        return out
+        """All parameters in the fixed enumeration order (layer dicts keep `param_shapes` order)."""
+        return [self.tok_emb, self.pos_emb, *(t for layer in self.layers for t in layer.values()),
+                self.head_w, self.head_b]
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
 
+def param_shapes(cfg: ModelConfig):
+    """Yield (init tag, shape) for every parameter, in the fixed enumeration order."""
+    d, ff, c = cfg.d_model, cfg.ff_dim, cfg.n_classes
+    yield "tok_emb", (cfg.vocab_size, d)
+    yield "pos_emb", (cfg.max_seq_len, d)
+    layer = (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
+             ("ln1_gamma", (1, d)), ("ln1_beta", (1, d)), ("ff1", (d, ff)), ("ff2", (ff, d)),
+             ("ln2_gamma", (1, d)), ("ln2_beta", (1, d)))
+    for li in range(cfg.n_layers):
+        for name, shape in layer:
+            yield f"layer{li}.{name}", shape
+    yield "head_w", (d, c)
+    yield "head_b", (1, c)
+
+
 def init_model(cfg: ModelConfig) -> EncoderModel:
     """Seeded Xavier-uniform init; bit-reproducible per seed."""
     cfg.validate()
-    d, ff = cfg.d_model, cfg.ff_dim
 
-    def mat(tag, fan_in, fan_out):
-        return Tensor(_xavier(rng.derive(cfg.seed, tag), fan_in, fan_out))
+    def init(tag, rows, cols):
+        if tag.endswith("_gamma"):
+            return np.ones((rows, cols))
+        if tag.endswith("_beta") or tag == "head_b":
+            return np.zeros((rows, cols))
+        if tag.endswith("_emb"):
+            # embedding tables are lookups, not matmuls: scale by d on both fans
+            # so token content is not drowned out by positional embeddings
+            s = math.sqrt(6.0 / (cols + cols))
+            return rng.uniform_array(rng.derive(cfg.seed, tag), rows * cols, -s, s).reshape(rows, cols)
+        return _xavier(rng.derive(cfg.seed, tag), rows, cols)
 
-    def emb(tag, n_rows):
-        # embedding tables are lookups, not matmuls: scale by d on both fans
-        # so token content is not drowned out by positional embeddings
-        s = math.sqrt(6.0 / (d + d))
-        return Tensor(rng.uniform_array(rng.derive(cfg.seed, tag), n_rows * d, -s, s).reshape(n_rows, d))
-
-    layers = []
-    for li in range(cfg.n_layers):
-        layers.append({
-            "wq": mat(f"layer{li}.wq", d, d),
-            "wk": mat(f"layer{li}.wk", d, d),
-            "wv": mat(f"layer{li}.wv", d, d),
-            "wo": mat(f"layer{li}.wo", d, d),
-            "ln1_gamma": Tensor(np.ones((1, d))),
-            "ln1_beta": Tensor(np.zeros((1, d))),
-            "ff1": mat(f"layer{li}.ff1", d, ff),
-            "ff2": mat(f"layer{li}.ff2", ff, d),
-            "ln2_gamma": Tensor(np.ones((1, d))),
-            "ln2_beta": Tensor(np.zeros((1, d))),
-        })
-    return EncoderModel(
-        cfg=cfg,
-        tok_emb=emb("tok_emb", cfg.vocab_size),
-        pos_emb=emb("pos_emb", cfg.max_seq_len),
-        layers=layers,
-        head_w=mat("head_w", d, cfg.n_classes),
-        head_b=Tensor(np.zeros((1, cfg.n_classes))),
-    )
+    params = {tag: Tensor(init(tag, *shape)) for tag, shape in param_shapes(cfg)}
+    ends = {tag: params.pop(tag) for tag in ("tok_emb", "pos_emb", "head_w", "head_b")}
+    layers = [{} for _ in range(cfg.n_layers)]
+    for tag, t in params.items():
+        li, name = tag.removeprefix("layer").split(".")
+        layers[int(li)][name] = t
+    return EncoderModel(cfg=cfg, layers=layers, **ends)
 
 
 def _pack_batch(ids_batch, mask_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +199,7 @@ def _pack_batch(ids_batch, mask_batch, max_seq_len: int) -> tuple[np.ndarray, np
     return ids[:, :keep], mask[:, :keep]
 
 
-def forward(model, ids_batch, mask_batch, attn_trace: list | None = None) -> Tensor:
+def forward(model, ids_batch, mask_batch) -> Tensor:
     """Logits [batch x n_classes] for padded id sequences with attention masks.
 
     `model` is an EncoderModel or anything exposing the same surface (the
@@ -228,7 +224,7 @@ def forward(model, ids_batch, mask_batch, attn_trace: list | None = None) -> Ten
         q = model.linear(x, li, "wq")
         k = model.linear(x, li, "wk")
         v = model.linear(x, li, "wv")
-        attn_out = model.linear(ad.attention(q, k, v, mask, cfg.n_heads, attn_trace), li, "wo")
+        attn_out = model.linear(ad.attention(q, k, v, mask, cfg.n_heads), li, "wo")
         x = ad.layer_norm(ad.add(x, attn_out), layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
         ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
         x = ad.layer_norm(ad.add(x, ff), layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)

@@ -186,6 +186,52 @@ def test_backward_twice_rejected():
         g.backward(loss)
 
 
+def _non_scalar_loss():
+    with Graph() as g:
+        loss = ad.scale(Tensor(np.ones((2, 2)), requires_grad=True), 2.0)
+    return g, loss
+
+
+def _loss_from_another_graph():
+    w = Tensor([[1.0]], requires_grad=True)
+    with Graph():
+        loss = ad.scale(w, 2.0)
+    with Graph() as g:
+        ad.scale(w, 3.0)
+    return g, loss
+
+
+def _frozen_only_loss():
+    with Graph() as g:
+        ad.scale(Tensor([[1.0]], requires_grad=True), 2.0)  # the tape is not empty
+        loss = ad.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
+    assert not loss.requires_grad
+    return g, loss
+
+
+@pytest.mark.parametrize("make, error", [(_non_scalar_loss, ShapeError),
+                                         (_loss_from_another_graph, StateError),
+                                         (_frozen_only_loss, StateError)],
+                         ids=["non_scalar", "other_graph", "frozen_only"])
+def test_backward_rejects_bad_loss(make, error):
+    g, loss = make()
+    with pytest.raises(error):
+        g.backward(loss)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Tensor([1.0, 2.0]), ShapeError),
+    (lambda: ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))), ShapeError),
+    (lambda: ad.gather_rows(Tensor(np.zeros((4, 2))), [0, 4]), DataError),
+    (lambda: ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3)))),
+     ShapeError),
+    (lambda: ad.cross_entropy(Tensor(np.zeros((3, 2))), [0, 1]), ShapeError),
+], ids=["tensor_1d", "add_shapes", "gather_out_of_range", "layer_norm_affine", "cross_entropy_labels"])
+def test_bad_op_input_raises(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_frozen_leaf_receives_no_grad():
     frozen = Tensor([[2.0]], requires_grad=False)
     free = Tensor([[3.0]], requires_grad=True)
@@ -226,6 +272,23 @@ def test_frozen_inputs_get_no_gradient_work():
     assert head.grad is not None
 
 
+def test_only_ops_that_need_a_gradient_are_taped():
+    table, frozen_w = Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3)))
+    adapter = Tensor(np.ones((3, 3)), requires_grad=True)
+    with Graph() as g:
+        recorded, record = [], g.record
+        g.record = lambda out, fn: (recorded.append(out), record(out, fn))
+        x = ad.gather_rows(table, [0, 3])
+        base = ad.matmul(x, frozen_w)
+        out = ad.add(base, ad.matmul(x, adapter))
+        loss = ad.matmul(Tensor(np.ones((1, 2))), ad.matmul(out, Tensor(np.ones((3, 1)))))
+    assert not x.requires_grad and not base.requires_grad
+    assert out.requires_grad and loss.requires_grad
+    assert len(recorded) == 4 and all(t.requires_grad for t in recorded)
+    g.backward(loss)
+    assert adapter.grad is not None and base.grad is None and x.grad is None
+
+
 def _attention_by_parts(q, k, v, mask, n_heads):
     """Per sequence and head, out of the 2-D ops: the path the fused op replaced."""
     n_seq, seq_len = mask.shape
@@ -264,20 +327,37 @@ def test_attention_matches_per_sequence_ops():
         assert np.abs(fused - parts).max() <= 1e-12
 
 
-def test_attention_trace_and_shape_checks():
+def attention_weights(q, k, key_mask, n_heads):
+    """Per-head attention weights, (B, H, T, T), read off `ad.attention`.
+
+    Each head's columns of v hold a one-hot row per key, so every output row
+    is exactly that query's weights over its sequence's keys (needs T <= d/H).
+    """
+    mask = np.asarray(key_mask, dtype=bool)
+    n_seq, seq_len = mask.shape
+    dh = q.shape[1] // n_heads
+    v = np.zeros((n_seq, seq_len, n_heads, dh))
+    v[:, np.arange(seq_len), :, np.arange(seq_len)] = 1.0
+    out = ad.attention(q, k, Tensor(v.reshape(q.shape)), mask, n_heads).data
+    return out.reshape(n_seq, seq_len, n_heads, dh).transpose(0, 2, 1, 3)[..., :seq_len]
+
+
+def test_attention_weights_and_shape_checks():
     gen = np.random.default_rng(8)
     q = Tensor(gen.normal(size=(4, 4)))
     mask = np.array([[1, 0], [1, 1]], dtype=bool)
-    trace = []
-    ad.attention(q, q, q, mask, 2, attn_trace=trace)
-    assert len(trace) == 2 * 2
-    weights, key_mask = trace[0]
-    assert key_mask == [1, 0]
-    assert np.all(weights[:, 1] == 0.0) and np.all(weights[:, 0] == 1.0)
+    weights = attention_weights(q, q, mask, 2)
+    assert weights.shape == (2, 2, 2, 2)
+    # sequence 0 masks its second key: that key gets exactly zero weight
+    assert np.all(weights[0, :, :, 1] == 0.0) and np.all(weights[0, :, :, 0] == 1.0)
+    assert np.all(weights[1] > 0.0)
+    assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-12
     with pytest.raises(ShapeError):
         ad.attention(q, q, q, np.ones((3, 2), dtype=bool), 2)
     with pytest.raises(ShapeError):
         ad.attention(q, q, q, mask, 3)
+    with pytest.raises(ShapeError, match="key_mask must be"):
+        ad.attention(q, q, q, np.ones(4, dtype=bool), 2)
 
 
 def test_grad_accumulates_until_zeroed():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ def test_corrupt_adapter_file_raises_schema_error(tmp_path, corruption):
     path.write_bytes(ADAPTER_CORRUPTIONS[corruption](good))
     with pytest.raises(SchemaError):
         load_adapters(path, base)
+
+
+# headers that ask for far more than the file holds: a 200000-word vocabulary
+# in a header-only model file, a 50 MB name blob in a header-only adapter file
+HUGE_HEADERS = {
+    "model_vocab_size": lambda model, adapters: _patch(model[:72], 8, struct.pack("<q", 200_000)),
+    "adapter_name_blob": lambda model, adapters: _patch(adapters[:36], 32, struct.pack("<I", 50_000_000)),
+}
+
+
+@pytest.mark.parametrize("header", sorted(HUGE_HEADERS))
+def test_huge_header_raises_schema_error_before_allocating(tmp_path, header):
+    base, model_path, adapter_path = write_tiny_checkpoints(tmp_path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(HUGE_HEADERS[header](model_path.read_bytes(), adapter_path.read_bytes()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError):
+            load_model(bad) if header.startswith("model") else load_adapters(bad, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_vocab_file_not_utf8_raises_schema_error(tmp_path):

@@ -95,10 +95,39 @@ def test_train_centralized_warns_on_multi_client(tmp_path, capsys):
     assert "ignored" in capsys.readouterr().err
 
 
-def test_bad_config_exits_2(tmp_path):
+def with_data(**fields):
+    return {**TINY_DOC, "data": {**TINY_DOC["data"], **fields}}
+
+
+def with_partition(**fields):
+    return with_data(partition={**TINY_DOC["data"]["partition"], **fields})
+
+
+BAD_CONFIGS = {  # id: (config document, extra CLI arguments, expected message)
+    "unknown_fed_field": ({"fed": {"mystery_knob": 1}}, [], "unknown config field fed.mystery_knob"),
+    "source_names_both_kinds": (with_data(source={"csv": "c.csv", "synthetic": 60}), [],
+                                "data.source must be"),
+    "unknown_source_kind": (with_data(source={"jsonl": "c.jsonl"}), [], "unknown data.source kind"),
+    "missing_csv": (with_data(source={"csv": "no/such/corpus.csv"}), [], "path does not exist"),
+    "eval_frac_above_1": (with_data(eval_frac=1.5), [], "data.eval_frac must be in (0, 1)"),
+    "unknown_data_field": (with_data(mystery=1), [], "unknown config field data.mystery"),
+    "section_not_object": ({**TINY_DOC, "fed": 3}, [], "section 'fed' must be an object"),
+    "set_without_equals": (TINY_DOC, ["--set", "fed.rounds"], "must look like section.field=value"),
+    "set_through_non_object": (TINY_DOC, ["--set", "fed.rounds.x=1"], "crosses a non-object field"),
+    "unknown_partition_strategy": (with_partition(strategy="round_robin"), [],
+                                   "unknown partition strategy"),
+    "quantity_ratios_not_summing_to_1": (with_partition(strategy="quantity_skew", ratios=[0.5, 0.4]), [],
+                                         "sum to 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2(tmp_path, capsys, case):
+    doc, extra, message = BAD_CONFIGS[case]
     path = tmp_path / "bad.json"
-    path.write_text('{"fed": {"mystery_knob": 1}}', encoding="utf-8")
-    assert main(["train-federated", str(path)]) == 2
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train-federated", str(path), *extra]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fedlora import autodiff as ad
 from fedlora import model as M
 from fedlora.autodiff import Tensor
 from fedlora.errors import ConfigError, DataError
 from fedlora.lora import LoraConfig, attach_adapters
 from fedlora.model import ModelConfig, build_vocab, forward, init_model, tokenize
+
+from test_autodiff import attention_weights
 
 
 def small_cfg(**overrides):
@@ -140,19 +143,34 @@ def test_forward_finite_on_random_inputs():
         assert np.all(np.isfinite(logits.data))
 
 
-def test_attention_rows_sum_to_one_over_unmasked_keys():
-    m = init_model(small_cfg())
+def spy_on_attention(monkeypatch):
+    """Record the arguments of every `autodiff.attention` call `forward` makes."""
+    calls = []
+
+    def spy(q, k, v, key_mask, n_heads):
+        calls.append((q, k, v, np.asarray(key_mask), n_heads))
+        return real_attention(q, k, v, key_mask, n_heads)
+
+    real_attention = ad.attention
+    monkeypatch.setattr(ad, "attention", spy)
+    return calls
+
+
+def test_attention_rows_sum_to_one_over_unmasked_keys(monkeypatch):
+    m = init_model(small_cfg(d_model=16))  # head width 8 fits the 8 keys attention_weights reads off
     # the full-length second row keeps the first row's masked keys in the trimmed batch
     ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 4, 6, 8, 10, 12, 14, 16]]
     mask = [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8]
-    trace = []
-    forward(m, ids, mask, attn_trace=trace)
-    assert trace
-    assert any(0 in mk for _, mk in trace)
-    for attn, mk in trace:
-        unmasked = np.asarray(mk, dtype=bool)
-        assert np.allclose(attn[:, unmasked].sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(attn[:, ~unmasked] == 0.0)
+    calls = spy_on_attention(monkeypatch)
+    forward(m, ids, mask)
+    monkeypatch.undo()  # attention_weights calls the real op
+    assert calls
+    for q, k, _, key_mask, n_heads in calls:
+        assert np.array_equal(key_mask, np.asarray(mask, dtype=bool))
+        weights = attention_weights(q, k, key_mask, n_heads)
+        unmasked = key_mask[:, None, None, :]
+        assert np.abs(np.where(unmasked, weights, 0.0).sum(axis=-1) - 1.0).max() <= 1e-12
+        assert np.all(weights[~np.broadcast_to(unmasked, weights.shape)] == 0.0)
 
 
 def test_forward_is_pure():
@@ -167,12 +185,15 @@ def test_forward_is_pure():
         assert np.array_equal(p.data, b)
 
 
-def test_forward_trims_columns_no_row_needs():
+def test_forward_trims_columns_no_row_needs(monkeypatch):
     m = init_model(small_cfg())
-    trace = []
+    calls = spy_on_attention(monkeypatch)
     forward(m, [[2, 5, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]],
-            [[1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]], attn_trace=trace)
-    assert {attn.shape for attn, _ in trace} == {(2, 2)}
+            [[1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]])
+    assert calls
+    for q, _, _, key_mask, _ in calls:
+        assert key_mask.shape == (2, 2)
+        assert q.shape == (4, m.cfg.d_model)
 
 
 @pytest.mark.parametrize("adapted", [False, True])
