@@ -9,8 +9,9 @@ mode).
 `Tensor.requires_grad` is the one record of gradient need: an op's output
 needs a gradient iff one of its inputs does, and an op with only frozen
 inputs is not taped. A frozen input never receives a gradient; matmul,
-gather_rows, layer_norm and attention do not even compute one. Gradients
-are summed into `.grad`; callers zero them per batch (see zero_grads).
+lora_linear, gather_rows, layer_norm and attention do not even compute one.
+Gradients are summed into `.grad`; callers zero them per batch (see
+zero_grads).
 
 `backward` checks one thing: the loss must be an output on this graph's
 tape. That rejects an empty tape (no op ran, or backward already ran and
@@ -126,6 +127,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g.accumulate(b, a.data.T @ grad_out)
 
     return _emit(a.data @ b.data, backward, a, b)
+
+
+def lora_linear(x: Tensor, w: Tensor, b: Tensor, a: Tensor, scale: float) -> Tensor:
+    """x @ W + scale * (x @ B) @ A: a base projection plus a rank-r adapter, as one op.
+
+    W is (d, k), B is (d, r) and A is (r, k).
+    """
+    d, k = w.data.shape
+    r = a.data.shape[0]
+    if x.data.shape[1] != d or b.data.shape != (d, r) or a.data.shape != (r, k):
+        raise ShapeError(f"lora_linear shapes disagree: x {x.data.shape}, W {w.data.shape}, "
+                         f"B {b.data.shape}, A {a.data.shape}")
+    xb = x.data @ b.data
+    out = x.data @ w.data
+    out += (xb @ a.data) * scale
+
+    def backward(g, grad_out):
+        gs = grad_out * scale
+        if a.requires_grad:
+            g.accumulate(a, xb.T @ gs)
+        if b.requires_grad or x.requires_grad:
+            gsa = gs @ a.data.T
+            if b.requires_grad:
+                g.accumulate(b, x.data.T @ gsa)
+            if x.requires_grad:
+                g.accumulate(x, gsa @ b.data.T + grad_out @ w.data.T)
+        if w.requires_grad:
+            g.accumulate(w, x.data.T @ grad_out)
+
+    return _emit(out, backward, x, w, b, a)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -290,30 +321,31 @@ MASK_BIAS = -1e9  # underflows to exactly zero weight after the softmax shift
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor:
     """Masked multi-head scaled dot-product attention over packed sequences.
 
-    q, k and v hold B sequences of T rows each, stacked as (B*T, d); key_mask
-    is (B, T), true at real tokens. Every head attends within its own
-    sequence only, and a masked key gets a MASK_BIAS pre-softmax bias, so its
-    weight is exactly zero.
+    k and v hold B sequences of T rows each, stacked as (B*T, d); key_mask
+    is (B, T), true at real tokens. q holds either T queries per sequence,
+    (B*T, d), or one, (B, d). Every head attends within its own sequence
+    only, and a masked key gets a MASK_BIAS pre-softmax bias, so its weight
+    is exactly zero. The output has q's shape.
     """
     mask = np.asarray(key_mask, dtype=bool)
     if mask.ndim != 2:
         raise ShapeError(f"attention key_mask must be (B, T), got shape {mask.shape}")
     n_seq, seq_len = mask.shape
-    n, d = q.data.shape
-    if n != n_seq * seq_len or k.data.shape != (n, d) or v.data.shape != (n, d):
+    n, d = n_seq * seq_len, q.data.shape[1]
+    if q.data.shape not in ((n, d), (n_seq, d)) or k.data.shape != (n, d) or v.data.shape != (n, d):
         raise ShapeError(
-            f"attention q, k, v must be ({n_seq * seq_len}, d) for a {mask.shape} mask, "
-            f"got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+            f"attention q must be ({n}, d) or ({n_seq}, d), and k, v ({n}, d), for a {mask.shape} "
+            f"mask, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention width {d} does not split into {n_heads} heads")
     dh = d // n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
-    def split(x):  # (B*T, d) -> (B, H, T, dh)
-        return x.reshape(n_seq, seq_len, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(x):  # (B*rows, d) -> (B, H, rows, dh)
+        return x.reshape(n_seq, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):  # (B, H, T, dh) -> (B*T, d)
-        return x.transpose(0, 2, 1, 3).reshape(n, d)
+    def merge(x):  # (B, H, rows, dh) -> (B*rows, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     key_bias = np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]

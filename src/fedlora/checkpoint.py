@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, SchemaError
 from .lora import (AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable,
                    trainable_param_count)
-from .model import EncoderModel, ModelConfig, Vocab, init_model, param_shapes
+from .model import EncoderModel, ModelConfig, Vocab, build_model, param_shapes
 
 MODEL_MAGIC = b"FLMC"
 ADAPTER_MAGIC = b"FLLA"
@@ -91,13 +91,11 @@ def load_model(path) -> EncoderModel:
         except ConfigError as exc:
             raise SchemaError(f"{path} has an invalid model header: {exc}") from exc
         left = _bytes_left(fh)
-        for _, (rows, cols) in param_shapes(cfg):  # before init_model allocates the model
+        for _, (rows, cols) in param_shapes(cfg):  # before any array is allocated
             left -= 8 * rows * cols
             if left < 0:
                 raise SchemaError(f"{path} is too short for the model its header describes")
-        m = init_model(cfg)  # establishes shapes; data overwritten below
-        for p in m.parameters():
-            p.data = _read_array(fh, p.data.shape)
+        m = build_model(cfg, lambda _tag, rows, cols: _read_array(fh, (rows, cols)))
         _expect_end(fh, path)
     return m
 

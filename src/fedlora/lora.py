@@ -1,9 +1,11 @@
 """Low-rank adaptation of the encoder: freeze the base, train delta = B @ A.
 
 An adapter on a (d x k) base matrix holds A (r x k) and B (d x r); the
-effective weight is W0 + (alpha / r) * B @ A. B starts at zero, so a freshly
-adapted model is exactly the base model. The trainable set is the adapters
-plus the classifier head, flattened in the order of
+effective weight is W0 + (alpha / r) * B @ A. An adapted projection is one
+`autodiff.lora_linear` op, x @ W0 + (alpha / r) * (x @ B) @ A, so the
+effective weight is never formed during training. B starts at zero, so a
+freshly adapted model is exactly the base model. The trainable set is the
+adapters plus the classifier head, flattened in the order of
 `AdaptedModel.trainable_parameters()` (layer ascending, then matrix name in
 `model.LAYER_MATRIX_NAMES` order, A before B, head last) — that ordering is
 the wire contract with the federation layer and the adapter checkpoint.
@@ -101,12 +103,11 @@ class AdaptedModel:
         return self.base.layers
 
     def linear(self, x: Tensor, layer_idx: int, name: str) -> Tensor:
+        w = self.base.layers[layer_idx][name]
         adapter = self.adapters.get((layer_idx, name))
-        out = ad.matmul(x, self.base.layers[layer_idx][name])
-        if adapter is not None:
-            low = ad.matmul(ad.matmul(x, adapter.b), adapter.a)
-            out = ad.add(out, ad.scale(low, adapter.scale))
-        return out
+        if adapter is None:
+            return ad.matmul(x, w)
+        return ad.lora_linear(x, w, adapter.b, adapter.a, adapter.scale)
 
     def trainable_parameters(self) -> list[Tensor]:
         out = []

@@ -148,6 +148,18 @@ def param_shapes(cfg: ModelConfig):
     yield "head_b", (1, c)
 
 
+def build_model(cfg: ModelConfig, array_for) -> EncoderModel:
+    """An EncoderModel whose parameters are `array_for(tag, rows, cols)`, called
+    in `param_shapes` order."""
+    params = {tag: Tensor(array_for(tag, *shape)) for tag, shape in param_shapes(cfg)}
+    ends = {tag: params.pop(tag) for tag in ("tok_emb", "pos_emb", "head_w", "head_b")}
+    layers = [{} for _ in range(cfg.n_layers)]
+    for tag, t in params.items():
+        li, name = tag.removeprefix("layer").split(".")
+        layers[int(li)][name] = t
+    return EncoderModel(cfg=cfg, layers=layers, **ends)
+
+
 def init_model(cfg: ModelConfig) -> EncoderModel:
     """Seeded Xavier-uniform init; bit-reproducible per seed."""
     cfg.validate()
@@ -164,13 +176,7 @@ def init_model(cfg: ModelConfig) -> EncoderModel:
             return rng.uniform_array(rng.derive(cfg.seed, tag), rows * cols, -s, s).reshape(rows, cols)
         return _xavier(rng.derive(cfg.seed, tag), rows, cols)
 
-    params = {tag: Tensor(init(tag, *shape)) for tag, shape in param_shapes(cfg)}
-    ends = {tag: params.pop(tag) for tag in ("tok_emb", "pos_emb", "head_w", "head_b")}
-    layers = [{} for _ in range(cfg.n_layers)]
-    for tag, t in params.items():
-        li, name = tag.removeprefix("layer").split(".")
-        layers[int(li)][name] = t
-    return EncoderModel(cfg=cfg, layers=layers, **ends)
+    return build_model(cfg, init)
 
 
 def _pack_batch(ids_batch, mask_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +219,12 @@ def forward(model, ids_batch, mask_batch) -> Tensor:
     underflows to exactly zero attention weight in double precision, so the
     logits do not depend on padding content, and each row equals that
     example run alone up to summation order.
+
+    Only the CLS rows reach the head, so the last layer computes k and v on
+    all B*T rows but runs the q projection, the residual, wo, both layer
+    norms and the feed-forward block on the B CLS rows only (one query per
+    sequence in attention). The logits equal those of the full last layer
+    followed by CLS pooling, up to summation order.
     """
     cfg = model.cfg
     ids, mask = _pack_batch(ids_batch, mask_batch, cfg.max_seq_len)
@@ -220,13 +232,14 @@ def forward(model, ids_batch, mask_batch) -> Tensor:
 
     x = ad.add(ad.gather_rows(model.tok_emb, ids.ravel()),
                ad.gather_rows(model.pos_emb, np.tile(np.arange(seq_len), n_seq)))
+    last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        q = model.linear(x, li, "wq")
+        rows = x if li < last else ad.gather_rows(x, np.arange(n_seq) * seq_len)
+        q = model.linear(rows, li, "wq")
         k = model.linear(x, li, "wk")
         v = model.linear(x, li, "wv")
         attn_out = model.linear(ad.attention(q, k, v, mask, cfg.n_heads), li, "wo")
-        x = ad.layer_norm(ad.add(x, attn_out), layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
+        x = ad.layer_norm(ad.add(rows, attn_out), layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
         ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
         x = ad.layer_norm(ad.add(x, ff), layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)
-    cls = ad.gather_rows(x, np.arange(n_seq) * seq_len)
-    return ad.add(ad.matmul(cls, model.head_w), model.head_b)
+    return ad.add(ad.matmul(x, model.head_w), model.head_b)

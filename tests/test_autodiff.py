@@ -226,7 +226,10 @@ def test_backward_rejects_bad_loss(make, error):
     (lambda: ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3)))),
      ShapeError),
     (lambda: ad.cross_entropy(Tensor(np.zeros((3, 2))), [0, 1]), ShapeError),
-], ids=["tensor_1d", "add_shapes", "gather_out_of_range", "layer_norm_affine", "cross_entropy_labels"])
+    (lambda: ad.lora_linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))),
+                            Tensor(np.zeros((2, 3))), 1.0), ShapeError),
+], ids=["tensor_1d", "add_shapes", "gather_out_of_range", "layer_norm_affine", "cross_entropy_labels",
+        "lora_linear_shapes"])
 def test_bad_op_input_raises(call, error):
     with pytest.raises(error):
         call()
@@ -327,19 +330,50 @@ def test_attention_matches_per_sequence_ops():
         assert np.abs(fused - parts).max() <= 1e-12
 
 
+def _lora_linear_by_parts(x, w, b, a, scale):
+    """x @ W + scale * (x @ B) @ A out of five ops: the path the fused op replaced."""
+    return ad.add(ad.matmul(x, w), ad.scale(ad.matmul(ad.matmul(x, b), a), scale))
+
+
+@pytest.mark.parametrize("trainable", ["xwba", "ba"])
+def test_lora_linear_matches_composed_ops(trainable):
+    gen = np.random.default_rng(6)
+    shapes = {"x": (7, 5), "w": (5, 4), "b": (5, 2), "a": (2, 4)}
+    inputs = {n: Tensor(gen.normal(size=s), requires_grad=n in trainable) for n, s in shapes.items()}
+    frozen = [t for n, t in inputs.items() if n not in trainable]
+    weights = Tensor(gen.normal(size=(4, 1)))
+    ones = Tensor(np.ones((1, 7)))
+    results = []
+    for op in (ad.lora_linear, _lora_linear_by_parts):
+        ad.zero_grads(list(inputs.values()))
+        with Graph() as g:
+            out = op(*inputs.values(), 0.75)
+            loss = ad.matmul(ones, ad.matmul(out, weights))
+        seen, accumulate = [], g.accumulate
+        g.accumulate = lambda t, delta: (seen.append(t), accumulate(t, delta))
+        g.backward(loss)
+        if op is ad.lora_linear:  # no gradient is even computed for a frozen input
+            assert not any(t is f for t in seen for f in frozen)
+        assert all(t.grad is None for t in frozen)
+        results.append([out.data] + [inputs[n].grad for n in trainable])
+    for fused, parts in zip(*results):
+        assert np.abs(fused - parts).max() <= 1e-12
+
+
 def attention_weights(q, k, key_mask, n_heads):
-    """Per-head attention weights, (B, H, T, T), read off `ad.attention`.
+    """Per-head attention weights, (B, H, T_q, T), read off `ad.attention`.
 
     Each head's columns of v hold a one-hot row per key, so every output row
     is exactly that query's weights over its sequence's keys (needs T <= d/H).
+    q holds T_q = T queries per sequence, or one.
     """
     mask = np.asarray(key_mask, dtype=bool)
     n_seq, seq_len = mask.shape
-    dh = q.shape[1] // n_heads
+    dh = k.shape[1] // n_heads
     v = np.zeros((n_seq, seq_len, n_heads, dh))
     v[:, np.arange(seq_len), :, np.arange(seq_len)] = 1.0
-    out = ad.attention(q, k, Tensor(v.reshape(q.shape)), mask, n_heads).data
-    return out.reshape(n_seq, seq_len, n_heads, dh).transpose(0, 2, 1, 3)[..., :seq_len]
+    out = ad.attention(q, k, Tensor(v.reshape(k.shape)), mask, n_heads).data
+    return out.reshape(n_seq, -1, n_heads, dh).transpose(0, 2, 1, 3)[..., :seq_len]
 
 
 def test_attention_weights_and_shape_checks():
@@ -352,8 +386,14 @@ def test_attention_weights_and_shape_checks():
     assert np.all(weights[0, :, :, 1] == 0.0) and np.all(weights[0, :, :, 0] == 1.0)
     assert np.all(weights[1] > 0.0)
     assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-12
+    # one query per sequence: each sequence's first query row, with the same weights
+    one = attention_weights(Tensor(q.data[::2]), q, mask, 2)
+    assert one.shape == (2, 2, 1, 2)
+    assert np.abs(one - weights[:, :, :1]).max() <= 1e-12
     with pytest.raises(ShapeError):
         ad.attention(q, q, q, np.ones((3, 2), dtype=bool), 2)
+    with pytest.raises(ShapeError, match=r"q must be \(4, d\) or \(2, d\)"):
+        ad.attention(Tensor(q.data[:3]), q, q, mask, 2)
     with pytest.raises(ShapeError):
         ad.attention(q, q, q, mask, 3)
     with pytest.raises(ShapeError, match="key_mask must be"):
@@ -382,7 +422,9 @@ def test_grad_check_square():
 
 @pytest.mark.parametrize("op", ["matmul", "add", "add_broadcast", "scale", "relu",
                                 "transpose", "slice", "concat", "gather",
-                                "softmax", "layer_norm", "attention", "cross_entropy"])
+                                "softmax", "layer_norm", "attention", "attention_one_query",
+                                "lora_linear_x", "lora_linear_frozen_x", "lora_linear_w",
+                                "cross_entropy"])
 def test_every_op_gradient_over_seeds(op):
     # 100 seeded trials per op, per the gradient-correctness contract
     for seed in range(100):
@@ -438,15 +480,25 @@ def test_every_op_gradient_over_seeds(op):
             beta = Tensor(gen.normal(size=(1, 4)), requires_grad=True)
             params = [a, gamma, beta]
             f = lambda: to_scalar(ad.layer_norm(a, gamma, beta, eps=1e-5))
-        elif op == "attention":
-            # two packed sequences of three keys, width 4 split into two heads
-            q, k, v = (Tensor(gen.normal(size=(6, 4)), requires_grad=True) for _ in range(3))
+        elif op in ("attention", "attention_one_query"):
+            # two packed sequences of three keys, width 4 split into two heads,
+            # with three queries per sequence or one
+            n_q = 6 if op == "attention" else 2
+            q, k, v = (Tensor(gen.normal(size=(n, 4)), requires_grad=True) for n in (n_q, 6, 6))
             mask = gen.random((2, 3)) < 0.5
             mask[:, 0] = True  # every sequence keeps a real key
             mask[1, 2] = False  # and at least one key is masked
-            rows = Tensor(np.ones((1, 6)))
+            rows = Tensor(np.ones((1, n_q)))
             params = [q, k, v]
             f = lambda: ad.matmul(ad.matmul(rows, ad.attention(q, k, v, mask, 2)), reduce_w)
+        elif op.startswith("lora_linear"):
+            # x (3, 5) through W (5, 4) plus a rank-2 adapter B (5, 2) @ A (2, 4)
+            x, w, b, a = (Tensor(gen.normal(size=s)) for s in ((3, 5), (5, 4), (5, 2), (2, 4)))
+            params = {"lora_linear_x": [x, b, a], "lora_linear_frozen_x": [b, a],
+                      "lora_linear_w": [x, w, b, a]}[op]
+            for t in params:
+                t.requires_grad = True
+            f = lambda: to_scalar(ad.lora_linear(x, w, b, a, 0.6))
         else:  # cross_entropy
             a = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
             labels = gen.integers(0, 3, size=4)

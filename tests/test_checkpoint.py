@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedlora import rng
 from fedlora.checkpoint import (load_adapters, load_model, load_vocab,
                                 save_adapters, save_model, save_vocab)
 from fedlora.errors import SchemaError
@@ -19,6 +20,21 @@ def test_model_round_trip_bit_identical(tmp_path):
     save_model(path, m)
     loaded = load_model(path)
     assert loaded.cfg == m.cfg
+    for p, q in zip(m.parameters(), loaded.parameters()):
+        assert np.array_equal(p.data, q.data)
+
+
+def test_model_load_reads_the_file_without_seeded_init(tmp_path, monkeypatch):
+    m = init_model(small_cfg(seed=13, n_layers=2))
+    path = tmp_path / "model.bin"
+    save_model(path, m)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_model ran the seeded init")
+
+    monkeypatch.setattr(rng, "uniform_array", no_init)
+    loaded = load_model(path)
+    assert [list(layer) for layer in loaded.layers] == [list(layer) for layer in m.layers]
     for p, q in zip(m.parameters(), loaded.parameters()):
         assert np.array_equal(p.data, q.data)
 

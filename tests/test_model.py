@@ -3,7 +3,7 @@ import pytest
 
 from fedlora import autodiff as ad
 from fedlora import model as M
-from fedlora.autodiff import Tensor
+from fedlora.autodiff import Graph, Tensor
 from fedlora.errors import ConfigError, DataError
 from fedlora.lora import LoraConfig, attach_adapters
 from fedlora.model import ModelConfig, build_vocab, forward, init_model, tokenize
@@ -157,14 +157,16 @@ def spy_on_attention(monkeypatch):
 
 
 def test_attention_rows_sum_to_one_over_unmasked_keys(monkeypatch):
-    m = init_model(small_cfg(d_model=16))  # head width 8 fits the 8 keys attention_weights reads off
+    # head width 8 fits the 8 keys attention_weights reads off; the second
+    # layer is the last, which runs one query per sequence
+    m = init_model(small_cfg(d_model=16, n_layers=2))
     # the full-length second row keeps the first row's masked keys in the trimmed batch
     ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 4, 6, 8, 10, 12, 14, 16]]
     mask = [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8]
     calls = spy_on_attention(monkeypatch)
     forward(m, ids, mask)
     monkeypatch.undo()  # attention_weights calls the real op
-    assert calls
+    assert len(calls) == 2
     for q, k, _, key_mask, n_heads in calls:
         assert np.array_equal(key_mask, np.asarray(mask, dtype=bool))
         weights = attention_weights(q, k, key_mask, n_heads)
@@ -186,14 +188,16 @@ def test_forward_is_pure():
 
 
 def test_forward_trims_columns_no_row_needs(monkeypatch):
-    m = init_model(small_cfg())
+    m = init_model(small_cfg(n_layers=3))
     calls = spy_on_attention(monkeypatch)
     forward(m, [[2, 5, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]],
             [[1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]])
-    assert calls
+    assert len(calls) == 3
     for q, _, _, key_mask, _ in calls:
         assert key_mask.shape == (2, 2)
-        assert q.shape == (4, m.cfg.d_model)
+    # every layer but the last queries all B*T rows; the last, only the CLS rows
+    assert all(q.shape == (4, m.cfg.d_model) for q, *_ in calls[:-1])
+    assert calls[-1][0].shape == (2, m.cfg.d_model)
 
 
 @pytest.mark.parametrize("adapted", [False, True])
@@ -215,6 +219,56 @@ def test_batched_rows_equal_examples_run_alone(adapted):
     for i in range(len(ids)):
         alone = forward(m, [ids[i]], [masks[i]]).data
         assert np.abs(batched[i] - alone[0]).max() <= 1e-12
+
+
+def _forward_all_rows(model, ids_batch, mask_batch):
+    """Every layer on all B*T rows, then the CLS gather: the path the CLS-only last layer replaced."""
+    ids, mask = M._pack_batch(ids_batch, mask_batch, model.cfg.max_seq_len)
+    n_seq, seq_len = ids.shape
+    x = ad.add(ad.gather_rows(model.tok_emb, ids.ravel()),
+               ad.gather_rows(model.pos_emb, np.tile(np.arange(seq_len), n_seq)))
+    for li, layer in enumerate(model.layers):
+        q, k, v = (model.linear(x, li, name) for name in ("wq", "wk", "wv"))
+        attn_out = model.linear(ad.attention(q, k, v, mask, model.cfg.n_heads), li, "wo")
+        x = ad.layer_norm(ad.add(x, attn_out), layer["ln1_gamma"], layer["ln1_beta"], M.LN_EPS)
+        ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
+        x = ad.layer_norm(ad.add(x, ff), layer["ln2_gamma"], layer["ln2_beta"], M.LN_EPS)
+    cls = ad.gather_rows(x, np.arange(n_seq) * seq_len)
+    return ad.add(ad.matmul(cls, model.head_w), model.head_b)
+
+
+@pytest.mark.parametrize("adapted", [False, True])
+def test_cls_only_last_layer_matches_full_layer_then_gather(adapted):
+    m = init_model(small_cfg(n_layers=2))
+    gen = np.random.default_rng(21)
+    if adapted:
+        m = attach_adapters(m, LoraConfig(rank=2, seed=3, targets=("q", "k", "v", "o", "ff1", "ff2")))
+        for adapter in m.adapters.values():
+            adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.5
+        params = m.trainable_parameters()
+    else:
+        params = m.parameters()
+        for p in params:
+            p.requires_grad = True
+    cfg = m.cfg
+    ids, masks = [], []
+    for length in (cfg.max_seq_len, 1, 4, 6, 2):
+        row = [M.CLS_ID] + list(gen.integers(3, cfg.vocab_size, size=length - 1))
+        pad = cfg.max_seq_len - length
+        ids.append(row + [M.PAD_ID] * pad)
+        masks.append([1] * length + [0] * pad)
+    labels = [0, 1, 1, 0, 1]
+    results = []
+    for fwd in (forward, _forward_all_rows):
+        ad.zero_grads(params)
+        with Graph() as g:
+            logits = fwd(m, ids, masks)
+            loss = ad.cross_entropy(logits, labels)
+        g.backward(loss)
+        assert all(p.grad is not None for p in params)
+        results.append([logits.data] + [p.grad for p in params])
+    for cls_only, full in zip(*results):
+        assert np.abs(cls_only - full).max() <= 1e-12
 
 
 def test_forward_rejects_ragged_and_tokenless_batches():
