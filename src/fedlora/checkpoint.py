@@ -16,10 +16,15 @@ Vocab file:   one token per line, utf-8; id = line number - 1 + 3 (ids 0-2
 A file that is short, carries trailing bytes, or holds a header the model
 or adapter config rejects raises SchemaError, and a length or model size
 that exceeds the bytes left in the file is refused before any allocation.
+
+Every save goes through `write_atomically`, so a save that fails or a
+process that dies midway never leaves a half-written file under the
+target name.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import struct
@@ -34,6 +39,22 @@ from .model import EncoderModel, ModelConfig, Vocab, build_model, param_shapes
 MODEL_MAGIC = b"FLMC"
 ADAPTER_MAGIC = b"FLLA"
 VERSION = 1
+
+
+@contextlib.contextmanager
+def write_atomically(path, mode: str, **open_kwargs):
+    """open(path, mode) that writes a temp file beside `path` and moves it into
+    place with os.replace only once the block completes; on any exception the
+    temp file is removed and an existing `path` is left as it was."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_array(fh, arr: np.ndarray):
@@ -74,7 +95,7 @@ def _expect_end(fh, path):
 
 
 def save_model(path, m: EncoderModel):
-    with open(path, "wb") as fh:
+    with write_atomically(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<8q", *dataclasses.astuple(m.cfg)))
@@ -105,7 +126,7 @@ def save_adapters(path, am: AdaptedModel):
     names = ",".join(f"{li}:{name}" for li, name in am.adapters)
     blob = names.encode("utf-8")
     alpha = cfg.rank if cfg.alpha is None else cfg.alpha
-    with open(path, "wb") as fh:
+    with write_atomically(path, "wb") as fh:
         fh.write(ADAPTER_MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<qdq", cfg.rank, alpha, cfg.seed))
@@ -144,7 +165,7 @@ def load_adapters(path, base: EncoderModel) -> AdaptedModel:
 
 
 def save_vocab(path, vocab: Vocab):
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path, "w", encoding="utf-8") as fh:
         for token in vocab.id_to_token:
             fh.write(token + "\n")
 

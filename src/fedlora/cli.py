@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train-federated, train-centralized, ablate, report.
-Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
+Exit codes: 0 success, 1 runtime failure (a failed round included: a killed
+worker, or every client failed or diverged), 2 config/usage error. A training
+run writes its artifacts only after its last round, each through a temp file
+moved into place, so a run that exits 1 leaves none.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .lora import trainable_param_count
 
 def _write_run_artifacts(out_dir: str, state, wall_time: float):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
+    with checkpoint.write_atomically(os.path.join(out_dir, "rounds.jsonl"), "w",
+                                     encoding="utf-8") as fh:
         for report in state.history:
             fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
 
@@ -37,7 +41,8 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
         "trainable_ratio": n_trainable / total_params,
         "wall_time_s": wall_time,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with checkpoint.write_atomically(os.path.join(out_dir, "summary.json"), "w",
+                                     encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -113,7 +118,7 @@ def cmd_ablate(args) -> int:
     out_dir = args.output_dir or exp.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with checkpoint.write_atomically(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["num_clients", "client_epochs", "global_epochs",
                          "eval_accuracy", "eval_f1", "error"])

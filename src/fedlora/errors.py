@@ -38,4 +38,5 @@ class ClientError(FedLoraError):
 
 
 class RoundError(FedLoraError):
-    """An entire round failed (e.g. every client errored)."""
+    """An entire round failed: every client errored or diverged, or a worker
+    process ended without a result."""

@@ -2,9 +2,20 @@
 server, per-round evaluation and communication accounting.
 
 Determinism contract: every batch shuffle is derived from
-(seed, client_id, round, epoch), clients train one after another in
-client-id order, and aggregation sums in that order, so a run is
-bit-reproducible.
+(seed, client_id, round, epoch), so a client's result depends only on
+(snapshot, shard, seed, client id, round), and aggregation sums in
+client-id order, so a run is bit-reproducible on any number of cores.
+
+Parallelism: each round trains its clients, and then runs its 64-record
+eval batches, in up to min(groups, usable cores) processes (`fork_map`).
+The calling process runs the first group itself; every other group runs in
+a child made by `os.fork()`, which inherits the template, snapshot and
+encoded sets and sends only its pickled result back through a pipe. Clients
+go largest training set first to the least-loaded process; eval batches keep
+their boundaries and are split into contiguous runs. A `ClientError` in a
+worker skips that client; any other exception is raised again in the parent;
+a worker that ends without a result (killed, nonzero exit, short read)
+raises `RoundError`.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
 population); the federation trains on the first `fed.n_clients` of them, so
@@ -22,6 +33,8 @@ received it.
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -150,7 +163,8 @@ def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: Encod
     """Local training: clone the model, load the snapshot, run E epochs of SGD.
 
     Returns (theta_k, mean loss over the last epoch). The snapshot is never
-    mutated; the clone is private to this call.
+    mutated; the clone is private to this call. A non-finite last-epoch loss
+    or theta_k raises ClientError, so a diverged client is skipped.
     """
     if len(train_set) == 0:
         raise ClientError(f"client {client_id} has an empty training set")
@@ -172,18 +186,121 @@ def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: Encod
             g.backward(loss)
             sgd_step(params, cfg.eta)
             last_epoch_losses.append(float(loss.data[0, 0]))
-    return extract_trainable(am), float(np.mean(last_epoch_losses))
+    theta, mean_loss = extract_trainable(am), float(np.mean(last_epoch_losses))
+    if not (np.isfinite(mean_loss) and np.isfinite(theta).all()):
+        raise ClientError(f"client {client_id} diverged: non-finite loss or update")
+    return theta, mean_loss
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity mask)."""
+    return len(os.sched_getaffinity(0))
+
+
+def process_count(n_groups: int) -> int:
+    """min(n_groups, usable cores), and at least 1 so an empty input still runs."""
+    return max(1, min(n_groups, usable_cores()))
+
+
+def _child(work, group, write_fd):
+    """Forked side of fork_map: send pickle((ok, value)) and exit; never return."""
+    code = 1
+    try:
+        try:
+            payload = (True, work(group))
+        except Exception as exc:  # raised again in the parent
+            payload = (False, exc)
+        data = pickle.dumps(payload)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_fd: int) -> tuple[int, bytes]:
+    """Read a child's pipe to the end, then wait for it: (exit code, bytes)."""
+    with os.fdopen(read_fd, "rb") as fh:
+        data = fh.read()
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), data
+
+
+def fork_map(work, groups: list, what: str) -> list:
+    """[work(g) for g in groups], groups[1:] each in a forked child process.
+
+    groups[0] runs here after the children are forked. Every pipe is read and
+    every child reaped even if groups[0] raises. An exception a child raised
+    is raised again here; a child that ends without a result (a signal, a
+    nonzero exit, a short read) raises RoundError naming `what` and its group.
+    """
+    children = []
+    try:
+        for group in groups[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(work, group, write_fd)
+            os.close(write_fd)  # so the read end sees EOF once the child exits
+            children.append((pid, read_fd))
+        results = [work(groups[0])]
+    finally:
+        ends = [_reap(pid, read_fd) for pid, read_fd in children]
+    for group, (code, data) in zip(groups[1:], ends):
+        ok = None
+        if code == 0:
+            try:
+                ok, value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):  # a short read
+                pass
+        if ok is None:
+            cause = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise RoundError(f"worker for {what} {group} ended without a result ({cause})")
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def evaluate(model, eval_set: EncodedSet, batch_size: int = 64) -> tuple[float, float]:
-    """(accuracy, F1) on a pre-encoded eval set, forward-only."""
-    preds: list[int] = []
-    for start in range(0, len(eval_set), batch_size):
-        logits = forward(model, eval_set.ids[start:start + batch_size],
-                         eval_set.masks[start:start + batch_size])
-        preds.extend(predict_labels(logits.data))
+    """(accuracy, F1) on a pre-encoded eval set, forward-only.
+
+    The batches keep their boundaries (forward trims padding columns per
+    batch) and are split into contiguous runs, one per process.
+    """
+    starts = list(range(0, len(eval_set), batch_size))
+    n_proc = process_count(len(starts))
+    runs = [starts[i * len(starts) // n_proc:(i + 1) * len(starts) // n_proc]
+            for i in range(n_proc)]
+
+    def predict(run):
+        preds = []
+        for start in run:
+            logits = forward(model, eval_set.ids[start:start + batch_size],
+                             eval_set.masks[start:start + batch_size])
+            preds.extend(predict_labels(logits.data))
+        return preds
+
+    preds = [p for run_preds in fork_map(predict, runs, "eval batches at records")
+             for p in run_preds]
     m = confusion(preds, eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
+
+
+def assign_clients(client_sets: dict, n_proc: int) -> list[list]:
+    """Largest training set first, each to the least-loaded of n_proc groups."""
+    groups = [[] for _ in range(n_proc)]
+    loads = [0] * n_proc
+    for cid in sorted(client_sets, key=lambda c: (-len(client_sets[c]), c)):
+        i = loads.index(min(loads))
+        groups[i].append(cid)
+        loads[i] += len(client_sets[cid])
+    return groups
 
 
 def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
@@ -194,13 +311,21 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     snapshot = state.theta.copy()
     round_idx = state.round_idx
 
-    results, losses = {}, {}
-    for cid in sorted(client_sets):
-        try:
-            results[cid], losses[cid] = client_update(
-                template, snapshot, client_sets[cid], cfg, round_idx, cid)
-        except ClientError:
-            losses[cid] = None  # skipped for this round
+    def train(group):
+        out = {}
+        for cid in group:
+            try:
+                out[cid] = client_update(template, snapshot, client_sets[cid], cfg, round_idx, cid)
+            except ClientError:
+                out[cid] = None  # skipped for this round
+        return out
+
+    groups = assign_clients(client_sets, process_count(len(client_sets)))
+    updates = {}
+    for out in fork_map(train, groups, f"round {round_idx}: clients"):
+        updates.update(out)
+    results = {cid: u[0] for cid, u in updates.items() if u is not None}
+    losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
     if not results:
         raise RoundError(f"round {round_idx}: every client failed")
 

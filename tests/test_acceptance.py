@@ -123,6 +123,25 @@ def test_criterion_1_gradients():
            f"max rel err {worst:.2e} over {len(ops)}x100 op trials + full loss, {elapsed:.1f}s")
 
 
+def test_full_loss_gradients_through_trainable_layer_inputs():
+    # criterion 1's one-layer model feeds its only (CLS-only) layer from the
+    # frozen embeddings; with two layers, every adapted op of the last layer
+    # takes a trainable x, so its dx reaches the first layer's adapters
+    base = init_model(tiny_cfg(n_layers=2))
+    am = attach_adapters(base, LoraConfig(rank=2, seed=3,
+                                          targets=("q", "k", "v", "o", "ff1", "ff2")))
+    gen = np.random.default_rng(4)
+    for adapter in am.adapters.values():
+        adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.3
+    ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 7, 0, 0, 0, 0, 0, 0], [2, 30, 41, 8, 17, 60, 3, 0]]
+    masks = [[1, 1, 1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 0]]
+
+    def full_loss():
+        return ad.cross_entropy(forward(am, ids, masks), [0, 1, 1])
+
+    assert ad.grad_check(full_loss, am.trainable_parameters(), eps=1e-5) < 1e-4
+
+
 # 2. single-client round equals centralized training -------------------------
 
 def test_criterion_2_centralized_equivalence():

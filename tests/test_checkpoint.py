@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedlora import rng
+from fedlora import checkpoint, rng
 from fedlora.checkpoint import (load_adapters, load_model, load_vocab,
                                 save_adapters, save_model, save_vocab)
 from fedlora.errors import SchemaError
@@ -94,6 +94,34 @@ def test_vocab_round_trip(tmp_path):
     loaded = load_vocab(path)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.token_to_id == vocab.token_to_id
+
+
+def half_then_fail(fh, arr):
+    fh.write(arr.astype("<f8").tobytes()[: arr.size * 4])
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("kind", ["model", "adapters", "vocab"])
+def test_failed_save_leaves_no_partial_target_or_temp_file(tmp_path, monkeypatch, kind):
+    base = init_model(small_cfg())
+    am = attach_adapters(base, LoraConfig(rank=2, seed=3, targets=("q", "v")))
+    vocab = build_vocab(["stress deadline calm sunny"], max_size=10)
+    vocab.id_to_token.insert(1, None)  # save_vocab fails after the first line
+    monkeypatch.setattr(checkpoint, "_write_array", half_then_fail)
+    save = {"model": lambda p: save_model(p, base),
+            "adapters": lambda p: save_adapters(p, am),
+            "vocab": lambda p: save_vocab(p, vocab)}[kind]
+    path = tmp_path / kind
+
+    with pytest.raises((OSError, TypeError)):
+        save(path)
+    assert list(tmp_path.iterdir()) == []
+
+    path.write_bytes(b"an earlier run")
+    with pytest.raises((OSError, TypeError)):
+        save(path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"an earlier run"
 
 
 # malformed files ------------------------------------------------------------
