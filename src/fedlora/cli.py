@@ -52,32 +52,22 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
     return summary
 
 
-def cmd_train_federated(args) -> int:
+def cmd_train(args) -> int:
     exp = load_experiment(args.config, args.set)
-    records = exp.data.load_records()
-    t0 = time.perf_counter()
-    state = run_federated(exp.model, exp.lora, exp.fed, records, exp.data.partition,
-                          eval_frac=exp.data.eval_frac)
-    out_dir = args.output_dir or exp.output_dir
-    summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0)
-    print(f"federated run complete: {state.round_idx} rounds, "
-          f"accuracy {summary['final_eval_accuracy']:.4f}, "
-          f"F1 {summary['final_eval_f1']:.4f} -> {out_dir}")
-    return 0
-
-
-def cmd_train_centralized(args) -> int:
-    exp = load_experiment(args.config, args.set)
-    if exp.fed.n_clients != 1:
+    kind = args.command.removeprefix("train-")
+    if kind == "centralized" and exp.fed.n_clients != 1:
         print(f"warning: fed.n_clients={exp.fed.n_clients} is ignored for centralized training",
               file=sys.stderr)
     records = exp.data.load_records()
     t0 = time.perf_counter()
-    state = run_centralized(exp.model, exp.lora, exp.fed, records,
-                            eval_frac=exp.data.eval_frac)
+    if kind == "centralized":
+        state = run_centralized(exp.model, exp.lora, exp.fed, records, eval_frac=exp.data.eval_frac)
+    else:
+        state = run_federated(exp.model, exp.lora, exp.fed, records, exp.data.partition,
+                              eval_frac=exp.data.eval_frac)
     out_dir = args.output_dir or exp.output_dir
     summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0)
-    print(f"centralized run complete: {state.round_idx} rounds, "
+    print(f"{kind} run complete: {state.round_idx} rounds, "
           f"accuracy {summary['final_eval_accuracy']:.4f}, "
           f"F1 {summary['final_eval_f1']:.4f} -> {out_dir}")
     return 0
@@ -139,19 +129,34 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    rounds_path = os.path.join(args.run_dir, "rounds.jsonl")
-    if not os.path.exists(rounds_path):
-        raise ConfigError(f"no rounds.jsonl in {args.run_dir}")
+REPORT_COLUMNS = ("round", "eval_accuracy", "eval_f1", "uplink_bytes", "downlink_bytes")
+
+
+def _read_rounds(path) -> list[dict]:
+    """The reports in a rounds.jsonl; SchemaError naming file:line for a line
+    that is not a JSON object with a number in every REPORT_COLUMNS field."""
     reports = []
-    with open(rounds_path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                reports.append(json.loads(line))
+                rep = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"{rounds_path}:{line_no} is not valid JSON: {exc}")
+                raise SchemaError(f"{path}:{line_no} is not valid JSON: {exc}")
+            if not (isinstance(rep, dict)
+                    and all(type(rep.get(key)) in (int, float) for key in REPORT_COLUMNS)):
+                raise SchemaError(f"{path}:{line_no} is not a round report: it needs a number "
+                                  f"in each of {', '.join(REPORT_COLUMNS)}")
+            reports.append(rep)
+    return reports
+
+
+def cmd_report(args) -> int:
+    rounds_path = os.path.join(args.run_dir, "rounds.jsonl")
+    if not os.path.exists(rounds_path):
+        raise ConfigError(f"no rounds.jsonl in {args.run_dir}")
+    reports = _read_rounds(rounds_path)
 
     print(f"{'round':>5}  {'accuracy':>8}  {'F1':>8}  {'uplink B':>10}  {'downlink B':>10}")
     cum_up = cum_down = 0
@@ -163,12 +168,10 @@ def cmd_report(args) -> int:
     print(f"total communication: {cum_up} bytes up, {cum_down} bytes down over {len(reports)} rounds")
 
     if args.plot_csv:
-        with open(args.plot_csv, "w", newline="", encoding="utf-8") as fh:
+        with checkpoint.write_atomically(args.plot_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["round", "eval_accuracy", "eval_f1", "uplink_bytes", "downlink_bytes"])
-            for rep in reports:
-                writer.writerow([rep["round"], rep["eval_accuracy"], rep["eval_f1"],
-                                 rep["uplink_bytes"], rep["downlink_bytes"]])
+            writer.writerow(REPORT_COLUMNS)
+            writer.writerows([rep[key] for key in REPORT_COLUMNS] for rep in reports)
         print(f"plot data written to {args.plot_csv}")
     return 0
 
@@ -185,13 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config leaf, e.g. fed.eta=0.1")
         p.add_argument("--output-dir", help="override the config's output_dir")
 
-    p = sub.add_parser("train-federated", help="run the federated pipeline")
-    add_run_args(p)
-    p.set_defaults(func=cmd_train_federated)
-
-    p = sub.add_parser("train-centralized", help="run the single-client baseline")
-    add_run_args(p)
-    p.set_defaults(func=cmd_train_centralized)
+    for name, help_text in (("train-federated", "run the federated pipeline"),
+                            ("train-centralized", "run the single-client baseline")):
+        p = sub.add_parser(name, help=help_text)
+        add_run_args(p)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="run a (K, E, R) ablation grid")
     add_run_args(p)

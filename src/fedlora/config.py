@@ -4,14 +4,16 @@ Top-level JSON keys: model, lora, fed, data, output_dir. The data block
 holds {"source": {"synthetic": N} | {"csv": "path"}, "partition": {...},
 "eval_frac": f, "seed": s}. Any leaf can be overridden on the command line
 with --set, e.g. --set fed.eta=0.1 (values parsed as JSON, falling back to
-string).
+string). Every value must have the JSON type of the field it sets: a float
+field takes any number, an int field an integer, and no number is a bool.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 from .data import PartitionSpec, load_corpus, synth_corpus
@@ -59,21 +61,34 @@ class ExperimentConfig:
         self.data.validate()
 
 
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), list: ((list,), "a list"), tuple: ((list,), "a list")}
+
+
+def _checked(path: str, value, hint):
+    """`value` if its JSON type is the declared type `hint`, else ConfigError.
+    A JSON list becomes a tuple for a tuple field."""
+    if typing.get_origin(hint) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    base, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    accepted, what = _JSON_TYPES[base]
+    if type(value) not in accepted:  # exact: a JSON bool is no number
+        raise ConfigError(f"{path} must be {what}, got {json.dumps(value)}")
+    return base(_checked(f"{path}[{i}]", v, args[0]) for i, v in enumerate(value)) if args else value
+
+
 def _build(cls, raw: dict, prefix: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {prefix!r} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
-        if key not in fields:
+        if key not in hints:
             raise ConfigError(f"unknown config field {prefix}.{key}")
-        if key == "targets" and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config section {prefix!r}: {exc}") from exc
+        kwargs[key] = _checked(f"{prefix}.{key}", value, hints[key])
+    return cls(**kwargs)  # every field has a default, and every key is a field
 
 
 def _build_data(raw: dict, fed: FedConfig) -> DataConfig:
@@ -86,27 +101,24 @@ def _build_data(raw: dict, fed: FedConfig) -> DataConfig:
         if not isinstance(source, dict) or len(source) != 1:
             raise ConfigError("data.source must be {'csv': path} or {'synthetic': n}")
         ((kind, value),) = source.items()
-        if kind == "csv":
-            kwargs["source_csv"] = value
-        elif kind == "synthetic":
-            kwargs["synthetic_n"] = int(value)
-        else:
+        if kind not in ("csv", "synthetic"):
             raise ConfigError(f"unknown data.source kind {kind!r}")
-    part_raw = raw.pop("partition", {}) or {}
-    part_raw = dict(part_raw)
-    part_raw.setdefault("n_clients", fed.n_clients)
-    kwargs["partition"] = _build(PartitionSpec, part_raw, "data.partition")
-    for key in ("seed", "eval_frac"):
+        name, hint = ("source_csv", str) if kind == "csv" else ("synthetic_n", int)
+        kwargs[name] = _checked(f"data.source.{kind}", value, hint)
+    part_raw = raw.pop("partition", None) or {}
+    if not isinstance(part_raw, dict):
+        raise ConfigError("config section 'data.partition' must be an object")
+    kwargs["partition"] = _build(PartitionSpec, {"n_clients": fed.n_clients, **part_raw},
+                                 "data.partition")
+    for key, hint in (("seed", int), ("eval_frac", float)):
         if key in raw:
-            kwargs[key] = raw.pop(key)
+            kwargs[key] = _checked(f"data.{key}", raw.pop(key), hint)
     if raw:
         raise ConfigError(f"unknown config field data.{next(iter(raw))}")
     return DataConfig(**kwargs)
 
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     known = {"model", "lora", "fed", "data", "output_dir"}
     for key in doc:
         if key not in known:
@@ -117,7 +129,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         lora=_build(LoraConfig, doc.get("lora", {}), "lora"),
         fed=fed,
         data=_build_data(doc.get("data", {}), fed),
-        output_dir=doc.get("output_dir", "runs/out"),
+        output_dir=_checked("output_dir", doc.get("output_dir", "runs/out"), str),
     )
     exp.validate()
     return exp
@@ -151,4 +163,6 @@ def load_experiment(path, overrides=None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return parse_experiment(apply_overrides(doc, overrides))

@@ -6,16 +6,17 @@ Determinism contract: every batch shuffle is derived from
 (snapshot, shard, seed, client id, round), and aggregation sums in
 client-id order, so a run is bit-reproducible on any number of cores.
 
-Parallelism: each round trains its clients, and then runs its 64-record
-eval batches, in up to min(groups, usable cores) processes (`fork_map`).
-The calling process runs the first group itself; every other group runs in
-a child made by `os.fork()`, which inherits the template, snapshot and
-encoded sets and sends only its pickled result back through a pipe. Clients
-go largest training set first to the least-loaded process; eval batches keep
-their boundaries and are split into contiguous runs. A `ClientError` in a
-worker skips that client; any other exception is raised again in the parent;
-a worker that ends without a result (killed, nonzero exit, short read)
-raises `RoundError`.
+Parallelism: each round trains its clients, and then runs its eval batches
+of EVAL_BATCH records, in up to min(groups, usable cores) processes
+(`fork_map`). The calling process runs the first group itself; every other
+group runs in a child made by `os.fork()`, which inherits the template, the
+snapshot and the encoded sets (each one id matrix, which a fork shares
+without copying) and sends only its pickled result back through a pipe.
+Clients go largest training set first to the least-loaded process; eval
+batches keep their boundaries and are split into contiguous runs. A
+`ClientError` in a worker skips that client; any other exception is raised
+again in the parent; a worker that ends without a result (killed, nonzero
+exit, short read) raises `RoundError`.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
 population); the federation trains on the first `fed.n_clients` of them, so
@@ -49,6 +50,7 @@ from .metrics import accuracy, confusion, f1_binary, predict_labels
 from .model import ModelConfig, Vocab, build_vocab, forward, init_model, tokenize
 
 WIRE_BYTES_PER_PARAM = 4  # simulated single-precision payload
+EVAL_BATCH = 64  # records per forward-only eval batch
 
 
 @dataclass
@@ -90,9 +92,9 @@ class RoundReport:
 
 @dataclass
 class EncodedSet:
-    """Pre-tokenized records: padded id sequences, masks, labels."""
-    ids: list
-    masks: list
+    """Pre-tokenized records: an (N, max_len) intp matrix of PAD-filled id
+    rows (see `tokenize`), and N labels. A batch is a selection of rows."""
+    ids: np.ndarray
     labels: np.ndarray
 
     def __len__(self):
@@ -100,12 +102,9 @@ class EncodedSet:
 
 
 def encode_records(records, vocab: Vocab, max_len: int) -> EncodedSet:
-    ids, masks = [], []
-    for r in records:
-        i, m = tokenize(r.text, vocab, max_len)
-        ids.append(i)
-        masks.append(m)
-    return EncodedSet(ids=ids, masks=masks, labels=np.array([r.label for r in records], dtype=int))
+    rows = [tokenize(r.text, vocab, max_len) for r in records]
+    return EncodedSet(ids=np.array(rows, dtype=np.intp).reshape(len(rows), max_len),
+                      labels=np.array([r.label for r in records], dtype=int))
 
 
 @dataclass
@@ -180,8 +179,7 @@ def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: Encod
             idx = perm[start:start + cfg.batch_size]
             zero_grads(params)
             with Graph() as g:
-                logits = forward(am, [train_set.ids[i] for i in idx],
-                                 [train_set.masks[i] for i in idx])
+                logits = forward(am, train_set.ids[idx])
                 loss = cross_entropy(logits, train_set.labels[idx])
             g.backward(loss)
             sgd_step(params, cfg.eta)
@@ -267,13 +265,13 @@ def fork_map(work, groups: list, what: str) -> list:
     return results
 
 
-def evaluate(model, eval_set: EncodedSet, batch_size: int = 64) -> tuple[float, float]:
+def evaluate(model, eval_set: EncodedSet) -> tuple[float, float]:
     """(accuracy, F1) on a pre-encoded eval set, forward-only.
 
     The batches keep their boundaries (forward trims padding columns per
     batch) and are split into contiguous runs, one per process.
     """
-    starts = list(range(0, len(eval_set), batch_size))
+    starts = list(range(0, len(eval_set), EVAL_BATCH))
     n_proc = process_count(len(starts))
     runs = [starts[i * len(starts) // n_proc:(i + 1) * len(starts) // n_proc]
             for i in range(n_proc)]
@@ -281,8 +279,7 @@ def evaluate(model, eval_set: EncodedSet, batch_size: int = 64) -> tuple[float, 
     def predict(run):
         preds = []
         for start in run:
-            logits = forward(model, eval_set.ids[start:start + batch_size],
-                             eval_set.masks[start:start + batch_size])
+            logits = forward(model, eval_set.ids[start:start + EVAL_BATCH])
             preds.extend(predict_labels(logits.data))
         return preds
 

@@ -37,7 +37,7 @@ def canonical_target(name: str) -> str:
 class LoraConfig:
     rank: int = 4
     alpha: float | None = None  # None -> alpha = rank, i.e. scale 1
-    targets: tuple = ("q", "v")
+    targets: tuple[str, ...] = ("q", "v")
     seed: int = 0
 
     @property

@@ -30,21 +30,12 @@ def confusion(preds, golds) -> ConfusionMatrix:
     golds = list(golds)
     if len(preds) != len(golds):
         raise ProtocolError(f"got {len(preds)} predictions for {len(golds)} gold labels")
-    m = ConfusionMatrix()
-    for p, g in zip(preds, golds):
+    pairs = list(zip(preds, golds))
+    for p, g in pairs:
         if p not in (0, 1) or g not in (0, 1):
             raise DataError(f"labels must be 0 or 1, got pred={p} gold={g}")
-        if g == 1:
-            if p == 1:
-                m.tp += 1
-            else:
-                m.fn += 1
-        else:
-            if p == 1:
-                m.fp += 1
-            else:
-                m.tn += 1
-    return m
+    return ConfusionMatrix(tp=pairs.count((1, 1)), fp=pairs.count((1, 0)),
+                           fn=pairs.count((0, 1)), tn=pairs.count((0, 0)))
 
 
 def accuracy(m: ConfusionMatrix) -> float:

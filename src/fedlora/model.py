@@ -71,13 +71,10 @@ def build_vocab(corpus, max_size: int) -> Vocab:
     return Vocab(token_to_id=token_to_id, id_to_token=kept)
 
 
-def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[list[int], list[int]]:
-    """[CLS] + word ids, truncated to max_len, right-padded; mask marks real tokens."""
-    ids = [CLS_ID] + [vocab.lookup(t) for t in word_tokens(text)]
-    ids = ids[:max_len]
-    mask = [1] * len(ids)
-    pad = max_len - len(ids)
-    return ids + [PAD_ID] * pad, mask + [0] * pad
+def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """[CLS] + word ids (never PAD_ID), truncated to max_len, right-padded with PAD_ID."""
+    ids = ([CLS_ID] + [vocab.lookup(t) for t in word_tokens(text)])[:max_len]
+    return ids + [PAD_ID] * (max_len - len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +176,31 @@ def init_model(cfg: ModelConfig) -> EncoderModel:
     return build_model(cfg, init)
 
 
-def _pack_batch(ids_batch, mask_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T) id and boolean mask arrays, cut after the last column holding a
-    real token in any row.
+def _pack_batch(ids_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) id array and its mask `ids != PAD_ID`, cut after the last column
+    holding a real token in any row.
 
     Raises DataError for an empty or ragged batch, rows wider than
     max_seq_len, and rows without a real token.
     """
-    if len(ids_batch) != len(mask_batch):
-        raise DataError(f"{len(ids_batch)} id rows but {len(mask_batch)} mask rows")
-    if not len(ids_batch):
-        raise DataError("empty batch")
-    widths = {len(row) for row in ids_batch} | {len(row) for row in mask_batch}
-    if len(widths) != 1:
-        raise DataError(f"ragged batch: row widths {sorted(widths)}; pad every row to one length")
-    width = widths.pop()
-    if width > max_seq_len:
-        raise DataError(f"sequence length {width} exceeds max_seq_len {max_seq_len}")
-    mask = np.asarray(mask_batch) != 0
+    try:
+        ids = np.asarray(ids_batch, dtype=np.intp)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"ragged or non-integer batch ({exc}); pad every row to one length") from exc
+    if ids.ndim != 2 or not ids.size:
+        raise DataError(f"empty batch, or not a matrix of id rows: shape {ids.shape}")
+    if ids.shape[1] > max_seq_len:
+        raise DataError(f"sequence length {ids.shape[1]} exceeds max_seq_len {max_seq_len}")
+    mask = ids != PAD_ID
     empty = np.nonzero(~mask.any(axis=1))[0]
     if empty.size:
         raise DataError(f"row {int(empty[0])} of the batch has no real token")
     keep = int(np.nonzero(mask.any(axis=0))[0][-1]) + 1
-    ids = np.asarray(ids_batch, dtype=np.intp)
     return ids[:, :keep], mask[:, :keep]
 
 
-def forward(model, ids_batch, mask_batch) -> Tensor:
-    """Logits [batch x n_classes] for padded id sequences with attention masks.
+def forward(model, ids_batch) -> Tensor:
+    """Logits [batch x n_classes] for a batch of PAD-filled id rows.
 
     `model` is an EncoderModel or anything exposing the same surface (the
     LoRA-adapted wrapper routes targeted matrices through its adapters).
@@ -215,10 +209,10 @@ def forward(model, ids_batch, mask_batch) -> Tensor:
     columns that no row needs, the B sequences of T tokens are stacked as
     (B*T) x d rows, so projections, adapters, layer norm and feed-forward
     layers each take one op, and `autodiff.attention` keeps every sequence
-    to its own keys. Masked keys get a -1e9 pre-softmax bias, which
-    underflows to exactly zero attention weight in double precision, so the
-    logits do not depend on padding content, and each row equals that
-    example run alone up to summation order.
+    to its own keys. The attention mask is `ids != PAD_ID`: PAD keys get a
+    -1e9 pre-softmax bias, which underflows to exactly zero attention weight
+    in double precision, so the logits do not depend on the PAD embedding,
+    and each row equals that example run alone up to summation order.
 
     Only the CLS rows reach the head, so the last layer computes k and v on
     all B*T rows but runs the q projection, the residual, wo, both layer
@@ -227,7 +221,7 @@ def forward(model, ids_batch, mask_batch) -> Tensor:
     followed by CLS pooling, up to summation order.
     """
     cfg = model.cfg
-    ids, mask = _pack_batch(ids_batch, mask_batch, cfg.max_seq_len)
+    ids, mask = _pack_batch(ids_batch, cfg.max_seq_len)
     n_seq, seq_len = ids.shape
 
     x = ad.add(ad.gather_rows(model.tok_emb, ids.ravel()),

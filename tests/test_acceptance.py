@@ -111,10 +111,9 @@ def test_criterion_1_gradients():
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.2
     ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 7, 0, 0, 0, 0, 0, 0]]
-    masks = [[1, 1, 1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0]]
 
     def full_loss():
-        return ad.cross_entropy(forward(am, ids, masks), [0, 1])
+        return ad.cross_entropy(forward(am, ids), [0, 1])
 
     worst = max(worst, ad.grad_check(full_loss, am.trainable_parameters(), eps=1e-5))
     elapsed = time.perf_counter() - t0
@@ -134,10 +133,9 @@ def test_full_loss_gradients_through_trainable_layer_inputs():
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.3
     ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 7, 0, 0, 0, 0, 0, 0], [2, 30, 41, 8, 17, 60, 3, 0]]
-    masks = [[1, 1, 1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 0]]
 
     def full_loss():
-        return ad.cross_entropy(forward(am, ids, masks), [0, 1, 1])
+        return ad.cross_entropy(forward(am, ids), [0, 1, 1])
 
     assert ad.grad_check(full_loss, am.trainable_parameters(), eps=1e-5) < 1e-4
 
@@ -164,20 +162,18 @@ def test_criterion_3_lora_invariants():
     base = init_model(tiny_cfg(vocab_size=200, max_seq_len=12))
     am = attach_adapters(base, LoraConfig(rank=2, seed=3, targets=("q", "v")))
     gen = np.random.default_rng(1)
-    ids, masks = [], []
+    ids = []
     for _ in range(8):
         length = int(gen.integers(2, 13))
         row = [2] + list(gen.integers(3, 200, size=length - 1))
         ids.append(row + [0] * (12 - length))
-        masks.append([1] * length + [0] * (12 - length))
 
-    zero_init_exact = np.array_equal(forward(base, ids, masks).data,
-                                     forward(am, ids, masks).data)
+    zero_init_exact = np.array_equal(forward(base, ids).data, forward(am, ids).data)
 
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.5
     merged = merge_adapters(am)
-    merge_err = np.abs(forward(am, ids, masks).data - forward(merged, ids, masks).data).max()
+    merge_err = np.abs(forward(am, ids).data - forward(merged, ids).data).max()
 
     # the frozen base must be bit-identical after a real multi-round run
     records = synth_corpus(90, seed=8)

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 
 import pytest
 
 from fedlora.cli import main, parse_grid
+from fedlora.config import load_experiment
 from fedlora.data import save_corpus, synth_corpus
 from fedlora.errors import ConfigError
 
@@ -130,6 +132,46 @@ def test_bad_config_exits_2(tmp_path, capsys, case):
     assert message in capsys.readouterr().err
 
 
+WRONG_TYPE_SETS = {  # id: (--set value, expected message)
+    "synthetic_string": ('data.source={"synthetic": "x"}', 'data.source.synthetic must be an integer, got "x"'),
+    "synthetic_null": ('data.source={"synthetic": null}', "data.source.synthetic must be an integer, got null"),
+    "eta_string": ('fed.eta="abc"', 'fed.eta must be a number, got "abc"'),
+    "eta_bool": ("fed.eta=true", "fed.eta must be a number, got true"),
+    "rank_float": ("lora.rank=1.5", "lora.rank must be an integer, got 1.5"),
+    "rounds_bool": ("fed.rounds=false", "fed.rounds must be an integer, got false"),
+    "batch_size_float": ("fed.batch_size=2.5", "fed.batch_size must be an integer, got 2.5"),
+    "eval_frac_string": ('data.eval_frac="0.2"', 'data.eval_frac must be a number, got "0.2"'),
+    "targets_string": ('lora.targets="qv"', 'lora.targets must be a list, got "qv"'),
+    "targets_ff1_string": ('lora.targets="ff1"', 'lora.targets must be a list, got "ff1"'),
+    "target_not_string": ('lora.targets=["q", 1]', "lora.targets[1] must be a string, got 1"),
+    "ratio_string": ('data.partition.ratios=[0.5, "x"]', 'data.partition.ratios[1] must be a number'),
+    "partition_not_object": ("data.partition=3", "section 'data.partition' must be an object"),
+    "output_dir_number": ("output_dir=3", "output_dir must be a string, got 3"),
+    "document_not_object": (None, "must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_SETS))
+def test_wrong_json_type_exits_2_before_any_output(tmp_path, monkeypatch, capsys, case):
+    value, message = WRONG_TYPE_SETS[case]
+    monkeypatch.chdir(tmp_path)  # so a relative output_dir would land here too
+    cfg, _ = write_config(tmp_path)
+    if value is None:  # a document that is a JSON list, with an override on top
+        (tmp_path / "exp.json").write_text("[]", encoding="utf-8")
+        value = "fed.eta=0.1"
+    assert main(["train-federated", cfg, "--set", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
+def test_int_is_a_number_for_float_fields(tmp_path):
+    cfg, _ = write_config(tmp_path)
+    exp = load_experiment(cfg, ["fed.eta=1", "lora.alpha=2", "data.partition.alpha=3"])
+    assert (exp.fed.eta, exp.lora.alpha, exp.data.partition.alpha) == (1, 2, 3)
+    assert exp.lora.targets == ("q", "v")
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["train-federated", str(tmp_path / "nope.json")]) == 2
 
@@ -194,6 +236,61 @@ def test_report_plot_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert rows[0]["round"] == "1" or rows[0]["round"] == "0"
+
+
+GOOD_ROUND = json.dumps({"round": 0, "client_losses": {"0": 0.7}, "eval_accuracy": 0.5,
+                         "eval_f1": 0.5, "uplink_bytes": 10, "downlink_bytes": 20, "wall_time": 0.1})
+
+
+def write_rounds(run_dir, *lines):
+    run_dir.mkdir()
+    (run_dir / "rounds.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+MALFORMED_ROUNDS = {
+    "empty_object": "{}",
+    "list": "[1, 2]",
+    "number": "7",
+    "string": '"round"',
+    "not_json": "{not json",
+    "bytes_as_string": GOOD_ROUND.replace('"uplink_bytes": 10', '"uplink_bytes": "10"'),
+    "f1_null": GOOD_ROUND.replace('"eval_f1": 0.5', '"eval_f1": null'),
+    "round_bool": GOOD_ROUND.replace('"round": 0', '"round": true'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROUNDS))
+def test_report_rejects_malformed_round_line_naming_file_and_line(tmp_path, capsys, case):
+    run = tmp_path / "run"
+    write_rounds(run, GOOD_ROUND, "", MALFORMED_ROUNDS[case], GOOD_ROUND)
+    assert main(["report", str(run), "--plot-csv", str(tmp_path / "plot.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {run / 'rounds.jsonl'}:3 ")
+    assert captured.out == "" and not (tmp_path / "plot.csv").exists()
+
+
+def test_report_plot_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    write_rounds(run, GOOD_ROUND, GOOD_ROUND)
+    plot = tmp_path / "plot.csv"
+    plot.write_text("an earlier plot\n", encoding="utf-8")
+    real_writer = csv.writer
+
+    class FailsAfterFirstWrite:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(csv, "writer", lambda fh: real_writer(FailsAfterFirstWrite(fh)))
+    with pytest.raises(OSError, match="disk full"):
+        main(["report", str(run), "--plot-csv", str(plot)])
+    assert plot.read_text(encoding="utf-8") == "an earlier plot\n"
+    assert sorted(os.listdir(tmp_path)) == ["plot.csv", "run"]
 
 
 def test_report_missing_dir_exits_2(tmp_path):

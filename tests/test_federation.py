@@ -5,13 +5,13 @@ import pytest
 
 from fedlora import autodiff as ad
 from fedlora.autodiff import Graph, Tensor
-from fedlora.data import PartitionSpec, synth_corpus
+from fedlora.data import PartitionSpec, Record, synth_corpus
 from fedlora.errors import ClientError, ConfigError, ProtocolError, RoundError
 from fedlora.federation import (EncodedSet, FedConfig, GlobalState, client_update,
                                 comm_cost, encode_records, evaluate, fedavg,
                                 run_centralized, run_federated, run_round, sgd_step)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
-from fedlora.model import ModelConfig, build_vocab, init_model
+from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model, tokenize, word_tokens
 
 from test_model import small_cfg
 
@@ -99,6 +99,11 @@ def test_sgd_step_hand_example():
     assert w.data[0, 0] == pytest.approx(0.3)
 
 
+def empty_set():
+    return EncodedSet(ids=np.zeros((0, DESK_MODEL["max_seq_len"]), dtype=np.intp),
+                      labels=np.array([], dtype=int))
+
+
 def training_fixture():
     records = synth_corpus(24, seed=2)
     model_cfg = ModelConfig(**DESK_MODEL)
@@ -106,6 +111,23 @@ def training_fixture():
     am = attach_adapters(base, LoraConfig(rank=2, seed=3))
     vocab = build_vocab(records, model_cfg.vocab_size)
     return am, encode_records(records, vocab, model_cfg.max_seq_len)
+
+
+def test_encode_records_is_one_id_matrix_whose_mask_is_not_pad():
+    max_len = 12
+    records = synth_corpus(40, seed=5) + [
+        Record(id=900, text="", label=0),
+        Record(id=901, text="zzz unseen words only", label=1),
+        Record(id=902, text=" ".join(["word"] * 30), label=0),
+    ]
+    vocab = build_vocab(records[:20], 200)
+    encoded = encode_records(records, vocab, max_len)
+    assert encoded.ids.dtype == np.intp and encoded.ids.shape == (len(records), max_len)
+    assert np.array_equal(encoded.ids, [tokenize(r.text, vocab, max_len) for r in records])
+    n_real = np.array([min(1 + len(word_tokens(r.text)), max_len) for r in records])
+    assert np.array_equal(encoded.ids != PAD_ID, np.arange(max_len) < n_real[:, None])
+    assert encoded.labels.tolist() == [r.label for r in records]
+    assert encode_records([], vocab, max_len).ids.shape == (0, max_len)
 
 
 def test_client_update_zero_eta_returns_snapshot():
@@ -147,7 +169,7 @@ def test_client_update_leaves_snapshot_and_template_untouched():
 
 def test_client_update_empty_train_set():
     am, train = training_fixture()
-    empty = EncodedSet(ids=[], masks=[], labels=np.array([], dtype=int))
+    empty = empty_set()
     cfg = FedConfig(seed=1)
     with pytest.raises(ClientError):
         client_update(am, extract_trainable(am), empty, cfg, round_idx=0, client_id=0)
@@ -197,7 +219,7 @@ def test_run_round_client_order_independent():
 
 def test_run_round_all_clients_failed():
     am, train = training_fixture()
-    empty = EncodedSet(ids=[], masks=[], labels=np.array([], dtype=int))
+    empty = empty_set()
     state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am)
     with pytest.raises(RoundError):
         run_round(state, {0: empty}, FedConfig(seed=1), train)
@@ -206,7 +228,7 @@ def test_run_round_all_clients_failed():
 
 def test_skipped_client_excluded_from_average():
     am, train = training_fixture()
-    empty = EncodedSet(ids=[], masks=[], labels=np.array([], dtype=int))
+    empty = empty_set()
     cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
     state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am.clone())
     run_round(state, {0: train, 1: empty}, cfg, train)

@@ -18,21 +18,19 @@ def make_adapted(lora_seed=9, **model_overrides):
 
 
 def random_batch(cfg, gen, batch=4):
-    ids, masks = [], []
+    ids = []
     for _ in range(batch):
         length = int(gen.integers(2, cfg.max_seq_len + 1))
         row = [2] + list(gen.integers(3, cfg.vocab_size, size=length - 1))
-        mask = [1] * length + [0] * (cfg.max_seq_len - length)
         ids.append(row + [0] * (cfg.max_seq_len - length))
-        masks.append(mask)
-    return ids, masks
+    return ids
 
 
 def test_zero_init_is_exact_noop():
     base, am = make_adapted()
     gen = np.random.default_rng(1)
-    ids, masks = random_batch(base.cfg, gen)
-    assert np.array_equal(forward(base, ids, masks).data, forward(am, ids, masks).data)
+    ids = random_batch(base.cfg, gen)
+    assert np.array_equal(forward(base, ids).data, forward(am, ids).data)
 
 
 def test_adapter_count_targets_times_layers():
@@ -87,8 +85,8 @@ def test_merge_equivalence_on_random_batches():
         adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.5
     merged = merge_adapters(am)
     for _ in range(20):
-        ids, masks = random_batch(base.cfg, gen)
-        diff = np.abs(forward(am, ids, masks).data - forward(merged, ids, masks).data)
+        ids = random_batch(base.cfg, gen)
+        diff = np.abs(forward(am, ids).data - forward(merged, ids).data)
         assert diff.max() < 1e-6
 
 
@@ -157,9 +155,9 @@ def test_zero_vector_zeroes_adapters_and_head():
     base, am = make_adapted()
     load_trainable(am, np.zeros(trainable_param_count(am)[0]))
     gen = np.random.default_rng(5)
-    ids, masks = random_batch(base.cfg, gen)
+    ids = random_batch(base.cfg, gen)
     # zero head on top of the frozen base means all-zero logits
-    assert np.all(forward(am, ids, masks).data == 0.0)
+    assert np.all(forward(am, ids).data == 0.0)
 
 
 def test_gradient_flows_to_adapters_not_base():
@@ -167,9 +165,9 @@ def test_gradient_flows_to_adapters_not_base():
     gen = np.random.default_rng(6)
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.3
-    ids, masks = random_batch(base.cfg, gen)
+    ids = random_batch(base.cfg, gen)
     with Graph() as g:
-        loss = ad.cross_entropy(forward(am, ids, masks), [0, 1, 0, 1])
+        loss = ad.cross_entropy(forward(am, ids), [0, 1, 0, 1])
     g.backward(loss)
     for (li, name), adapter in am.adapters.items():
         assert adapter.a.grad is not None and np.any(adapter.a.grad != 0.0)

@@ -44,30 +44,24 @@ def test_build_vocab_respects_max_size():
 
 def test_tokenize_empty_text():
     v = build_vocab(["a b"], max_size=5)
-    ids, mask = tokenize("", v, max_len=4)
-    assert ids == [M.CLS_ID, M.PAD_ID, M.PAD_ID, M.PAD_ID]
-    assert mask == [1, 0, 0, 0]
+    assert tokenize("", v, max_len=4) == [M.CLS_ID, M.PAD_ID, M.PAD_ID, M.PAD_ID]
 
 
 def test_tokenize_known_tokens():
     v = build_vocab(["a b"], max_size=5)
-    ids, mask = tokenize("a b", v, max_len=4)
-    assert ids == [M.CLS_ID, v.lookup("a"), v.lookup("b"), M.PAD_ID]
-    assert mask == [1, 1, 1, 0]
+    assert tokenize("a b", v, max_len=4) == [M.CLS_ID, v.lookup("a"), v.lookup("b"), M.PAD_ID]
 
 
 def test_tokenize_unknown_maps_to_unk():
     v = build_vocab(["a b"], max_size=5)
-    ids, _ = tokenize("a zzz", v, max_len=4)
+    ids = tokenize("a zzz", v, max_len=4)
     assert ids[2] == M.UNK_ID
 
 
 def test_tokenize_truncates_to_max_len():
     v = build_vocab(["a b c d e"], max_size=10)
-    ids, mask = tokenize("a b c d e", v, max_len=3)
-    assert len(ids) == 3 and len(mask) == 3
-    assert mask == [1, 1, 1]
-    assert ids[0] == M.CLS_ID
+    ids = tokenize("a b c d e", v, max_len=3)
+    assert ids == [M.CLS_ID, v.lookup("a"), v.lookup("b")]
 
 
 # init ----------------------------------------------------------------------
@@ -108,26 +102,25 @@ def test_param_count_closed_form():
 def test_forward_identical_rows_give_identical_logits():
     m = init_model(small_cfg())
     ids = [2, 5, 9, 0, 0, 0, 0, 0]
-    mask = [1, 1, 1, 0, 0, 0, 0, 0]
-    logits = forward(m, [ids, ids], [mask, mask])
+    logits = forward(m, [ids, ids])
     assert np.array_equal(logits.data[0], logits.data[1])
 
 
 def test_forward_mask_invariance():
     m = init_model(small_cfg())
-    mask = [1, 1, 1, 0, 0, 0, 0, 0]
-    a = [2, 5, 9, 0, 0, 0, 0, 0]
-    b = [2, 5, 9, 17, 3, 8, 1, 60]  # junk in every masked slot
-    # a full-length row keeps the masked columns in the trimmed batch
+    padded = [2, 5, 9, 0, 0, 0, 0, 0]
+    # a full-length row keeps the padded columns in the trimmed batch
     full = [2, 4, 6, 8, 10, 12, 14, 16]
-    logits = forward(m, [a, b, full], [mask, mask, [1] * 8])
-    assert np.array_equal(logits.data[0], logits.data[1])
+    before = forward(m, [padded, full]).data
+    m.tok_emb.data[M.PAD_ID] = np.random.default_rng(3).normal(size=m.cfg.d_model) * 50
+    after = forward(m, [padded, full]).data
+    assert np.array_equal(before, after)
 
 
 def test_forward_rejects_overlong_sequence():
     m = init_model(small_cfg(max_seq_len=4))
     with pytest.raises(DataError):
-        forward(m, [[2, 3, 4, 5, 6]], [[1, 1, 1, 1, 1]])
+        forward(m, [[2, 3, 4, 5, 6]])
 
 
 def test_forward_finite_on_random_inputs():
@@ -136,10 +129,8 @@ def test_forward_finite_on_random_inputs():
     for _ in range(100):
         length = int(gen.integers(1, 9))
         ids = [M.CLS_ID] + list(gen.integers(0, 64, size=length - 1))
-        mask = [1] * length
         ids += [0] * (8 - length)
-        mask += [0] * (8 - length)
-        logits = forward(m, [ids], [mask])
+        logits = forward(m, [ids])
         assert np.all(np.isfinite(logits.data))
 
 
@@ -162,13 +153,12 @@ def test_attention_rows_sum_to_one_over_unmasked_keys(monkeypatch):
     m = init_model(small_cfg(d_model=16, n_layers=2))
     # the full-length second row keeps the first row's masked keys in the trimmed batch
     ids = [[2, 5, 9, 13, 0, 0, 0, 0], [2, 4, 6, 8, 10, 12, 14, 16]]
-    mask = [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8]
     calls = spy_on_attention(monkeypatch)
-    forward(m, ids, mask)
+    forward(m, ids)
     monkeypatch.undo()  # attention_weights calls the real op
     assert len(calls) == 2
     for q, k, _, key_mask, n_heads in calls:
-        assert np.array_equal(key_mask, np.asarray(mask, dtype=bool))
+        assert np.array_equal(key_mask, np.asarray(ids) != M.PAD_ID)
         weights = attention_weights(q, k, key_mask, n_heads)
         unmasked = key_mask[:, None, None, :]
         assert np.abs(np.where(unmasked, weights, 0.0).sum(axis=-1) - 1.0).max() <= 1e-12
@@ -178,10 +168,9 @@ def test_attention_rows_sum_to_one_over_unmasked_keys(monkeypatch):
 def test_forward_is_pure():
     m = init_model(small_cfg())
     ids = [[2, 5, 9, 0, 0, 0, 0, 0]]
-    mask = [[1, 1, 1, 0, 0, 0, 0, 0]]
     before = [p.data.copy() for p in m.parameters()]
-    l1 = forward(m, ids, mask)
-    l2 = forward(m, ids, mask)
+    l1 = forward(m, ids)
+    l2 = forward(m, ids)
     assert np.array_equal(l1.data, l2.data)
     for p, b in zip(m.parameters(), before):
         assert np.array_equal(p.data, b)
@@ -190,8 +179,7 @@ def test_forward_is_pure():
 def test_forward_trims_columns_no_row_needs(monkeypatch):
     m = init_model(small_cfg(n_layers=3))
     calls = spy_on_attention(monkeypatch)
-    forward(m, [[2, 5, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]],
-            [[1, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]])
+    forward(m, [[2, 5, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]])
     assert len(calls) == 3
     for q, _, _, key_mask, _ in calls:
         assert key_mask.shape == (2, 2)
@@ -209,21 +197,19 @@ def test_batched_rows_equal_examples_run_alone(adapted):
         for adapter in m.adapters.values():
             adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.5
     cfg = m.cfg
-    ids, masks = [], []
+    ids = []
     for length in (1, cfg.max_seq_len, 3, 5, 2, 7):
         row = [M.CLS_ID] + list(gen.integers(3, cfg.vocab_size, size=length - 1))
-        pad = cfg.max_seq_len - length
-        ids.append(row + list(gen.integers(0, cfg.vocab_size, size=pad)))  # junk padding
-        masks.append([1] * length + [0] * pad)
-    batched = forward(m, ids, masks).data
+        ids.append(row + [M.PAD_ID] * (cfg.max_seq_len - length))
+    batched = forward(m, ids).data
     for i in range(len(ids)):
-        alone = forward(m, [ids[i]], [masks[i]]).data
+        alone = forward(m, [ids[i]]).data
         assert np.abs(batched[i] - alone[0]).max() <= 1e-12
 
 
-def _forward_all_rows(model, ids_batch, mask_batch):
+def _forward_all_rows(model, ids_batch):
     """Every layer on all B*T rows, then the CLS gather: the path the CLS-only last layer replaced."""
-    ids, mask = M._pack_batch(ids_batch, mask_batch, model.cfg.max_seq_len)
+    ids, mask = M._pack_batch(ids_batch, model.cfg.max_seq_len)
     n_seq, seq_len = ids.shape
     x = ad.add(ad.gather_rows(model.tok_emb, ids.ravel()),
                ad.gather_rows(model.pos_emb, np.tile(np.arange(seq_len), n_seq)))
@@ -251,18 +237,16 @@ def test_cls_only_last_layer_matches_full_layer_then_gather(adapted):
         for p in params:
             p.requires_grad = True
     cfg = m.cfg
-    ids, masks = [], []
+    ids = []
     for length in (cfg.max_seq_len, 1, 4, 6, 2):
         row = [M.CLS_ID] + list(gen.integers(3, cfg.vocab_size, size=length - 1))
-        pad = cfg.max_seq_len - length
-        ids.append(row + [M.PAD_ID] * pad)
-        masks.append([1] * length + [0] * pad)
+        ids.append(row + [M.PAD_ID] * (cfg.max_seq_len - length))
     labels = [0, 1, 1, 0, 1]
     results = []
     for fwd in (forward, _forward_all_rows):
         ad.zero_grads(params)
         with Graph() as g:
-            logits = fwd(m, ids, masks)
+            logits = fwd(m, ids)
             loss = ad.cross_entropy(logits, labels)
         g.backward(loss)
         assert all(p.grad is not None for p in params)
@@ -274,12 +258,14 @@ def test_cls_only_last_layer_matches_full_layer_then_gather(adapted):
 def test_forward_rejects_ragged_and_tokenless_batches():
     m = init_model(small_cfg())
     with pytest.raises(DataError, match="ragged"):
-        forward(m, [[2, 5, 0], [2, 5]], [[1, 1, 0], [1, 1]])
-    with pytest.raises(DataError, match="ragged"):
-        forward(m, [[2, 5, 0]], [[1, 1]])
-    with pytest.raises(DataError, match="mask rows"):
-        forward(m, [[2, 5, 0]], [[1, 1, 0], [1, 0, 0]])
+        forward(m, [[2, 5, 0], [2, 5]])
+    with pytest.raises(DataError, match="non-integer"):
+        forward(m, [[2, 5, None]])
     with pytest.raises(DataError, match="row 1 .*no real token"):
-        forward(m, [[2, 5, 0], [0, 0, 0]], [[1, 1, 0], [0, 0, 0]])
+        forward(m, [[2, 5, 0], [0, 0, 0]])
     with pytest.raises(DataError, match="empty batch"):
-        forward(m, [], [])
+        forward(m, [])
+    with pytest.raises(DataError, match="empty batch"):
+        forward(m, np.zeros((0, m.cfg.max_seq_len), dtype=np.intp))
+    with pytest.raises(DataError, match="matrix of id rows"):
+        forward(m, [2, 5, 0])

@@ -17,13 +17,13 @@ from fedlora.autodiff import Tensor
 from fedlora.cli import main
 from fedlora.data import PartitionSpec, synth_corpus
 from fedlora.errors import ClientError, DataError, RoundError
-from fedlora.federation import (EncodedSet, FedConfig, GlobalState, comm_cost, encode_records,
+from fedlora.federation import (EVAL_BATCH, FedConfig, GlobalState, comm_cost, encode_records,
                                 evaluate, run_federated, run_round)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
 from fedlora.model import ModelConfig, build_vocab, init_model
 
 from test_cli import write_config
-from test_federation import DESK_MODEL, training_fixture
+from test_federation import DESK_MODEL, empty_set, training_fixture
 
 
 @pytest.fixture(autouse=True)
@@ -120,14 +120,14 @@ def test_clients_go_largest_first_to_the_least_loaded_process():
 
 
 def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
-    records = synth_corpus(64 * 3 + 5, seed=7)
+    records = synth_corpus(EVAL_BATCH * 3 + 5, seed=7)
     cfg = ModelConfig(**DESK_MODEL)
     am = attach_adapters(init_model(cfg), LoraConfig(rank=2, seed=3, targets=("q", "v", "ff1")))
     gen = np.random.default_rng(0)
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape)
     eval_set = encode_records(records, build_vocab(records, cfg.vocab_size), cfg.max_seq_len)
-    empty = EncodedSet(ids=[], masks=[], labels=np.array([], dtype=int))
+    empty = empty_set()
     preds_seen = []
     real_confusion = federation.confusion
 
@@ -137,7 +137,7 @@ def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
 
     monkeypatch.setattr(federation, "confusion", spy)
 
-    def first_row_positive(model, ids, masks):
+    def first_row_positive(model, ids):
         logits = np.zeros((len(ids), 2))
         logits[0, 1] = 1.0
         return Tensor(logits)
@@ -157,7 +157,7 @@ def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
     for cores in (1, 2, 8):
         force_cores(monkeypatch, cores)
         evaluate(am, eval_set)
-        assert preds_seen.pop() == [int(i % 64 == 0) for i in range(len(eval_set))]
+        assert preds_seen.pop() == [int(i % EVAL_BATCH == 0) for i in range(len(eval_set))]
 
 
 # worker failures -----------------------------------------------------------
@@ -223,10 +223,10 @@ def test_killed_eval_worker_raises_round_error(monkeypatch):
     force_cores(monkeypatch, 2)
     real = federation.forward
 
-    def patched(model, ids, masks):
+    def patched(model, ids):
         if in_worker():
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(model, ids, masks)
+        return real(model, ids)
 
     monkeypatch.setattr(federation, "forward", patched)
     records = synth_corpus(100, seed=7)
