@@ -348,15 +348,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    key_bias = np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt_dh + key_bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    # the softmax runs in place in the scores buffer, so no other
+    # (B, H, rows, T) temporary is allocated
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= inv_sqrt_dh
+    p += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g, grad_out):
         dctx = split(grad_out)
-        dp = dctx @ vh.transpose(0, 1, 3, 2)
-        dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt_dh
+        dscores = dctx @ vh.transpose(0, 1, 3, 2)  # dp, turned into dscores in place
+        dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+        dscores *= p
+        dscores *= inv_sqrt_dh
         if q.requires_grad:
             g.accumulate(q, merge(dscores @ kh))
         if k.requires_grad:

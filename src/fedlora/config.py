@@ -11,6 +11,7 @@ field takes any number, an int field an integer, and no number is a bool.
 from __future__ import annotations
 
 import json
+import math
 import os
 import types
 import typing
@@ -39,6 +40,16 @@ class DataConfig:
         if not 0 < self.eval_frac < 1:
             raise ConfigError(f"data.eval_frac must be in (0, 1), got {self.eval_frac}")
         self.partition.validate()
+        if self.synthetic_n is not None:
+            n = self.synthetic_n
+            if n < 2:
+                raise ConfigError(f"data.source.synthetic must be >= 2, got {n}")
+            n_train = n - math.ceil(n * self.eval_frac)  # as split_train_eval carves it
+            if n_train < self.partition.n_clients:
+                raise ConfigError(
+                    f"data.source.synthetic {n} leaves {n_train} training records after "
+                    f"eval_frac {self.eval_frac}, fewer than the {self.partition.n_clients} "
+                    "partition clients")
 
     def load_records(self):
         if self.source_csv is not None:

@@ -6,17 +6,20 @@ Determinism contract: every batch shuffle is derived from
 (snapshot, shard, seed, client id, round), and aggregation sums in
 client-id order, so a run is bit-reproducible on any number of cores.
 
-Parallelism: each round trains its clients, and then runs its eval batches
-of EVAL_BATCH records, in up to min(groups, usable cores) processes
-(`fork_map`). The calling process runs the first group itself; every other
-group runs in a child made by `os.fork()`, which inherits the template, the
-snapshot and the encoded sets (each one id matrix, which a fork shares
-without copying) and sends only its pickled result back through a pipe.
-Clients go largest training set first to the least-loaded process; eval
-batches keep their boundaries and are split into contiguous runs. A
-`ClientError` in a worker skips that client; any other exception is raised
-again in the parent; a worker that ends without a result (killed, nonzero
-exit, short read) raises `RoundError`.
+Parallelism: `run_federated` forks `process_count(max(clients, eval
+batches)) - 1` helper processes once (`Helpers`), after the shards are
+encoded and the template is built, so every helper inherits the template,
+the config and the encoded sets (each one id matrix, shared by the fork
+without copying). Each round then sends a helper only data: the snapshot,
+the round and its client ids, and after FedAvg the new trainable vector and
+its eval batch starts; the helper sends back its pickled result through a
+pipe. The run process takes the first group itself. Clients go largest
+training set first to the least-loaded process; eval batches (EVAL_ROWS
+token rows each) keep their boundaries and are split into contiguous runs,
+so an eval set of one batch never leaves the run process. A `ClientError`
+on a helper skips that client; any other exception is raised again in the
+run process; a helper that dies (killed, nonzero exit, short read) raises
+`RoundError`. Every helper is reaped when `run_federated` returns or raises.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
 population); the federation trains on the first `fed.n_clients` of them, so
@@ -47,10 +50,10 @@ from .data import PartitionSpec, make_shards, split_train_eval
 from .errors import ClientError, ConfigError, ProtocolError, RoundError
 from .lora import AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable
 from .metrics import accuracy, confusion, f1_binary, predict_labels
-from .model import ModelConfig, Vocab, build_vocab, forward, init_model, tokenize
+from .model import PAD_ID, ModelConfig, Vocab, build_vocab, forward, init_model, tokenize
 
 WIRE_BYTES_PER_PARAM = 4  # simulated single-precision payload
-EVAL_BATCH = 64  # records per forward-only eval batch
+EVAL_ROWS = 1024  # token rows per forward-only eval batch
 
 
 @dataclass
@@ -200,90 +203,183 @@ def process_count(n_groups: int) -> int:
     return max(1, min(n_groups, usable_cores()))
 
 
-def _child(work, group, write_fd):
-    """Forked side of fork_map: send pickle((ok, value)) and exit; never return."""
-    code = 1
-    try:
-        try:
-            payload = (True, work(group))
-        except Exception as exc:  # raised again in the parent
-            payload = (False, exc)
-        data = pickle.dumps(payload)
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+def _write_all(fd: int, data: bytes):
+    """os.write until all of data is out: a signal can cut a pipe write short."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _reap(pid: int, read_fd: int) -> tuple[int, bytes]:
-    """Read a child's pipe to the end, then wait for it: (exit code, bytes)."""
-    with os.fdopen(read_fd, "rb") as fh:
-        data = fh.read()
-    _, status = os.waitpid(pid, 0)
-    return os.waitstatus_to_exitcode(status), data
+class Helpers:
+    """`n` processes forked from this one, each serving its requests until
+    `close` (or the end of a `with` block); `run_federated` starts them once
+    per run.
 
-
-def fork_map(work, groups: list, what: str) -> list:
-    """[work(g) for g in groups], groups[1:] each in a forked child process.
-
-    groups[0] runs here after the children are forked. Every pipe is read and
-    every child reaped even if groups[0] raises. An exception a child raised
-    is raised again here; a child that ends without a result (a signal, a
-    nonzero exit, a short read) raises RoundError naming `what` and its group.
+    A helper inherits the template, the client sets, the config and the eval
+    set at the fork, so a request carries only data: ("train", snapshot,
+    round, client ids) answers {client id: (theta_k, loss), or None for a
+    skipped client}, and ("eval", theta, eval batch starts) loads theta into
+    the helper's own copy of the template and answers the predicted labels.
+    Zero helpers is the in-process case and forks nothing.
     """
-    children = []
-    try:
-        for group in groups[1:]:
-            read_fd, write_fd = os.pipe()
+
+    def __init__(self, n: int, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
+                 eval_set: EncodedSet):
+        self.template, self.client_sets, self.cfg, self.eval_set = template, client_sets, cfg, eval_set
+        self.procs = []  # (pid, request pipe fd, reply pipe reader) per live helper
+        try:
+            for _ in range(n):
+                self.procs.append(self._fork())
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    @property
+    def n_proc(self) -> int:
+        """Processes that can take a group: the helpers and the run process."""
+        return len(self.procs) + 1
+
+    def check(self, **context):
+        """ProtocolError unless each object given is the one the helpers inherited."""
+        for name, value in context.items():
+            if value is not getattr(self, name):
+                raise ProtocolError(f"the helpers were started with another {name}")
+
+    def _fork(self):
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            self._serve(request_r, reply_w, (request_w, reply_r))
+        os.close(request_r)
+        os.close(reply_w)  # so the reader sees EOF once the helper exits
+        return pid, request_w, os.fdopen(reply_r, "rb")
+
+    def _serve(self, request_fd: int, reply_fd: int, run_fds: tuple):
+        """Helper side: answer each request until the request pipe closes,
+        then exit. Never returns; a reply it cannot send exits with code 1."""
+        code = 1
+        try:
+            for fd in run_fds:  # so this helper sees EOF once the run process closes its end
+                os.close(fd)
+            with os.fdopen(request_fd, "rb") as requests:
+                while True:
+                    try:
+                        request = pickle.load(requests)
+                    except EOFError:
+                        break
+                    try:
+                        reply = (True, self._answer(*request))
+                    except Exception as exc:  # raised again in the run process
+                        reply = (False, exc)
+                    _write_all(reply_fd, pickle.dumps(reply))
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _answer(self, kind, *args):
+        if kind == "train":
+            snapshot, round_idx, cids = args
+            return _train_clients(self.template, snapshot, self.client_sets, self.cfg, round_idx, cids)
+        theta, starts = args
+        load_trainable(self.template, theta)
+        return _predict(self.template, self.eval_set, starts)
+
+    def map(self, local, jobs: list) -> list:
+        """[local(), reply to each job]: job i, a (label, request) pair, goes to
+        helper i and runs while local() runs here.
+
+        Every reply is received even if local() raises. An exception a helper
+        raised is raised again here; a helper that dies before it replies (a
+        signal, a nonzero exit, a short read) is reaped and raises RoundError
+        naming the job's label.
+        """
+        procs = self.procs[:len(jobs)]
+        payloads = [pickle.dumps(request) for _, request in jobs]
+        for (_, fd, _), payload in zip(procs, payloads):
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(work, group, write_fd)
-            os.close(write_fd)  # so the read end sees EOF once the child exits
-            children.append((pid, read_fd))
-        results = [work(groups[0])]
-    finally:
-        ends = [_reap(pid, read_fd) for pid, read_fd in children]
-    for group, (code, data) in zip(groups[1:], ends):
-        ok = None
-        if code == 0:
-            try:
-                ok, value = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):  # a short read
-                pass
-        if ok is None:
-            cause = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-            raise RoundError(f"worker for {what} {group} ended without a result ({cause})")
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+                _write_all(fd, payload)
+            except BrokenPipeError:
+                pass  # the helper is gone; receiving its reply reaps it
+        try:
+            results = [local()]
+        finally:
+            replies = [self._receive(proc) for proc in procs]
+        for (label, _), (ok, value) in zip(jobs, replies):
+            if ok is None:
+                raise RoundError(f"helper for {label} ended without a result ({value})")
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+
+    def _receive(self, proc) -> tuple:
+        """(True, value) or (False, exception); (None, cause) from a dead helper."""
+        pid, fd, replies = proc
+        try:
+            return pickle.load(replies)
+        except (EOFError, pickle.UnpicklingError):  # a short read: the helper died
+            pass
+        self.procs.remove(proc)
+        os.close(fd)
+        replies.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return None, f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+
+    def close(self):
+        """Close every request pipe, then drain and reap every helper."""
+        procs, self.procs = self.procs, []
+        for _, fd, _ in procs:
+            os.close(fd)
+        for pid, _, replies in procs:
+            with replies:
+                replies.read()
+            os.waitpid(pid, 0)
 
 
-def evaluate(model, eval_set: EncodedSet) -> tuple[float, float]:
+def eval_batches(eval_set: EncodedSet) -> range:
+    """Start offsets of the forward-only eval batches; the step is the batch
+    size, EVAL_ROWS token rows at the width of the set's longest real row."""
+    real = np.flatnonzero((eval_set.ids != PAD_ID).any(axis=0))
+    width = int(real[-1]) + 1 if real.size else 1
+    return range(0, len(eval_set), max(1, EVAL_ROWS // width))
+
+
+def _predict(model, eval_set: EncodedSet, starts: range) -> list:
+    preds = []
+    for start in starts:
+        logits = forward(model, eval_set.ids[start:start + starts.step])
+        preds.extend(predict_labels(logits.data))
+    return preds
+
+
+def evaluate(model, eval_set: EncodedSet, helpers: Helpers) -> tuple[float, float]:
     """(accuracy, F1) on a pre-encoded eval set, forward-only.
 
-    The batches keep their boundaries (forward trims padding columns per
-    batch) and are split into contiguous runs, one per process.
+    The batches (`eval_batches`; forward trims padding columns per batch)
+    are split into contiguous runs, at most one per process: the first runs
+    here, each other one on a helper, which first loads the model's
+    trainable vector.
     """
-    starts = list(range(0, len(eval_set), EVAL_BATCH))
-    n_proc = process_count(len(starts))
+    helpers.check(template=model, eval_set=eval_set)
+    starts = eval_batches(eval_set)
+    n_proc = max(1, min(len(starts), helpers.n_proc))
     runs = [starts[i * len(starts) // n_proc:(i + 1) * len(starts) // n_proc]
             for i in range(n_proc)]
-
-    def predict(run):
-        preds = []
-        for start in run:
-            logits = forward(model, eval_set.ids[start:start + EVAL_BATCH])
-            preds.extend(predict_labels(logits.data))
-        return preds
-
-    preds = [p for run_preds in fork_map(predict, runs, "eval batches at records")
+    theta = extract_trainable(model) if n_proc > 1 else None
+    jobs = [(f"eval batches at records {list(run)}", ("eval", theta, run)) for run in runs[1:]]
+    preds = [p for run_preds in helpers.map(lambda: _predict(model, eval_set, runs[0]), jobs)
              for p in run_preds]
     m = confusion(preds, eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
@@ -300,26 +396,36 @@ def assign_clients(client_sets: dict, n_proc: int) -> list[list]:
     return groups
 
 
+def _train_clients(template, snapshot, client_sets, cfg, round_idx, cids) -> dict:
+    """{client id: client_update result, or None for a ClientError (skipped)}."""
+    out = {}
+    for cid in cids:
+        try:
+            out[cid] = client_update(template, snapshot, client_sets[cid], cfg, round_idx, cid)
+        except ClientError:
+            out[cid] = None
+    return out
+
+
 def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
-              global_eval: EncodedSet) -> GlobalState:
-    """One global round: broadcast, local training, FedAvg, evaluation."""
+              global_eval: EncodedSet, helpers: Helpers) -> GlobalState:
+    """One global round: broadcast, local training, FedAvg, evaluation.
+
+    `helpers` must have been started with state.model, client_sets, cfg and
+    global_eval; the run process trains the first group of clients itself.
+    """
     t0 = time.perf_counter()
     template = state.model
+    helpers.check(template=template, client_sets=client_sets, cfg=cfg, eval_set=global_eval)
     snapshot = state.theta.copy()
     round_idx = state.round_idx
 
-    def train(group):
-        out = {}
-        for cid in group:
-            try:
-                out[cid] = client_update(template, snapshot, client_sets[cid], cfg, round_idx, cid)
-            except ClientError:
-                out[cid] = None  # skipped for this round
-        return out
-
-    groups = assign_clients(client_sets, process_count(len(client_sets)))
+    groups = assign_clients(client_sets, max(1, min(len(client_sets), helpers.n_proc)))
+    jobs = [(f"round {round_idx}: clients {g}", ("train", snapshot, round_idx, g))
+            for g in groups[1:]]
     updates = {}
-    for out in fork_map(train, groups, f"round {round_idx}: clients"):
+    for out in helpers.map(
+            lambda: _train_clients(template, snapshot, client_sets, cfg, round_idx, groups[0]), jobs):
         updates.update(out)
     results = {cid: u[0] for cid, u in updates.items() if u is not None}
     losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
@@ -333,7 +439,7 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     new_theta = fedavg([results[cid] for cid in reporting], weights)
 
     load_trainable(template, new_theta)
-    acc, f1 = evaluate(template, global_eval)
+    acc, f1 = evaluate(template, global_eval, helpers)
     report = RoundReport(
         round=round_idx,
         client_losses=losses,
@@ -377,8 +483,10 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
     global_eval = encode_records(global_eval_records, vocab, model_cfg.max_seq_len)
 
     state = GlobalState(theta=theta, round_idx=0, model=am, vocab=vocab)
-    for _ in range(fed_cfg.rounds):
-        run_round(state, client_sets, fed_cfg, global_eval)
+    n_groups = max(len(client_sets), len(eval_batches(global_eval)))
+    with Helpers(process_count(n_groups) - 1, am, client_sets, fed_cfg, global_eval) as helpers:
+        for _ in range(fed_cfg.rounds):
+            run_round(state, client_sets, fed_cfg, global_eval, helpers)
     return state
 
 

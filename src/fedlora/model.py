@@ -181,7 +181,8 @@ def _pack_batch(ids_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
     holding a real token in any row.
 
     Raises DataError for an empty or ragged batch, rows wider than
-    max_seq_len, and rows without a real token.
+    max_seq_len, and rows whose column 0, the pooled position, is not CLS_ID
+    (an all-PAD row among them).
     """
     try:
         ids = np.asarray(ids_batch, dtype=np.intp)
@@ -191,10 +192,11 @@ def _pack_batch(ids_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"empty batch, or not a matrix of id rows: shape {ids.shape}")
     if ids.shape[1] > max_seq_len:
         raise DataError(f"sequence length {ids.shape[1]} exceeds max_seq_len {max_seq_len}")
+    bad = np.flatnonzero(ids[:, 0] != CLS_ID)
+    if bad.size:
+        row = int(bad[0])
+        raise DataError(f"row {row} of the batch starts with id {ids[row, 0]}, not CLS_ID {CLS_ID}")
     mask = ids != PAD_ID
-    empty = np.nonzero(~mask.any(axis=1))[0]
-    if empty.size:
-        raise DataError(f"row {int(empty[0])} of the batch has no real token")
     keep = int(np.nonzero(mask.any(axis=0))[0][-1]) + 1
     return ids[:, :keep], mask[:, :keep]
 

@@ -1,3 +1,16 @@
+import os
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process (such as a federation helper) behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def pytest_terminal_summary(terminalreporter):
     # surface the acceptance gate verdicts even though pytest captures stdout
     try:

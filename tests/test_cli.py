@@ -165,6 +165,29 @@ def test_wrong_json_type_exits_2_before_any_output(tmp_path, monkeypatch, capsys
     assert os.listdir(tmp_path) == ["exp.json"]
 
 
+TOO_SMALL_CORPORA = {  # id: (--set values, expected message)
+    "synthetic_0": (['data.source={"synthetic": 0}'], "data.source.synthetic must be >= 2, got 0"),
+    "synthetic_1": (['data.source={"synthetic": 1}'], "data.source.synthetic must be >= 2, got 1"),
+    # ceil(3 * 0.2) = 1 eval record leaves 2 for 3 partition clients
+    "fewer_than_clients": (['data.source={"synthetic": 3}', "data.partition.n_clients=3"],
+                           "leaves 2 training records after eval_frac 0.2, fewer than the 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_SMALL_CORPORA))
+def test_synthetic_corpus_too_small_for_its_split_exits_2(tmp_path, monkeypatch, capsys, case):
+    values, message = TOO_SMALL_CORPORA[case]
+    monkeypatch.chdir(tmp_path)
+    cfg, _ = write_config(tmp_path)
+    args = ["train-federated", cfg]
+    for value in values:
+        args += ["--set", value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 def test_int_is_a_number_for_float_fields(tmp_path):
     cfg, _ = write_config(tmp_path)
     exp = load_experiment(cfg, ["fed.eta=1", "lora.alpha=2", "data.partition.alpha=3"])

@@ -7,8 +7,8 @@ from fedlora import autodiff as ad
 from fedlora.autodiff import Graph, Tensor
 from fedlora.data import PartitionSpec, Record, synth_corpus
 from fedlora.errors import ClientError, ConfigError, ProtocolError, RoundError
-from fedlora.federation import (EncodedSet, FedConfig, GlobalState, client_update,
-                                comm_cost, encode_records, evaluate, fedavg,
+from fedlora.federation import (EncodedSet, FedConfig, GlobalState, Helpers, client_update,
+                                comm_cost, encode_records, fedavg,
                                 run_centralized, run_federated, run_round, sgd_step)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
 from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model, tokenize, word_tokens
@@ -102,6 +102,12 @@ def test_sgd_step_hand_example():
 def empty_set():
     return EncodedSet(ids=np.zeros((0, DESK_MODEL["max_seq_len"]), dtype=np.intp),
                       labels=np.array([], dtype=int))
+
+
+def run_round_in_process(state, client_sets, cfg, global_eval):
+    """run_round with zero helpers: everything runs in this process."""
+    with Helpers(0, state.model, client_sets, cfg, global_eval) as helpers:
+        return run_round(state, client_sets, cfg, global_eval, helpers)
 
 
 def training_fixture():
@@ -212,7 +218,7 @@ def test_run_round_client_order_independent():
     out = []
     for sets in (sets_a, sets_b):
         state = GlobalState(theta=theta.copy(), round_idx=0, model=am.clone())
-        run_round(state, sets, cfg, train)
+        run_round_in_process(state, sets, cfg, train)
         out.append(state.theta)
     assert np.abs(out[0] - out[1]).max() < 1e-12
 
@@ -222,7 +228,7 @@ def test_run_round_all_clients_failed():
     empty = empty_set()
     state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am)
     with pytest.raises(RoundError):
-        run_round(state, {0: empty}, FedConfig(seed=1), train)
+        run_round_in_process(state, {0: empty}, FedConfig(seed=1), train)
     assert state.round_idx == 0 and not state.history
 
 
@@ -231,7 +237,7 @@ def test_skipped_client_excluded_from_average():
     empty = empty_set()
     cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
     state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am.clone())
-    run_round(state, {0: train, 1: empty}, cfg, train)
+    run_round_in_process(state, {0: train, 1: empty}, cfg, train)
     report = state.history[0]
     assert report.client_losses[1] is None
     assert report.client_losses[0] is not None

@@ -261,8 +261,13 @@ def test_forward_rejects_ragged_and_tokenless_batches():
         forward(m, [[2, 5, 0], [2, 5]])
     with pytest.raises(DataError, match="non-integer"):
         forward(m, [[2, 5, None]])
-    with pytest.raises(DataError, match="row 1 .*no real token"):
+    with pytest.raises(DataError, match="row 1 .*starts with id 0, not CLS_ID 2"):
         forward(m, [[2, 5, 0], [0, 0, 0]])
+    # column 0 is the pooled CLS row: PAD or a word there is refused too
+    with pytest.raises(DataError, match="row 0 .*starts with id 0, not CLS_ID"):
+        forward(m, [[0, 5, 9, 0]])
+    with pytest.raises(DataError, match="row 0 .*starts with id 5, not CLS_ID"):
+        forward(m, [[5, 2, 9, 0]])
     with pytest.raises(DataError, match="empty batch"):
         forward(m, [])
     with pytest.raises(DataError, match="empty batch"):

@@ -1,9 +1,10 @@
-"""Forked client and eval workers.
+"""Helper processes: forked once per run, serving its rounds until it ends.
 
 A run on any number of processes equals the sequential run bit for bit, and
-every way a worker can fail maps onto the round contract: a ClientError skips
-its client, any other exception is raised again in the parent, and a worker
-that ends without a result raises RoundError. No test leaves a child behind.
+every way a helper can fail maps onto the round contract: a ClientError skips
+its client, any other exception is raised again in the run process, and a
+helper that dies before it replies raises RoundError. No test leaves a child
+behind (`no_child_left` in conftest.py).
 """
 
 import os
@@ -15,38 +16,46 @@ import pytest
 from fedlora import federation
 from fedlora.autodiff import Tensor
 from fedlora.cli import main
+from fedlora.config import load_experiment
 from fedlora.data import PartitionSpec, synth_corpus
-from fedlora.errors import ClientError, DataError, RoundError
-from fedlora.federation import (EVAL_BATCH, FedConfig, GlobalState, comm_cost, encode_records,
-                                evaluate, run_federated, run_round)
+from fedlora.errors import ClientError, DataError, ProtocolError, RoundError
+from fedlora.federation import (EVAL_ROWS, EncodedSet, FedConfig, GlobalState, Helpers,
+                                comm_cost, encode_records, eval_batches, evaluate,
+                                run_federated, run_round)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
-from fedlora.model import ModelConfig, build_vocab, init_model
+from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model
 
 from test_cli import write_config
-from test_federation import DESK_MODEL, empty_set, training_fixture
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from test_federation import DESK_MODEL, empty_set, run_round_in_process, training_fixture
 
 
 def force_cores(monkeypatch, n):
     monkeypatch.setattr(federation, "usable_cores", lambda: n)
 
 
-def count_groups(monkeypatch):
-    """Record len(groups) of every fork_map call."""
+def count_forks(monkeypatch):
+    """Record every os.fork call made in this process."""
     seen = []
-    real = federation.fork_map
+    real = os.fork
 
-    def spy(work, groups, what):
-        seen.append(len(groups))
-        return real(work, groups, what)
+    def spy():
+        seen.append(os.getpid())
+        return real()
 
-    monkeypatch.setattr(federation, "fork_map", spy)
+    monkeypatch.setattr(os, "fork", spy)
+    return seen
+
+
+def count_groups(monkeypatch):
+    """Record the groups of every Helpers.map call: 1 (the run process) + jobs."""
+    seen = []
+    real = Helpers.map
+
+    def spy(self, local, jobs):
+        seen.append(1 + len(jobs))
+        return real(self, local, jobs)
+
+    monkeypatch.setattr(Helpers, "map", spy)
     return seen
 
 
@@ -58,7 +67,7 @@ def in_worker():
 
 
 def patch_client_update(monkeypatch, on_worker):
-    """client_update that calls on_worker(client_id) when it runs in a forked child."""
+    """client_update that calls on_worker(client_id) when it runs in a helper."""
     real = federation.client_update
 
     def patched(template, snapshot, train_set, cfg, round_idx, client_id):
@@ -70,11 +79,35 @@ def patch_client_update(monkeypatch, on_worker):
 
 
 def two_client_round():
-    """Two equal shards: client 0 trains in this process, client 1 in a child."""
+    """Two equal shards: client 0 trains in this process, client 1 on a helper."""
     am, train = training_fixture()
     cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
     state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am.clone())
     return state, {0: train, 1: train}, cfg, train
+
+
+def run_two_client_round():
+    """One round of two_client_round on one helper, forked after the caller's patches."""
+    state, sets, cfg, eval_set = two_client_round()
+    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+        run_round(state, sets, cfg, eval_set, helpers)
+    return state
+
+
+def eval_fixture(n_records):
+    """An adapted model with nonzero adapters, and n_records encoded records."""
+    records = synth_corpus(n_records, seed=7)
+    cfg = ModelConfig(**DESK_MODEL)
+    am = attach_adapters(init_model(cfg), LoraConfig(rank=2, seed=3, targets=("q", "v", "ff1")))
+    gen = np.random.default_rng(0)
+    for adapter in am.adapters.values():
+        adapter.b.data = gen.normal(size=adapter.b.data.shape)
+    return am, encode_records(records, build_vocab(records, cfg.vocab_size), cfg.max_seq_len)
+
+
+def evaluate_on(n_helpers, model, eval_set):
+    with Helpers(n_helpers, model, {}, FedConfig(), eval_set) as helpers:
+        return evaluate(model, eval_set, helpers)
 
 
 # parallel == sequential ----------------------------------------------------
@@ -88,26 +121,65 @@ def test_parallel_run_equals_sequential_bit_for_bit(monkeypatch, strategy, aggre
     spec = PartitionSpec(n_clients=8, strategy=strategy, alpha=0.5, seed=6)
 
     seen = count_groups(monkeypatch)
+    forks = count_forks(monkeypatch)
 
     def run(cores):
         force_cores(monkeypatch, cores)
         seen.clear()
+        forks.clear()
         state = run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5), fed,
                               records, spec, eval_frac=0.5)
         reports = [r.to_dict() for r in state.history]
         for r in reports:
             del r["wall_time"]
-        return state.theta, reports, list(seen)
+        return state.theta, reports, list(seen), len(forks)
 
-    theta1, reports1, groups1 = run(1)
-    assert set(groups1) == {1}
+    theta1, reports1, groups1, forks1 = run(1)
+    assert groups1 == [1, 1] * 2 and forks1 == 0
     for cores in (2, 8):
-        theta, reports, groups = run(cores)
-        # train calls fork one process per client up to the cores; eval runs
-        # its four batches (250 records) on min(4, cores)
-        assert groups == [cores, min(4, cores)] * 2
+        theta, reports, groups, n_forks = run(cores)
+        # training takes one process per client up to the cores; eval runs
+        # its three batches (250 records of width 11, 93 to a batch) on
+        # min(3, cores); the helpers are forked once for both
+        assert groups == [cores, min(3, cores)] * 2
+        assert n_forks == cores - 1
         assert np.array_equal(theta, theta1)
         assert reports == reports1
+
+
+def test_helpers_fork_once_per_run_not_per_round(monkeypatch):
+    records = synth_corpus(120, seed=21)
+    fed = FedConfig(n_clients=4, rounds=3, local_epochs=1, eta=0.3, batch_size=8, seed=4)
+    spec = PartitionSpec(n_clients=4, strategy="iid", seed=6)
+    forks = count_forks(monkeypatch)
+    for cores in (1, 2, 3):
+        force_cores(monkeypatch, cores)
+        forks.clear()
+        state = run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5), fed,
+                              records, spec)
+        assert state.round_idx == 3
+        # 4 clients and one 24-record eval batch: process_count(4) - 1 helpers
+        assert forks == [TEST_PID] * (federation.process_count(4) - 1) == [TEST_PID] * (cores - 1)
+
+
+def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
+    # configs/ablation_skew.json: 400 records, eval_frac 0.2, so 80 eval
+    # records of width 11 make one batch (1024 // 11 = 93 records)
+    exp = load_experiment("configs/ablation_skew.json")
+    records = exp.data.load_records()
+    force_cores(monkeypatch, 2)
+    seen = count_groups(monkeypatch)
+    forks = count_forks(monkeypatch)
+    for k, n_forks in ((1, 0), (3, 1)):
+        seen.clear()
+        forks.clear()
+        fed = FedConfig(**{**vars(exp.fed), "n_clients": k, "rounds": 2, "local_epochs": 1})
+        run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
+                      eval_frac=exp.data.eval_frac)
+        # a single client and a single eval batch need no helper; with three
+        # clients one helper trains, and eval still sends it nothing
+        assert len(forks) == n_forks
+        assert seen == [min(k, 2), 1] * 2
 
 
 def test_clients_go_largest_first_to_the_least_loaded_process():
@@ -119,14 +191,24 @@ def test_clients_go_largest_first_to_the_least_loaded_process():
     assert federation.assign_clients({}, 1) == [[]]
 
 
+def test_eval_batch_holds_eval_rows_at_the_longest_real_row():
+    ids = np.full((500, 12), PAD_ID, dtype=np.intp)
+    ids[:, 0] = 2
+    ids[:, 1:3] = 7  # width 3 everywhere ...
+    ids[321, 1:5] = 9  # ... but one row of width 5
+    starts = eval_batches(EncodedSet(ids=ids, labels=np.zeros(500, dtype=int)))
+    assert starts.step == EVAL_ROWS // 5
+    assert list(starts) == list(range(0, 500, EVAL_ROWS // 5))
+    wide = np.full((3, 2000), 2, dtype=np.intp)  # wider than EVAL_ROWS: one record a batch
+    assert eval_batches(EncodedSet(ids=wide, labels=np.zeros(3, dtype=int))) == range(0, 3, 1)
+    assert len(eval_batches(empty_set())) == 0
+
+
 def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
-    records = synth_corpus(EVAL_BATCH * 3 + 5, seed=7)
-    cfg = ModelConfig(**DESK_MODEL)
-    am = attach_adapters(init_model(cfg), LoraConfig(rank=2, seed=3, targets=("q", "v", "ff1")))
-    gen = np.random.default_rng(0)
-    for adapter in am.adapters.values():
-        adapter.b.data = gen.normal(size=adapter.b.data.shape)
-    eval_set = encode_records(records, build_vocab(records, cfg.vocab_size), cfg.max_seq_len)
+    am, eval_set = eval_fixture(400)
+    starts = eval_batches(eval_set)
+    size = starts.step
+    assert size == EVAL_ROWS // 11 and len(starts) == 5  # the last batch is short
     empty = empty_set()
     preds_seen = []
     real_confusion = federation.confusion
@@ -143,34 +225,41 @@ def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
         return Tensor(logits)
 
     results = []
-    for cores in (1, 2, 8):
-        force_cores(monkeypatch, cores)
-        results.append(evaluate(am, eval_set))
+    for n_helpers in (0, 1, 7):
+        results.append(evaluate_on(n_helpers, am, eval_set))
         with pytest.raises(DataError, match="empty confusion matrix"):
-            evaluate(am, empty)
+            evaluate_on(n_helpers, am, empty)
     assert results[0] == results[1] == results[2]
     assert 0.0 < results[0][0] < 1.0
     assert preds_seen[0] == preds_seen[2] == preds_seen[4]
 
     monkeypatch.setattr(federation, "forward", first_row_positive)
     preds_seen.clear()
-    for cores in (1, 2, 8):
-        force_cores(monkeypatch, cores)
-        evaluate(am, eval_set)
-        assert preds_seen.pop() == [int(i % EVAL_BATCH == 0) for i in range(len(eval_set))]
+    for n_helpers in (0, 1, 7):
+        evaluate_on(n_helpers, am, eval_set)
+        assert preds_seen.pop() == [int(i % size == 0) for i in range(len(eval_set))]
 
 
-# worker failures -----------------------------------------------------------
+def test_helpers_refuse_another_model_or_data():
+    state, sets, cfg, eval_set = two_client_round()
+    with Helpers(0, state.model, sets, cfg, eval_set) as helpers:
+        with pytest.raises(ProtocolError, match="another client_sets"):
+            run_round(state, dict(sets), cfg, eval_set, helpers)
+        with pytest.raises(ProtocolError, match="another template"):
+            evaluate(state.model.clone(), eval_set, helpers)
+        with pytest.raises(ProtocolError, match="another eval_set"):
+            evaluate(state.model, empty_set(), helpers)
+    assert state.round_idx == 0 and not state.history
+
+
+# helper failures -----------------------------------------------------------
 
 def test_client_error_in_worker_skips_that_client(monkeypatch):
-    force_cores(monkeypatch, 2)
-
     def fail(cid):
         raise ClientError(f"client {cid} failed in its worker")
 
     patch_client_update(monkeypatch, fail)
-    state, sets, cfg, eval_set = two_client_round()
-    run_round(state, sets, cfg, eval_set)
+    state = run_two_client_round()
     report = state.history[0]
     assert report.client_losses[1] is None
     assert report.client_losses[0] is not None
@@ -179,20 +268,23 @@ def test_client_error_in_worker_skips_that_client(monkeypatch):
 
 
 def test_other_exception_in_worker_is_raised_in_parent(monkeypatch):
-    force_cores(monkeypatch, 2)
-
     def fail(cid):
         raise ValueError(f"client {cid} hit a bug")
 
     patch_client_update(monkeypatch, fail)
     state, sets, cfg, eval_set = two_client_round()
-    with pytest.raises(ValueError, match="^client 1 hit a bug$"):
-        run_round(state, sets, cfg, eval_set)
+    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+        with pytest.raises(ValueError, match="^client 1 hit a bug$"):
+            run_round(state, sets, cfg, eval_set, helpers)
+        assert state.round_idx == 0 and not state.history
+        # the helper survives its exception and serves the next request
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="^client 1 hit a bug$"):
+            run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 0 and not state.history
 
 
 def test_parent_group_exception_still_reaps_children(monkeypatch):
-    force_cores(monkeypatch, 2)
     real = federation.client_update
 
     def patched(*args):
@@ -202,8 +294,32 @@ def test_parent_group_exception_still_reaps_children(monkeypatch):
 
     monkeypatch.setattr(federation, "client_update", patched)
     state, sets, cfg, eval_set = two_client_round()
-    with pytest.raises(ValueError, match="run process failed"):
-        run_round(state, sets, cfg, eval_set)
+    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+        with pytest.raises(ValueError, match="run process failed"):
+            run_round(state, sets, cfg, eval_set, helpers)
+        # the helper's reply was received, so the next round starts clean: a
+        # reply left over from the failed round would not match a new snapshot
+        monkeypatch.undo()
+        state.theta = state.theta * 0.5
+        ref = GlobalState(theta=state.theta.copy(), round_idx=0, model=state.model.clone())
+        run_round_in_process(ref, sets, cfg, eval_set)
+        run_round(state, sets, cfg, eval_set, helpers)
+    assert np.array_equal(state.theta, ref.theta)
+    assert state.history[0].to_dict() | {"wall_time": 0} == ref.history[0].to_dict() | {"wall_time": 0}
+
+
+def test_run_federated_reaps_helpers_when_its_own_group_fails(monkeypatch):
+    force_cores(monkeypatch, 2)
+
+    def fail(*args):
+        raise ValueError("bug in every process")
+
+    monkeypatch.setattr(federation, "client_update", fail)
+    records = synth_corpus(60, seed=21)
+    with pytest.raises(ValueError, match="bug in every process"):
+        run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5),
+                      FedConfig(n_clients=2, rounds=2, local_epochs=1, batch_size=8, seed=4),
+                      records, PartitionSpec(n_clients=2, strategy="iid", seed=6))
 
 
 def kill_self(cid):
@@ -211,16 +327,12 @@ def kill_self(cid):
 
 
 def test_killed_worker_raises_round_error(monkeypatch):
-    force_cores(monkeypatch, 2)
     patch_client_update(monkeypatch, kill_self)
-    state, sets, cfg, eval_set = two_client_round()
     with pytest.raises(RoundError, match=r"round 0: clients \[1\].*killed by signal 9"):
-        run_round(state, sets, cfg, eval_set)
-    assert state.round_idx == 0 and not state.history
+        run_two_client_round()
 
 
 def test_killed_eval_worker_raises_round_error(monkeypatch):
-    force_cores(monkeypatch, 2)
     real = federation.forward
 
     def patched(model, ids):
@@ -229,11 +341,21 @@ def test_killed_eval_worker_raises_round_error(monkeypatch):
         return real(model, ids)
 
     monkeypatch.setattr(federation, "forward", patched)
-    records = synth_corpus(100, seed=7)
-    cfg = ModelConfig(**DESK_MODEL)
-    eval_set = encode_records(records, build_vocab(records, cfg.vocab_size), cfg.max_seq_len)
-    with pytest.raises(RoundError, match=r"eval batches at records \[64\].*signal 9"):
-        evaluate(init_model(cfg), eval_set)
+    am, eval_set = eval_fixture(100)
+    starts = eval_batches(eval_set)
+    assert list(starts) == [0, 93]
+    with pytest.raises(RoundError, match=r"eval batches at records \[93\].*signal 9"):
+        evaluate_on(1, am, eval_set)
+
+
+def test_idle_helper_killed_between_rounds_raises_round_error():
+    state, sets, cfg, eval_set = two_client_round()
+    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+        run_round(state, sets, cfg, eval_set, helpers)
+        os.kill(helpers.procs[0][0], signal.SIGKILL)
+        with pytest.raises(RoundError, match=r"round 1: clients \[1\].*killed by signal 9"):
+            run_round(state, sets, cfg, eval_set, helpers)
+    assert state.round_idx == 1
 
 
 def test_killed_worker_cli_exits_1_and_writes_nothing(monkeypatch, tmp_path, capsys):
@@ -246,14 +368,12 @@ def test_killed_worker_cli_exits_1_and_writes_nothing(monkeypatch, tmp_path, cap
 
 
 def test_unpicklable_result_raises_round_error_and_child_never_returns(monkeypatch, tmp_path):
-    force_cores(monkeypatch, 2)
     patch_client_update(monkeypatch, lambda cid: (lambda: cid, 0.0))
-    state, sets, cfg, eval_set = two_client_round()
     marker = tmp_path / "pids"
     try:
         with pytest.raises(RoundError, match=r"clients \[1\].*exit code 1"):
-            run_round(state, sets, cfg, eval_set)
-    finally:  # a child that returned into the caller would append its pid too
+            run_two_client_round()
+    finally:  # a helper that returned into the caller would append its pid too
         with open(marker, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
     assert marker.read_text(encoding="utf-8").split() == [str(TEST_PID)]
@@ -293,10 +413,8 @@ def test_non_finite_update_raises_client_error(monkeypatch, poisoned_steps):
 
 
 def test_non_finite_client_is_skipped(monkeypatch):
-    force_cores(monkeypatch, 2)
     poison_sgd_step(monkeypatch, only_in_worker=True)
-    state, sets, cfg, eval_set = two_client_round()
-    run_round(state, sets, cfg, eval_set)
+    state = run_two_client_round()
     report = state.history[0]
     assert report.client_losses[1] is None
     assert np.isfinite(report.client_losses[0])
