@@ -7,6 +7,7 @@ helper that dies before it replies raises RoundError. No test leaves a child
 behind (`no_child_left` in conftest.py).
 """
 
+import dataclasses
 import os
 import signal
 
@@ -165,7 +166,8 @@ def test_helpers_fork_once_per_run_not_per_round(monkeypatch):
 def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
     # configs/ablation_skew.json: 400 records, eval_frac 0.2, so 80 eval
     # records of width 11 make one batch (1024 // 11 = 93 records)
-    exp = load_experiment("configs/ablation_skew.json")
+    exp = load_experiment(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                       "ablation_skew.json"))
     records = exp.data.load_records()
     force_cores(monkeypatch, 2)
     seen = count_groups(monkeypatch)
@@ -173,7 +175,7 @@ def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
     for k, n_forks in ((1, 0), (3, 1)):
         seen.clear()
         forks.clear()
-        fed = FedConfig(**{**vars(exp.fed), "n_clients": k, "rounds": 2, "local_epochs": 1})
+        fed = dataclasses.replace(exp.fed, n_clients=k, rounds=2, local_epochs=1)
         run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
                       eval_frac=exp.data.eval_frac)
         # a single client and a single eval batch need no helper; with three
