@@ -11,13 +11,12 @@ field takes any number, an int field an integer, and no number is a bool.
 from __future__ import annotations
 
 import json
-import math
 import os
 import types
 import typing
 from dataclasses import dataclass, field
 
-from .data import PartitionSpec, load_corpus, synth_corpus
+from .data import PartitionSpec, load_corpus, n_eval, synth_corpus
 from .errors import ConfigError
 from .federation import FedConfig
 from .lora import LoraConfig
@@ -44,7 +43,7 @@ class DataConfig:
             n = self.synthetic_n
             if n < 2:
                 raise ConfigError(f"data.source.synthetic must be >= 2, got {n}")
-            n_train = n - math.ceil(n * self.eval_frac)  # as split_train_eval carves it
+            n_train = n - n_eval(n, self.eval_frac)
             if n_train < self.partition.n_clients:
                 raise ConfigError(
                     f"data.source.synthetic {n} leaves {n_train} training records after "

@@ -82,17 +82,22 @@ def save_corpus(records, path):
             writer.writerow([r.id, r.text, r.label])
 
 
+def n_eval(n: int, eval_frac: float) -> int:
+    """How many of n records split_train_eval puts in the eval set."""
+    return math.ceil(n * eval_frac)
+
+
 def split_train_eval(records, eval_frac: float, seed: int):
-    """Seeded shuffle, then ceil(n*eval_frac) eval records, rest train."""
+    """Seeded shuffle, then n_eval eval records, rest train."""
     if not 0 < eval_frac < 1:
         raise ConfigError(f"eval_frac must be in (0, 1), got {eval_frac}")
     n = len(records)
     if n < 2:
         raise DataError(f"need at least 2 records to split, got {n}")
     perm = rng.permutation(seed, n)
-    n_eval = math.ceil(n * eval_frac)
+    k = n_eval(n, eval_frac)
     shuffled = [records[i] for i in perm]
-    return shuffled[n_eval:], shuffled[:n_eval]
+    return shuffled[k:], shuffled[:k]
 
 
 def _largest_remainder(n: int, weights: np.ndarray) -> np.ndarray:

@@ -261,18 +261,25 @@ class Helpers:
                 os.close(fd)
             raise
         if pid == 0:
-            self._serve(request_r, reply_w, (request_w, reply_r))
+            self._serve(request_r, reply_w, request_w, reply_r)
         os.close(request_r)
         os.close(reply_w)  # so the reader sees EOF once the helper exits
         return pid, request_w, os.fdopen(reply_r, "rb")
 
-    def _serve(self, request_fd: int, reply_fd: int, run_fds: tuple):
+    def _serve(self, request_fd: int, reply_fd: int, *run_fds: int):
         """Helper side: answer each request until the request pipe closes,
         then exit. Never returns; a reply it cannot send exits with code 1."""
         code = 1
         try:
-            for fd in run_fds:  # so this helper sees EOF once the run process closes its end
+            # drop the run process's ends of this helper's pipes and of every
+            # earlier helper's, so each helper sees EOF as soon as the run
+            # process closes its request end
+            for fd in run_fds:
                 os.close(fd)
+            procs, self.procs = self.procs, []
+            for _, fd, replies in procs:
+                os.close(fd)
+                replies.close()
             with os.fdopen(request_fd, "rb") as requests:
                 while True:
                     try:

@@ -10,6 +10,7 @@ behind (`no_child_left` in conftest.py).
 import dataclasses
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -330,8 +331,11 @@ def kill_self(cid):
 
 def test_killed_worker_raises_round_error(monkeypatch):
     patch_client_update(monkeypatch, kill_self)
-    with pytest.raises(RoundError, match=r"round 0: clients \[1\].*killed by signal 9"):
-        run_two_client_round()
+    state, sets, cfg, eval_set = two_client_round()
+    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+        with pytest.raises(RoundError, match=r"round 0: clients \[1\].*killed by signal 9"):
+            run_round(state, sets, cfg, eval_set, helpers)
+    assert state.round_idx == 0 and not state.history
 
 
 def test_killed_eval_worker_raises_round_error(monkeypatch):
@@ -357,7 +361,28 @@ def test_idle_helper_killed_between_rounds_raises_round_error():
         os.kill(helpers.procs[0][0], signal.SIGKILL)
         with pytest.raises(RoundError, match=r"round 1: clients \[1\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
-    assert state.round_idx == 1
+    assert state.round_idx == 1 and len(state.history) == 1
+
+
+def test_a_helper_exits_once_its_own_request_pipe_closes():
+    # no later helper may hold the run process's end of an earlier helper's pipe
+    state, sets, cfg, eval_set = two_client_round()
+    with Helpers(3, state.model, sets, cfg, eval_set) as helpers:
+        pid, fd, replies = helpers.procs.pop(0)
+        os.close(fd)
+        try:
+            deadline = time.monotonic() + 10
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                assert time.monotonic() < deadline, "the first helper still waits for requests"
+                time.sleep(0.01)
+            pid = None
+            assert replies.read() == b""
+        finally:
+            replies.close()
+            if pid is not None:  # reaped once its siblings exit and drop the pipe
+                helpers.close()
+                os.waitpid(pid, 0)
+        assert len(helpers.procs) == 2
 
 
 def test_killed_worker_cli_exits_1_and_writes_nothing(monkeypatch, tmp_path, capsys):
