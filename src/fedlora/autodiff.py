@@ -9,7 +9,8 @@ mode).
 `Tensor.requires_grad` is the one record of gradient need: an op's output
 needs a gradient iff one of its inputs does, and an op with only frozen
 inputs is not taped. A frozen input never receives a gradient; matmul,
-lora_linear, gather_rows, layer_norm and attention do not even compute one.
+lora_linear, gather_rows, layer_norm, add_layer_norm and attention do not
+even compute one.
 Gradients are summed into `.grad`; callers zero them per batch (see
 zero_grads).
 
@@ -74,11 +75,12 @@ class Graph:
         self._nodes.append((out, backward_fn))
 
     def accumulate(self, t: Tensor, delta: np.ndarray):
-        """Add `delta` to t.grad unless t needs no gradient."""
+        """Add `delta` to t.grad unless t needs no gradient. The first delta
+        becomes t.grad itself, so an op passes an array that nothing else holds."""
         if not t.requires_grad:
             return
         if t.grad is None:
-            t.grad = delta.copy()
+            t.grad = delta
         else:
             t.grad += delta
 
@@ -141,10 +143,13 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, a: Tensor, scale: float) -> Ten
                          f"B {b.data.shape}, A {a.data.shape}")
     xb = x.data @ b.data
     out = x.data @ w.data
-    out += (xb @ a.data) * scale
+    adapter = xb @ a.data
+    if scale != 1.0:  # multiplying by 1.0 changes no bit
+        adapter *= scale
+    out += adapter
 
     def backward(g, grad_out):
-        gs = grad_out * scale
+        gs = grad_out if scale == 1.0 else grad_out * scale
         if a.requires_grad:
             g.accumulate(a, xb.T @ gs)
         if b.requires_grad or x.requires_grad:
@@ -168,11 +173,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     row_broadcast = b.data.shape != a.data.shape
 
     def backward(g, grad_out):
-        g.accumulate(a, grad_out)
+        g.accumulate(a, grad_out.copy())
         if row_broadcast:
             g.accumulate(b, grad_out.sum(axis=0, keepdims=True))
         else:
-            g.accumulate(b, grad_out)
+            g.accumulate(b, grad_out.copy())
 
     return _emit(a.data + b.data, backward, a, b)
 
@@ -185,17 +190,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(a, 0) elementwise; the backward passes the gradient where the output is positive."""
+    out = np.maximum(a.data, 0.0)
 
     def backward(g, grad_out):
-        g.accumulate(a, grad_out * mask)
+        g.accumulate(a, grad_out * (out > 0))
 
-    return _emit(np.where(mask, a.data, 0.0), backward, a)
+    return _emit(out, backward, a)
 
 
 def transpose(a: Tensor) -> Tensor:
     def backward(g, grad_out):
-        g.accumulate(a, grad_out.T)
+        g.accumulate(a, grad_out.T.copy())
 
     return _emit(a.data.T.copy(), backward, a)
 
@@ -224,7 +230,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
     def backward(g, grad_out):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            g.accumulate(p, grad_out[:, lo:hi])
+            g.accumulate(p, grad_out[:, lo:hi].copy())
 
     return _emit(np.concatenate([p.data for p in parts], axis=1), backward, *parts)
 
@@ -235,7 +241,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
     def backward(g, grad_out):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            g.accumulate(p, grad_out[lo:hi, :])
+            g.accumulate(p, grad_out[lo:hi, :].copy())
 
     return _emit(np.concatenate([p.data for p in parts], axis=0), backward, *parts)
 
@@ -251,7 +257,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
             np.add.at(full, idx, grad_out)
             g.accumulate(table, full)
 
-    return _emit(table.data[idx, :].copy(), backward, table)
+    return _emit(np.take(table.data, idx, axis=0), backward, table)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -266,31 +272,62 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(s, backward, x)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization, then affine by gamma/beta rows of width d."""
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1, keepdims=True), bit for bit, without the Python-level wrapper."""
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
+def _layer_norm(s: np.ndarray, inputs: tuple, gamma: Tensor, beta: Tensor, eps: float,
+                owned: bool) -> Tensor:
+    """The layer-norm kernel on rows s; its input gradient goes to every tensor in
+    `inputs`. With `owned`, s is a temporary that the forward may overwrite."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    d = x.data.shape[1]
+    d = s.shape[1]
     if gamma.data.shape != (1, d) or beta.data.shape != (1, d):
         raise ShapeError(
             f"layer_norm affine shapes must be (1, {d}), got {gamma.data.shape} and {beta.data.shape}"
         )
-    xc = x.data - x.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
-    xhat = xc * inv
+    xhat = np.subtract(s, _row_mean(s), out=s if owned else None)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
+    xhat *= inv
+    if _active() is None or not any(t.requires_grad for t in (*inputs, gamma, beta)):
+        out = np.multiply(xhat, gamma.data, out=xhat)  # off the tape no backward reads xhat
+    else:
+        out = xhat * gamma.data
+    out += beta.data
 
     def backward(g, grad_out):
         if gamma.requires_grad:
-            g.accumulate(gamma, (grad_out * xhat).sum(axis=0, keepdims=True))
+            g.accumulate(gamma, np.add.reduce(grad_out * xhat, axis=0, keepdims=True))
         if beta.requires_grad:
-            g.accumulate(beta, grad_out.sum(axis=0, keepdims=True))
-        if x.requires_grad:
+            g.accumulate(beta, np.add.reduce(grad_out, axis=0, keepdims=True))
+        needs = [t for t in inputs if t.requires_grad]
+        if needs:
             dxhat = grad_out * gamma.data
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            g.accumulate(x, (dxhat - m1 - xhat * m2) * inv)
+            buf = dxhat * xhat
+            m2 = _row_mean(buf)
+            dxhat -= _row_mean(dxhat)
+            dxhat -= np.multiply(xhat, m2, out=buf)
+            dxhat *= inv
+            for t in needs[1:]:
+                g.accumulate(t, dxhat.copy())
+            g.accumulate(needs[0], dxhat)
 
-    return _emit(gamma.data * xhat + beta.data, backward, x, gamma, beta)
+    return _emit(out, backward, *inputs, gamma, beta)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row normalization, then affine by gamma/beta rows of width d."""
+    return _layer_norm(x.data, (x,), gamma, beta, eps, owned=False)
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """layer_norm(add(x, y), gamma, beta, eps) as one op: a residual sum and its
+    normalization. x and y have one shape, and both receive the sum's gradient."""
+    if x.data.shape != y.data.shape:
+        raise ShapeError(f"add_layer_norm shapes disagree: {x.data.shape} + {y.data.shape}")
+    return _layer_norm(x.data + y.data, (x, y), gamma, beta, eps, owned=True)
 
 
 def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -344,33 +381,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor
     def split(x):  # (B*rows, d) -> (B, H, rows, dh)
         return x.reshape(n_seq, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):  # (B, H, rows, dh) -> (B*rows, d)
-        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+    def matmul_merged(a, b, shape):  # a @ b, (B, H, rows, dh), written straight into (B*rows, d)
+        out = np.empty(shape)
+        np.matmul(a, b, out=split(out))
+        return out
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # the softmax runs in place in the scores buffer, so no other
     # (B, H, rows, T) temporary is allocated
     p = qh @ kh.transpose(0, 1, 3, 2)
     p *= inv_sqrt_dh
-    p += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
+    if not mask.all():  # an all-zero bias would only turn -0.0 scores into 0.0, which exp maps alike
+        p += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
+    p -= np.fmax.reduce(p, axis=-1, keepdims=True)  # a row with a NaN ends all-NaN either way
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
 
     def backward(g, grad_out):
         dctx = split(grad_out)
         dscores = dctx @ vh.transpose(0, 1, 3, 2)  # dp, turned into dscores in place
-        dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+        dscores -= np.add.reduce(dscores * p, axis=-1, keepdims=True)
         dscores *= p
         dscores *= inv_sqrt_dh
         if q.requires_grad:
-            g.accumulate(q, merge(dscores @ kh))
+            g.accumulate(q, matmul_merged(dscores, kh, q.data.shape))
         if k.requires_grad:
-            g.accumulate(k, merge(dscores.transpose(0, 1, 3, 2) @ qh))
+            g.accumulate(k, matmul_merged(dscores.transpose(0, 1, 3, 2), qh, k.data.shape))
         if v.requires_grad:
-            g.accumulate(v, merge(p.transpose(0, 1, 3, 2) @ dctx))
+            g.accumulate(v, matmul_merged(p.transpose(0, 1, 3, 2), dctx, v.data.shape))
 
-    return _emit(merge(p @ vh), backward, q, k, v)
+    return _emit(matmul_merged(p, vh, q.data.shape), backward, q, k, v)
 
 
 # ---------------------------------------------------------------------------

@@ -92,14 +92,13 @@ def parse_grid(text: str):
 def cmd_ablate(args) -> int:
     grid = parse_grid(args.grid)
     exp = load_experiment(args.config, args.set)
+    records = exp.data.load_records()  # every cell trains on the same records
     rows = []
     for k, e, r in grid:
-        cell_exp = dataclasses.replace(
-            exp, fed=dataclasses.replace(exp.fed, n_clients=k, local_epochs=e, rounds=r))
+        fed = dataclasses.replace(exp.fed, n_clients=k, local_epochs=e, rounds=r)
         try:
-            records = cell_exp.data.load_records()
-            state = run_federated(cell_exp.model, cell_exp.lora, cell_exp.fed, records,
-                                  cell_exp.data.partition, eval_frac=cell_exp.data.eval_frac)
+            state = run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
+                                  eval_frac=exp.data.eval_frac)
             last = state.history[-1]
             rows.append((k, e, r, last.eval_accuracy, last.eval_f1, ""))
         except FedLoraError as exc:

@@ -40,20 +40,28 @@ class DataConfig:
             raise ConfigError(f"data.eval_frac must be in (0, 1), got {self.eval_frac}")
         self.partition.validate()
         if self.synthetic_n is not None:
-            n = self.synthetic_n
-            if n < 2:
-                raise ConfigError(f"data.source.synthetic must be >= 2, got {n}")
-            n_train = n - n_eval(n, self.eval_frac)
-            if n_train < self.partition.n_clients:
-                raise ConfigError(
-                    f"data.source.synthetic {n} leaves {n_train} training records after "
-                    f"eval_frac {self.eval_frac}, fewer than the {self.partition.n_clients} "
-                    "partition clients")
+            self._check_size("data.source.synthetic", self.synthetic_n)
+
+    def _check_size(self, source: str, n: int):
+        """ConfigError unless n records leave the eval split at least one
+        record and every partition client at least one training record."""
+        if n < 2:
+            raise ConfigError(f"{source} must be >= 2, got {n}")
+        n_train = n - n_eval(n, self.eval_frac)
+        if n_train < self.partition.n_clients:
+            raise ConfigError(
+                f"{source} {n} leaves {n_train} training records after "
+                f"eval_frac {self.eval_frac}, fewer than the {self.partition.n_clients} "
+                "partition clients")
 
     def load_records(self):
-        if self.source_csv is not None:
-            return load_corpus(self.source_csv)
-        return synth_corpus(self.synthetic_n, seed=self.seed)
+        """The source's records; a CSV too small for the split is a ConfigError,
+        as a synthetic size is in `validate`."""
+        if self.synthetic_n is not None:
+            return synth_corpus(self.synthetic_n, seed=self.seed)
+        records = load_corpus(self.source_csv)
+        self._check_size(f"data.source.csv {self.source_csv} row count", len(records))
+        return records
 
 
 @dataclass

@@ -54,4 +54,5 @@ def f1_binary(m: ConfusionMatrix) -> float:
 
 def predict_labels(logits: np.ndarray) -> list[int]:
     """Argmax with ties broken toward class 0, for reproducibility."""
-    return [int(row[1] > row[0]) for row in np.asarray(logits)]
+    logits = np.asarray(logits)
+    return (logits[:, 1] > logits[:, 0]).astype(int).tolist()

@@ -209,8 +209,9 @@ def forward(model, ids_batch) -> Tensor:
 
     The whole batch runs at once: after `_pack_batch` drops the padding
     columns that no row needs, the B sequences of T tokens are stacked as
-    (B*T) x d rows, so projections, adapters, layer norm and feed-forward
-    layers each take one op, and `autodiff.attention` keeps every sequence
+    (B*T) x d rows, so projections, adapters and feed-forward layers each
+    take one op, each residual sum and the layer norm after it take one fused
+    `autodiff.add_layer_norm`, and `autodiff.attention` keeps every sequence
     to its own keys. The attention mask is `ids != PAD_ID`: PAD keys get a
     -1e9 pre-softmax bias, which underflows to exactly zero attention weight
     in double precision, so the logits do not depend on the PAD embedding,
@@ -235,7 +236,7 @@ def forward(model, ids_batch) -> Tensor:
         k = model.linear(x, li, "wk")
         v = model.linear(x, li, "wv")
         attn_out = model.linear(ad.attention(q, k, v, mask, cfg.n_heads), li, "wo")
-        x = ad.layer_norm(ad.add(rows, attn_out), layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
+        x = ad.add_layer_norm(rows, attn_out, layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
         ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
-        x = ad.layer_norm(ad.add(x, ff), layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)
+        x = ad.add_layer_norm(x, ff, layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)
     return ad.add(ad.matmul(x, model.head_w), model.head_b)

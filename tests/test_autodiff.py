@@ -105,6 +105,96 @@ def test_layer_norm_gradient_matches_finite_differences():
     assert ad.grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-5
 
 
+def _layer_norm_by_mean(x, gamma, beta, eps, grad_out):
+    """Output and (x, gamma, beta) gradients by the `.mean`-based formulas the kernel replaced."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = grad_out * gamma
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return (gamma * xhat + beta, (dxhat - m1 - xhat * m2) * inv,
+            (grad_out * xhat).sum(axis=0, keepdims=True), grad_out.sum(axis=0, keepdims=True))
+
+
+def _taped(op, *args):
+    """op(*args) on a graph, and a function that runs the op's backward on a chosen grad_out."""
+    with Graph() as g:
+        backward_fns, record = [], g.record
+        g.record = lambda out, fn: (backward_fns.append(fn), record(out, fn))
+        out = op(*args)
+    return out, backward_fns[-1]
+
+
+def test_layer_norm_equals_the_mean_formula_bit_for_bit():
+    gen = np.random.default_rng(15)
+    for rows, d in ((1, 2), (5, 7), (176, 32), (9, 64)):
+        x, gamma, beta = (Tensor(gen.normal(scale=3.0, size=s), requires_grad=True)
+                          for s in ((rows, d), (1, d), (1, d)))
+        x_before = x.data.copy()
+        grad_out = gen.normal(size=(rows, d))
+        out, backward = _taped(ad.layer_norm, x, gamma, beta, 1e-5)
+        backward(grad_out)
+        ref_out, ref_dx, ref_dgamma, ref_dbeta = _layer_norm_by_mean(
+            x.data, gamma.data, beta.data, 1e-5, grad_out)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(x.grad, ref_dx)
+        assert np.array_equal(gamma.grad, ref_dgamma) and np.array_equal(beta.grad, ref_dbeta)
+        assert np.array_equal(x.data, x_before)  # the input is never normalized in place
+        # forward-only, where the output overwrites the kernel's own xhat
+        frozen = [Tensor(t.data) for t in (x, gamma, beta)]
+        assert np.array_equal(ad.layer_norm(*frozen, eps=1e-5).data, ref_out)
+
+
+@pytest.mark.parametrize("trainable", ["xygb", "y"])
+def test_add_layer_norm_matches_composed_ops(trainable):
+    gen = np.random.default_rng(16)
+    shapes = {"x": (6, 5), "y": (6, 5), "g": (1, 5), "b": (1, 5)}
+    inputs = {n: Tensor(gen.normal(size=s), requires_grad=n in trainable) for n, s in shapes.items()}
+    frozen = [t for n, t in inputs.items() if n not in trainable]
+    weights = Tensor(gen.normal(size=(5, 1)))
+    ones = Tensor(np.ones((1, 6)))
+    x, y, gamma, beta = inputs.values()
+    results = []
+    for fused in (True, False):
+        ad.zero_grads(list(inputs.values()))
+        with Graph() as g:
+            out = (ad.add_layer_norm(x, y, gamma, beta, 1e-5) if fused
+                   else ad.layer_norm(ad.add(x, y), gamma, beta, 1e-5))
+            loss = ad.matmul(ones, ad.matmul(out, weights))
+        seen, accumulate = [], g.accumulate
+        g.accumulate = lambda t, delta: (seen.append(t), accumulate(t, delta))
+        g.backward(loss)
+        if fused:  # no gradient is even computed for a frozen input
+            assert not any(t is f for t in seen for f in frozen)
+        assert all(t.grad is None for t in frozen)
+        results.append([out.data] + [inputs[n].grad for n in trainable])
+    for fused, parts in zip(*results):
+        assert np.array_equal(fused, parts)
+
+
+def test_relu_equals_the_where_form_bit_for_bit():
+    gen = np.random.default_rng(17)
+    vals = gen.normal(size=(8, 12))
+    vals[::2, ::3] = 0.0
+    vals[1::2, ::4] = -0.0
+    a = Tensor(vals, requires_grad=True)
+    grad_out = gen.normal(size=vals.shape)
+    out, backward = _taped(ad.relu, a)
+    backward(grad_out)
+    # bit for bit, signed zeros included: the form the kernel replaced, and its gradient mask
+    for got, ref in ((out.data, np.where(vals > 0, vals, 0.0)), (a.grad, grad_out * (vals > 0))):
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_gather_rows_output_does_not_alias_the_table():
+    table = Tensor(np.arange(12.0).reshape(4, 3))
+    before = table.data.copy()
+    out = ad.gather_rows(table, [2, 0, 2])
+    out.data[...] = -1.0
+    assert np.array_equal(table.data, before)
+
+
 def test_cross_entropy_uniform_logits():
     loss = ad.cross_entropy(Tensor([[0.0, 0.0]]), [0])
     assert loss.data[0, 0] == pytest.approx(math.log(2.0), abs=1e-12)
@@ -225,11 +315,13 @@ def test_backward_rejects_bad_loss(make, error):
     (lambda: ad.gather_rows(Tensor(np.zeros((4, 2))), [0, 4]), DataError),
     (lambda: ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3)))),
      ShapeError),
+    (lambda: ad.add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))),
+                               Tensor(np.zeros((1, 3)))), ShapeError),
     (lambda: ad.cross_entropy(Tensor(np.zeros((3, 2))), [0, 1]), ShapeError),
     (lambda: ad.lora_linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))),
                             Tensor(np.zeros((2, 3))), 1.0), ShapeError),
-], ids=["tensor_1d", "add_shapes", "gather_out_of_range", "layer_norm_affine", "cross_entropy_labels",
-        "lora_linear_shapes"])
+], ids=["tensor_1d", "add_shapes", "gather_out_of_range", "layer_norm_affine", "add_layer_norm_shapes",
+        "cross_entropy_labels", "lora_linear_shapes"])
 def test_bad_op_input_raises(call, error):
     with pytest.raises(error):
         call()
@@ -256,6 +348,29 @@ def test_backward_frees_the_tape_without_gc():
     # the graph itself is still referenced here; only its tape must be gone
     assert activation() is None
     assert np.array_equal(w.grad, np.ones((3, 3)))
+
+
+def test_no_two_gradients_share_memory():
+    # the first delta a tensor receives becomes its .grad, so every op must pass
+    # an array of its own, not its grad_out, a view of it, or one array twice;
+    # each tensor feeds one op, so every delta here is the first
+    gen = np.random.default_rng(18)
+    x, y, z, u, v, w = (Tensor(gen.normal(size=(3, 4)), requires_grad=True) for _ in range(6))
+    gamma = Tensor(gen.normal(size=(1, 4)), requires_grad=True)
+    beta = Tensor(gen.normal(size=(1, 4)), requires_grad=True)
+    with Graph() as g:
+        s = ad.add(x, y)
+        n = ad.add_layer_norm(s, z, gamma, beta)
+        c = ad.concat_cols([n, u])
+        t = ad.transpose(c)
+        r = ad.concat_rows([v, w])
+        loss = ad.add(ad.matmul(ad.matmul(Tensor(np.ones((1, 8))), t), Tensor(np.ones((3, 1)))),
+                      ad.matmul(ad.matmul(Tensor(np.ones((1, 6))), r), Tensor(np.ones((4, 1)))))
+    g.backward(loss)
+    tensors = [x, y, z, u, v, w, gamma, beta, s, n, c, t, r]
+    for i, a in enumerate(tensors):
+        for b in tensors[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_frozen_inputs_get_no_gradient_work():
@@ -328,6 +443,47 @@ def test_attention_matches_per_sequence_ops():
         results.append([out.data] + [t.grad.copy() for t in (q, k, v)])
     for fused, parts in zip(*results):
         assert np.abs(fused - parts).max() <= 1e-12
+
+
+def _attention_reference(q, k, v, mask, n_heads, grad_out):
+    """Output and (q, k, v) gradients by the earlier kernel: the bias is always added, the
+    row max and sums are `.max`/`.sum`, and each result is copied out of the head layout."""
+    n_seq, d = mask.shape[0], q.shape[1]
+    dh = d // n_heads
+    split = lambda x: x.reshape(n_seq, -1, n_heads, dh).transpose(0, 2, 1, 3)
+    merge = lambda x: x.transpose(0, 2, 1, 3).reshape(-1, d)
+    qh, kh, vh, dctx = split(q), split(k), split(v), split(grad_out)
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= 1.0 / math.sqrt(dh)
+    p += np.where(mask, 0.0, ad.MASK_BIAS)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ds = dctx @ vh.transpose(0, 1, 3, 2)
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= 1.0 / math.sqrt(dh)
+    return (merge(p @ vh), merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh),
+            merge(p.transpose(0, 1, 3, 2) @ dctx))
+
+
+@pytest.mark.parametrize("padded", [True, False])
+@pytest.mark.parametrize("queries", ["all", "one"])
+def test_attention_equals_the_earlier_kernel_bit_for_bit(padded, queries):
+    gen = np.random.default_rng(9)
+    n_seq, seq_len, d = 4, 6, 8
+    mask = np.ones((n_seq, seq_len), dtype=bool)
+    if padded:
+        mask[1, 4:] = mask[3, 2:] = False
+    n_q = n_seq * seq_len if queries == "all" else n_seq
+    q, k, v = (Tensor(gen.normal(scale=2.0, size=(n, d)), requires_grad=True)
+               for n in (n_q, n_seq * seq_len, n_seq * seq_len))
+    grad_out = gen.normal(size=(n_q, d))
+    out, backward = _taped(lambda *a: ad.attention(*a, mask, 2), q, k, v)
+    backward(grad_out)
+    ref = _attention_reference(q.data, k.data, v.data, mask, 2, grad_out)
+    for got, want in zip((out.data, q.grad, k.grad, v.grad), ref):
+        assert np.array_equal(got, want)
 
 
 def _lora_linear_by_parts(x, w, b, a, scale):
@@ -422,7 +578,7 @@ def test_grad_check_square():
 
 @pytest.mark.parametrize("op", ["matmul", "add", "add_broadcast", "scale", "relu",
                                 "transpose", "slice", "concat", "gather",
-                                "softmax", "layer_norm", "attention", "attention_one_query",
+                                "softmax", "layer_norm", "add_layer_norm", "attention", "attention_one_query",
                                 "lora_linear_x", "lora_linear_frozen_x", "lora_linear_w",
                                 "cross_entropy"])
 def test_every_op_gradient_over_seeds(op):
@@ -480,6 +636,10 @@ def test_every_op_gradient_over_seeds(op):
             beta = Tensor(gen.normal(size=(1, 4)), requires_grad=True)
             params = [a, gamma, beta]
             f = lambda: to_scalar(ad.layer_norm(a, gamma, beta, eps=1e-5))
+        elif op == "add_layer_norm":
+            params = [Tensor(gen.normal(size=s), requires_grad=True)
+                      for s in ((3, 4), (3, 4), (1, 4), (1, 4))]
+            f = lambda: to_scalar(ad.add_layer_norm(*params, eps=1e-5))
         elif op in ("attention", "attention_one_query"):
             # two packed sequences of three keys, width 4 split into two heads,
             # with three queries per sequence or one

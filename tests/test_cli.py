@@ -188,6 +188,23 @@ def test_synthetic_corpus_too_small_for_its_split_exits_2(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == ["exp.json"]
 
 
+@pytest.mark.parametrize("command", ["train-federated", "ablate"])
+def test_csv_too_small_for_its_split_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.csv").write_text("text,label\ncalm day,0\nbad day,1\nfine day,0\n",
+                                       encoding="utf-8")
+    # ceil(3 * 0.2) = 1 eval record leaves 2 for 3 partition clients
+    data = dict(TINY_DOC["data"], source={"csv": "tiny.csv"},
+                partition=dict(TINY_DOC["data"]["partition"], n_clients=3))
+    cfg, _ = write_config(tmp_path, data=data)
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "data.source.csv tiny.csv row count 3 leaves 2 training records after eval_frac 0.2, " \
+           "fewer than the 3 partition clients" in err
+    assert sorted(os.listdir(tmp_path)) == ["exp.json", "tiny.csv"]
+
+
 def test_int_is_a_number_for_float_fields(tmp_path):
     cfg, _ = write_config(tmp_path)
     exp = load_experiment(cfg, ["fed.eta=1", "lora.alpha=2", "data.partition.alpha=3"])
