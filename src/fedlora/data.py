@@ -44,6 +44,10 @@ class PartitionSpec:
             raise ConfigError(f"partition.n_clients must be >= 1, got {self.n_clients}")
         if self.strategy not in ("iid", "label_skew", "quantity_skew"):
             raise ConfigError(f"unknown partition strategy {self.strategy!r}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"partition.alpha must be finite, got {self.alpha}")
+        if not all(map(math.isfinite, self.ratios)):
+            raise ConfigError(f"partition.ratios must be finite, got {list(self.ratios)}")
         if self.strategy == "label_skew" and self.alpha <= 0:
             raise ConfigError(f"partition.alpha must be positive, got {self.alpha}")
         if self.strategy == "quantity_skew":
@@ -150,7 +154,11 @@ def partition_clients(records, spec: PartitionSpec) -> list[list[Record]]:
 
 
 def make_shards(records, spec: PartitionSpec, eval_frac: float) -> list[ClientShard]:
-    """Partition, then split each client's data locally into train/eval."""
+    """Partition, then split each client's data locally into train/eval.
+
+    A client trains on `train` only. `run_federated` reads no `eval`, so
+    those records are held out of training and scored nowhere.
+    """
     shards = []
     for cid, group in enumerate(partition_clients(records, spec)):
         if len(group) >= 2:

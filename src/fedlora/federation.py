@@ -10,16 +10,17 @@ Parallelism: `run_federated` forks `process_count(max(clients, eval
 batches)) - 1` helper processes once (`Helpers`), after the shards are
 encoded and the template is built, so every helper inherits the template,
 the config and the encoded sets (each one id matrix, shared by the fork
-without copying). Each round then sends a helper only data: the snapshot,
-the round and its client ids, and after FedAvg the new trainable vector and
-its eval batch starts; the helper sends back its pickled result through a
-pipe. The run process takes the first group itself. Clients go largest
-training set first to the least-loaded process; eval batches (EVAL_ROWS
-token rows each) keep their boundaries and are split into contiguous runs,
-so an eval set of one batch never leaves the run process. A `ClientError`
-on a helper skips that client; any other exception is raised again in the
-run process; a helper that dies (killed, nonzero exit, short read) raises
-`RoundError`. Every helper is reaped when `run_federated` returns or raises.
+without copying). Both phases of a round go through `Helpers.map`: the
+clients (load: training records) and, after FedAvg, the eval batches
+(EVAL_ROWS token rows each; load: records) are split by `assign`, largest
+load first to the least-loaded process. A helper is sent only data: the
+snapshot and the round, or the new trainable vector and the batch size,
+plus its group; it sends back its pickled result through a pipe. The run
+process answers the first group itself through the same `Helpers._answer`,
+so an eval set of one batch never leaves it. A `ClientError` on a helper
+skips that client; any other exception is raised again in the run process;
+a helper that dies (killed, nonzero exit, short read) raises `RoundError`.
+Every helper is reaped when `run_federated` returns or raises.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
 population); the federation trains on the first `fed.n_clients` of them, so
@@ -37,6 +38,7 @@ received it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import time
@@ -70,8 +72,8 @@ class FedConfig:
         for name in ("n_clients", "rounds", "local_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"fed.{name} must be >= 1, got {getattr(self, name)}")
-        if self.eta <= 0:
-            raise ConfigError(f"fed.eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"fed.eta must be positive and finite, got {self.eta}")
         if self.aggregation not in ("uniform_mean", "weighted_by_n"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
 
@@ -213,14 +215,12 @@ def _write_all(fd: int, data: bytes):
 class Helpers:
     """`n` processes forked from this one, each serving its requests until
     `close` (or the end of a `with` block); `run_federated` starts them once
-    per run.
+    per run. `map` spreads one phase of a round over them and the run
+    process.
 
     A helper inherits the template, the client sets, the config and the eval
-    set at the fork, so a request carries only data: ("train", snapshot,
-    round, client ids) answers {client id: (theta_k, loss), or None for a
-    skipped client}, and ("eval", theta, eval batch starts) loads theta into
-    the helper's own copy of the template and answers the predicted labels.
-    Zero helpers is the in-process case and forks nothing.
+    set at the fork, so a request carries only data (see `_answer`). Zero
+    helpers is the in-process case and forks nothing.
     """
 
     def __init__(self, n: int, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
@@ -239,11 +239,6 @@ class Helpers:
 
     def __exit__(self, *exc_info):
         self.close()
-
-    @property
-    def n_proc(self) -> int:
-        """Processes that can take a group: the helpers and the run process."""
-        return len(self.procs) + 1
 
     def check(self, **context):
         """ProtocolError unless each object given is the one the helpers inherited."""
@@ -295,40 +290,56 @@ class Helpers:
         finally:
             os._exit(code)
 
-    def _answer(self, kind, *args):
+    def _answer(self, kind, *args) -> dict:
+        """One group's results, the same in a helper and in the run process:
+        ("train", snapshot, round, client ids) gives {client id: (theta_k,
+        loss), or None if it raised ClientError}; ("eval", theta, batch size,
+        batch starts) loads theta and gives {start: the batch's labels}."""
         if kind == "train":
             snapshot, round_idx, cids = args
-            return _train_clients(self.template, snapshot, self.client_sets, self.cfg, round_idx, cids)
-        theta, starts = args
+            out = {}
+            for cid in cids:
+                try:
+                    out[cid] = client_update(self.template, snapshot, self.client_sets[cid],
+                                             self.cfg, round_idx, cid)
+                except ClientError:
+                    out[cid] = None
+            return out
+        theta, step, starts = args
         load_trainable(self.template, theta)
-        return _predict(self.template, self.eval_set, starts)
+        ids = self.eval_set.ids
+        return {start: predict_labels(forward(self.template, ids[start:start + step]).data)
+                for start in starts}
 
-    def map(self, local, jobs: list) -> list:
-        """[local(), reply to each job]: job i, a (label, request) pair, goes to
-        helper i and runs while local() runs here.
+    def map(self, label: str, kind: str, args: tuple, loads: dict) -> dict:
+        """{item: result} over every item of `loads` ({item: load}).
 
-        Every reply is received even if local() raises. An exception a helper
-        raised is raised again here; a helper that dies before it replies (a
-        signal, a nonzero exit, a short read) is reaped and raises RoundError
-        naming the job's label.
+        `assign` splits the items over min(len(loads), helpers + 1)
+        processes, at least 1. The i-th helper answers (kind, *args, group i)
+        while the run process answers group 0 through the same `_answer`;
+        their dicts are merged. Every reply is received even if group 0 raises. An
+        exception a helper raised is raised again here; a helper that dies
+        before it replies (a signal, a nonzero exit, a short read) is reaped
+        and raises RoundError naming `label` and its group.
         """
-        procs = self.procs[:len(jobs)]
-        payloads = [pickle.dumps(request) for _, request in jobs]
+        groups = assign(loads, max(1, min(len(loads), len(self.procs) + 1)))
+        procs = self.procs[:len(groups) - 1]
+        payloads = [pickle.dumps((kind, *args, group)) for group in groups[1:]]
         for (_, fd, _), payload in zip(procs, payloads):
             try:
                 _write_all(fd, payload)
             except BrokenPipeError:
                 pass  # the helper is gone; receiving its reply reaps it
         try:
-            results = [local()]
+            results = self._answer(kind, *args, groups[0])
         finally:
             replies = [self._receive(proc) for proc in procs]
-        for (label, _), (ok, value) in zip(jobs, replies):
+        for group, (ok, value) in zip(groups[1:], replies):
             if ok is None:
-                raise RoundError(f"helper for {label} ended without a result ({value})")
+                raise RoundError(f"helper for {label} {group} ended without a result ({value})")
             if not ok:
                 raise value
-            results.append(value)
+            results.update(value)
         return results
 
     def _receive(self, proc) -> tuple:
@@ -355,6 +366,18 @@ class Helpers:
             os.waitpid(pid, 0)
 
 
+def assign(loads: dict, n_proc: int) -> list[list]:
+    """Split the keys of {key: load} into n_proc groups: largest load first
+    (ties by key), each to the least-loaded group (ties to the first)."""
+    groups = [[] for _ in range(n_proc)]
+    totals = [0] * n_proc
+    for key in sorted(loads, key=lambda k: (-loads[k], k)):
+        i = totals.index(min(totals))
+        groups[i].append(key)
+        totals[i] += loads[key]
+    return groups
+
+
 def eval_batches(eval_set: EncodedSet) -> range:
     """Start offsets of the forward-only eval batches; the step is the batch
     size, EVAL_ROWS token rows at the width of the set's longest real row."""
@@ -363,55 +386,20 @@ def eval_batches(eval_set: EncodedSet) -> range:
     return range(0, len(eval_set), max(1, EVAL_ROWS // width))
 
 
-def _predict(model, eval_set: EncodedSet, starts: range) -> list:
-    preds = []
-    for start in starts:
-        logits = forward(model, eval_set.ids[start:start + starts.step])
-        preds.extend(predict_labels(logits.data))
-    return preds
-
-
 def evaluate(model, eval_set: EncodedSet, helpers: Helpers) -> tuple[float, float]:
     """(accuracy, F1) on a pre-encoded eval set, forward-only.
 
     The batches (`eval_batches`; forward trims padding columns per batch)
-    are split into contiguous runs, at most one per process: the first runs
-    here, each other one on a helper, which first loads the model's
-    trainable vector.
+    are spread by `Helpers.map`, each weighted by its record count; every
+    process loads the model's trainable vector first, and the labels are
+    put back in batch order.
     """
     helpers.check(template=model, eval_set=eval_set)
     starts = eval_batches(eval_set)
-    n_proc = max(1, min(len(starts), helpers.n_proc))
-    runs = [starts[i * len(starts) // n_proc:(i + 1) * len(starts) // n_proc]
-            for i in range(n_proc)]
-    theta = extract_trainable(model) if n_proc > 1 else None
-    jobs = [(f"eval batches at records {list(run)}", ("eval", theta, run)) for run in runs[1:]]
-    preds = [p for run_preds in helpers.map(lambda: _predict(model, eval_set, runs[0]), jobs)
-             for p in run_preds]
-    m = confusion(preds, eval_set.labels.tolist())
+    labels = helpers.map("eval batches at records", "eval", (extract_trainable(model), starts.step),
+                         {start: min(starts.step, len(eval_set) - start) for start in starts})
+    m = confusion([p for start in starts for p in labels[start]], eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
-
-
-def assign_clients(client_sets: dict, n_proc: int) -> list[list]:
-    """Largest training set first, each to the least-loaded of n_proc groups."""
-    groups = [[] for _ in range(n_proc)]
-    loads = [0] * n_proc
-    for cid in sorted(client_sets, key=lambda c: (-len(client_sets[c]), c)):
-        i = loads.index(min(loads))
-        groups[i].append(cid)
-        loads[i] += len(client_sets[cid])
-    return groups
-
-
-def _train_clients(template, snapshot, client_sets, cfg, round_idx, cids) -> dict:
-    """{client id: client_update result, or None for a ClientError (skipped)}."""
-    out = {}
-    for cid in cids:
-        try:
-            out[cid] = client_update(template, snapshot, client_sets[cid], cfg, round_idx, cid)
-        except ClientError:
-            out[cid] = None
-    return out
 
 
 def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
@@ -419,7 +407,8 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     """One global round: broadcast, local training, FedAvg, evaluation.
 
     `helpers` must have been started with state.model, client_sets, cfg and
-    global_eval; the run process trains the first group of clients itself.
+    global_eval; `Helpers.map` spreads the clients, each weighted by its
+    training set size.
     """
     t0 = time.perf_counter()
     template = state.model
@@ -427,13 +416,8 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     snapshot = state.theta.copy()
     round_idx = state.round_idx
 
-    groups = assign_clients(client_sets, max(1, min(len(client_sets), helpers.n_proc)))
-    jobs = [(f"round {round_idx}: clients {g}", ("train", snapshot, round_idx, g))
-            for g in groups[1:]]
-    updates = {}
-    for out in helpers.map(
-            lambda: _train_clients(template, snapshot, client_sets, cfg, round_idx, groups[0]), jobs):
-        updates.update(out)
+    updates = helpers.map(f"round {round_idx}: clients", "train", (snapshot, round_idx),
+                          {cid: len(s) for cid, s in client_sets.items()})
     results = {cid: u[0] for cid, u in updates.items() if u is not None}
     losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
     if not results:

@@ -13,6 +13,7 @@ the wire contract with the federation layer and the adapter checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class LoraConfig:
     def validate(self):
         if self.rank < 1:
             raise ConfigError(f"lora.rank must be >= 1, got {self.rank}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError(f"lora.alpha must be positive, got {self.alpha}")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"lora.alpha must be positive and finite, got {self.alpha}")
         if not self.targets:
             raise ConfigError("lora.targets must not be empty")
         self.canonical_targets()
@@ -201,7 +202,8 @@ def extract_trainable(am: AdaptedModel) -> np.ndarray:
 
 
 def load_trainable(am: AdaptedModel, vec: np.ndarray):
-    """Inverse of extract_trainable; load(extract(am)) is a bit-exact no-op."""
+    """Inverse of extract_trainable; load(extract(am)) is a bit-exact no-op.
+    Writes into the existing arrays, so a load allocates no new ones."""
     vec = np.asarray(vec, dtype=np.float64)
     params = am.trainable_parameters()
     expected = sum(p.data.size for p in params)
@@ -212,5 +214,5 @@ def load_trainable(am: AdaptedModel, vec: np.ndarray):
     offset = 0
     for p in params:
         n = p.data.size
-        p.data = vec[offset:offset + n].reshape(p.data.shape).copy()
+        p.data[...] = vec[offset:offset + n].reshape(p.data.shape)
         offset += n

@@ -1,6 +1,6 @@
-"""The traced benchmark hooks fedlora by function name (`perfbench/child.py`),
-so a rename there would silently empty its per-layer breakdown. Run one tiny
-traced CLI run through it and check that the hooks still see the layers."""
+"""The benchmark hooks fedlora by function name (`perfbench/child.py`), so a
+rename there would silently empty its metrics or its per-layer breakdown. Run
+one tiny CLI run through it in each mode and check what the hooks saw."""
 
 import json
 import os
@@ -9,23 +9,47 @@ import sys
 from pathlib import Path
 
 import fedlora
+from fedlora import rng
+from fedlora.config import load_experiment
+from fedlora.data import make_shards, split_train_eval
 
 from test_cli import write_config
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_traced_bench_child_sees_encode_forward_and_tape(tmp_path):
+def run_child(tmp_path, mode: str) -> dict:
+    """child.json of `perfbench/child.py MODE` on write_config's tiny config."""
     cfg, _ = write_config(tmp_path)
-    out = tmp_path / "trace"
+    out = tmp_path / mode
     out.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(fedlora.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "perfbench/child.py", "trace", str(out),
+    proc = subprocess.run([sys.executable, "perfbench/child.py", mode, str(out),
                            "train-federated", cfg], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    trace = json.loads((out / "child.json").read_text(encoding="utf-8"))["trace"]
+    return json.loads((out / "child.json").read_text(encoding="utf-8"))
+
+
+def test_traced_bench_child_sees_encode_forward_and_tape(tmp_path):
+    trace = run_child(tmp_path, "trace")["trace"]
     names = {span[0] for span in trace["spans"]}
     assert {"model.encode", "model.forward_train", "model.forward_eval"} <= names
     assert trace["tape_nodes"] > 0
+
+
+def test_bench_child_counts_rounds_and_samples_and_probes_set_up(tmp_path):
+    exp = load_experiment(write_config(tmp_path)[0])
+    pool, _ = split_train_eval(exp.data.load_records(), exp.data.eval_frac,
+                               rng.derive(exp.fed.seed, "global_eval"))
+    shards = make_shards(pool, exp.data.partition, exp.data.eval_frac)[:exp.fed.n_clients]
+    per_round = exp.fed.local_epochs * sum(len(s.train) for s in shards)
+
+    run = run_child(tmp_path, "run")
+    assert run["exit_code"] == 0 and len(run["cells"]) == 1
+    assert run["train_samples"] == exp.fed.rounds * per_round == 76
+    assert run["round_loop_s"] > 0
+
+    probe = run_child(tmp_path, "probe")
+    assert probe["first_round_at"] is not None and probe["cells"] == []

@@ -167,6 +167,7 @@ MODEL_CORRUPTIONS = {
 }
 ADAPTER_CORRUPTIONS = {
     "rank_zero": lambda b: _patch(b, 8, struct.pack("<q", 0)),
+    "alpha_nan": lambda b: _patch(b, 16, struct.pack("<d", float("nan"))),
     "names_not_utf8": lambda b: _patch(b, 36, b"\xff\xfe"),
     "name_without_colon": lambda b: b.replace(b"0:wq", b"0;wq", 1),
     "layer_not_an_int": lambda b: b.replace(b"0:wq", b"x:wq", 1),

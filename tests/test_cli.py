@@ -188,6 +188,30 @@ def test_synthetic_corpus_too_small_for_its_split_exits_2(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == ["exp.json"]
 
 
+NON_FINITE_SETS = {  # id: (--set values, expected message); Python's json reads NaN and Infinity
+    "eta_nan": (["fed.eta=NaN"], "fed.eta must be positive and finite, got nan"),
+    "lora_alpha_inf": (["lora.alpha=Infinity"], "lora.alpha must be positive and finite, got inf"),
+    "partition_alpha_nan": (["data.partition.strategy=label_skew", "data.partition.alpha=NaN"],
+                            "partition.alpha must be finite, got nan"),
+    "ratio_nan": (["data.partition.strategy=quantity_skew", "data.partition.ratios=[NaN, 0.5]"],
+                  "partition.ratios must be finite, got [nan, 0.5]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SETS))
+def test_non_finite_float_exits_2_before_any_output(tmp_path, monkeypatch, capsys, case):
+    values, message = NON_FINITE_SETS[case]
+    monkeypatch.chdir(tmp_path)
+    cfg, _ = write_config(tmp_path)
+    args = ["train-federated", cfg]
+    for value in values:
+        args += ["--set", value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 @pytest.mark.parametrize("command", ["train-federated", "ablate"])
 def test_csv_too_small_for_its_split_exits_2(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)

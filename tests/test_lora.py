@@ -138,10 +138,13 @@ def test_extract_load_round_trip_bit_identical():
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape)
     before = [p.data.copy() for p in am.trainable_parameters()]
+    arrays = [p.data for p in am.trainable_parameters()]
     vec = extract_trainable(am)
     assert vec.size == trainable_param_count(am)[0]
     load_trainable(am, vec)
-    for p, b in zip(am.trainable_parameters(), before):
+    vec[:] = 0.0  # the load copied the values, not the vector
+    for p, a, b in zip(am.trainable_parameters(), arrays, before):
+        assert p.data is a  # written in place: a load allocates no arrays
         assert np.array_equal(p.data, b)
 
 

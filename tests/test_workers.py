@@ -49,15 +49,15 @@ def count_forks(monkeypatch):
 
 
 def count_groups(monkeypatch):
-    """Record the groups of every Helpers.map call: 1 (the run process) + jobs."""
+    """Record the process count of every split `Helpers.map` makes."""
     seen = []
-    real = Helpers.map
+    real = federation.assign
 
-    def spy(self, local, jobs):
-        seen.append(1 + len(jobs))
-        return real(self, local, jobs)
+    def spy(loads, n_proc):
+        seen.append(n_proc)
+        return real(loads, n_proc)
 
-    monkeypatch.setattr(Helpers, "map", spy)
+    monkeypatch.setattr(federation, "assign", spy)
     return seen
 
 
@@ -186,12 +186,15 @@ def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
 
 
 def test_clients_go_largest_first_to_the_least_loaded_process():
-    sizes = {0: [0] * 5, 1: [0] * 9, 2: [0] * 9, 3: [0] * 1, 4: [0] * 3}
+    sizes = {0: 5, 1: 9, 2: 9, 3: 1, 4: 3}
     # 1 and 2 tie on size (client id decides), then 0 goes to the first of
     # two equally loaded processes
-    assert federation.assign_clients(sizes, 2) == [[1, 0], [2, 4, 3]]
-    assert federation.assign_clients(sizes, 1) == [[1, 2, 0, 4, 3]]
-    assert federation.assign_clients({}, 1) == [[]]
+    assert federation.assign(sizes, 2) == [[1, 0], [2, 4, 3]]
+    assert federation.assign(sizes, 1) == [[1, 2, 0, 4, 3]]
+    assert federation.assign({}, 1) == [[]]
+    # desk_federated's five eval batches (400 records, 93 to a batch)
+    desk_eval = {0: 93, 93: 93, 186: 93, 279: 93, 372: 28}
+    assert federation.assign(desk_eval, 2) == [[0, 186, 372], [93, 279]]
 
 
 def test_eval_batch_holds_eval_rows_at_the_longest_real_row():
