@@ -74,7 +74,8 @@ def cmd_train(args) -> int:
 
 
 def parse_grid(text: str):
-    """Parse 'K,E,R;K,E,R;...' into (num_clients, client_epochs, rounds) triples."""
+    """Parse 'K,E,R;K,E,R;...' into (num_clients, client_epochs, rounds) triples,
+    each value >= 1. A K above the partition population is left to the cell."""
     cells = []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.split(",")
@@ -84,6 +85,8 @@ def parse_grid(text: str):
             cells.append(tuple(int(p) for p in parts))
         except ValueError:
             raise ConfigError(f"grid cell {chunk!r} must be three integers K,E,R")
+        if min(cells[-1]) < 1:
+            raise ConfigError(f"grid cell {chunk!r} must hold K, E and R >= 1")
     if not cells:
         raise ConfigError("ablation grid is empty")
     return cells

@@ -2,10 +2,13 @@
 
 Top-level JSON keys: model, lora, fed, data, output_dir. The data block
 holds {"source": {"synthetic": N} | {"csv": "path"}, "partition": {...},
-"eval_frac": f, "seed": s}. Any leaf can be overridden on the command line
-with --set, e.g. --set fed.eta=0.1 (values parsed as JSON, falling back to
-string). Every value must have the JSON type of the field it sets: a float
-field takes any number, an int field an integer, and no number is a bool.
+"eval_frac": f, "seed": s}; partition.n_clients defaults to fed.n_clients.
+Any leaf can be overridden on the command line with --set, e.g. --set
+fed.eta=0.1 (values parsed as JSON, falling back to string). `_build` maps
+each object onto the dataclass its field declares, and every other value
+must have the JSON type of its field: a float field takes any number, an
+int field an integer, and no number is a bool. `DataConfig.validate` checks
+the source, and `lora.rank` must fit every target matrix of the model.
 """
 
 from __future__ import annotations
@@ -14,33 +17,39 @@ import json
 import os
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 from .data import PartitionSpec, load_corpus, n_eval, synth_corpus
 from .errors import ConfigError
 from .federation import FedConfig
-from .lora import LoraConfig
+from .lora import LoraConfig, check_rank
 from .model import ModelConfig
 
 
 @dataclass
 class DataConfig:
-    source_csv: str | None = None
-    synthetic_n: int | None = None
+    source: typing.Any = None  # {"csv": path} or {"synthetic": n}; `validate` checks it
     seed: int = 0
     partition: PartitionSpec = field(default_factory=PartitionSpec)
     eval_frac: float = 0.2
 
     def validate(self):
-        if (self.source_csv is None) == (self.synthetic_n is None):
+        if self.source is None:
             raise ConfigError("data.source must name exactly one of 'csv' or 'synthetic'")
-        if self.source_csv is not None and not os.path.exists(self.source_csv):
-            raise ConfigError(f"data.source.csv path does not exist: {self.source_csv}")
+        if not isinstance(self.source, dict) or len(self.source) != 1:
+            raise ConfigError("data.source must be {'csv': path} or {'synthetic': n}")
+        ((kind, value),) = self.source.items()
+        if kind not in ("csv", "synthetic"):
+            raise ConfigError(f"unknown data.source kind {kind!r}")
+        _checked(f"data.source.{kind}", value, str if kind == "csv" else int)
+        if kind == "csv" and not os.path.isfile(value):
+            what = "is not a regular file" if os.path.exists(value) else "path does not exist"
+            raise ConfigError(f"data.source.csv {what}: {value}")
         if not 0 < self.eval_frac < 1:
             raise ConfigError(f"data.eval_frac must be in (0, 1), got {self.eval_frac}")
         self.partition.validate()
-        if self.synthetic_n is not None:
-            self._check_size("data.source.synthetic", self.synthetic_n)
+        if kind == "synthetic":
+            self._check_size("data.source.synthetic", value)
 
     def _check_size(self, source: str, n: int):
         """ConfigError unless n records leave the eval split at least one
@@ -57,10 +66,11 @@ class DataConfig:
     def load_records(self):
         """The source's records; a CSV too small for the split is a ConfigError,
         as a synthetic size is in `validate`."""
-        if self.synthetic_n is not None:
-            return synth_corpus(self.synthetic_n, seed=self.seed)
-        records = load_corpus(self.source_csv)
-        self._check_size(f"data.source.csv {self.source_csv} row count", len(records))
+        ((kind, value),) = self.source.items()
+        if kind == "synthetic":
+            return synth_corpus(value, seed=self.seed)
+        records = load_corpus(value)
+        self._check_size(f"data.source.csv {value} row count", len(records))
         return records
 
 
@@ -75,6 +85,7 @@ class ExperimentConfig:
     def validate(self):
         self.model.validate()
         self.lora.validate()
+        check_rank(self.lora, self.model)
         self.fed.validate()
         self.data.validate()
 
@@ -85,7 +96,9 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 def _checked(path: str, value, hint):
     """`value` if its JSON type is the declared type `hint`, else ConfigError.
-    A JSON list becomes a tuple for a tuple field."""
+    A JSON list becomes a tuple for a tuple field; an `Any` field takes any value."""
+    if hint is typing.Any:
+        return value
     if typing.get_origin(hint) is types.UnionType:  # X | None
         if value is None:
             return None
@@ -98,57 +111,26 @@ def _checked(path: str, value, hint):
 
 
 def _build(cls, raw: dict, prefix: str):
+    """A `cls` from the JSON object `raw` at dotted path `prefix` ("" at the
+    top), building each dataclass-typed field from its own object."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {prefix!r} must be an object")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
+        path = f"{prefix}.{key}" if prefix else key
         if key not in hints:
-            raise ConfigError(f"unknown config field {prefix}.{key}")
-        kwargs[key] = _checked(f"{prefix}.{key}", value, hints[key])
+            raise ConfigError(f"unknown config field {path}")
+        hint = hints[key]
+        kwargs[key] = (_build(hint, value, path) if is_dataclass(hint)
+                       else _checked(path, value, hint))
     return cls(**kwargs)  # every field has a default, and every key is a field
 
 
-def _build_data(raw: dict, fed: FedConfig) -> DataConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config section 'data' must be an object")
-    raw = dict(raw)
-    source = raw.pop("source", None)
-    kwargs = {}
-    if source is not None:
-        if not isinstance(source, dict) or len(source) != 1:
-            raise ConfigError("data.source must be {'csv': path} or {'synthetic': n}")
-        ((kind, value),) = source.items()
-        if kind not in ("csv", "synthetic"):
-            raise ConfigError(f"unknown data.source kind {kind!r}")
-        name, hint = ("source_csv", str) if kind == "csv" else ("synthetic_n", int)
-        kwargs[name] = _checked(f"data.source.{kind}", value, hint)
-    part_raw = raw.pop("partition", None) or {}
-    if not isinstance(part_raw, dict):
-        raise ConfigError("config section 'data.partition' must be an object")
-    kwargs["partition"] = _build(PartitionSpec, {"n_clients": fed.n_clients, **part_raw},
-                                 "data.partition")
-    for key, hint in (("seed", int), ("eval_frac", float)):
-        if key in raw:
-            kwargs[key] = _checked(f"data.{key}", raw.pop(key), hint)
-    if raw:
-        raise ConfigError(f"unknown config field data.{next(iter(raw))}")
-    return DataConfig(**kwargs)
-
-
 def parse_experiment(doc: dict) -> ExperimentConfig:
-    known = {"model", "lora", "fed", "data", "output_dir"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown top-level config field {key!r}")
-    fed = _build(FedConfig, doc.get("fed", {}), "fed")
-    exp = ExperimentConfig(
-        model=_build(ModelConfig, doc.get("model", {}), "model"),
-        lora=_build(LoraConfig, doc.get("lora", {}), "lora"),
-        fed=fed,
-        data=_build_data(doc.get("data", {}), fed),
-        output_dir=_checked("output_dir", doc.get("output_dir", "runs/out"), str),
-    )
+    exp = _build(ExperimentConfig, doc, "")
+    if "n_clients" not in doc.get("data", {}).get("partition", {}):
+        exp.data.partition.n_clients = exp.fed.n_clients  # the default population
     exp.validate()
     return exp
 

@@ -58,22 +58,26 @@ class PartitionSpec:
 
 
 def load_corpus(path) -> list[Record]:
-    """Read records from CSV with at least text,label columns, in file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("text", "label"):
-            if col not in header:
-                raise SchemaError(f"CSV {path} is missing required column {col!r}")
-        records = []
-        for i, row in enumerate(reader):
-            raw = (row["label"] or "").strip()
-            if raw not in ("0", "1"):
-                raise DataError(f"unparsable label {raw!r} at row {i + 2} of {path}")
-            text = (row["text"] or "").strip()
-            if not text:
-                raise DataError(f"empty text at row {i + 2} of {path}")
-            records.append(Record(id=i, text=text, label=int(raw)))
+    """Read records from CSV with at least text,label columns, in file order.
+    A file that is not valid UTF-8 raises SchemaError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for col in ("text", "label"):
+                if col not in header:
+                    raise SchemaError(f"CSV {path} is missing required column {col!r}")
+            records = []
+            for i, row in enumerate(reader):
+                raw = (row["label"] or "").strip()
+                if raw not in ("0", "1"):
+                    raise DataError(f"unparsable label {raw!r} at row {i + 2} of {path}")
+                text = (row["text"] or "").strip()
+                if not text:
+                    raise DataError(f"empty text at row {i + 2} of {path}")
+                records.append(Record(id=i, text=text, label=int(raw)))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"CSV {path} is not valid utf-8: {exc}") from exc
     return records
 
 

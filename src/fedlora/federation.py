@@ -144,7 +144,8 @@ def comm_cost(n_clients: int, n_trainable: int) -> int:
 
 
 def fedavg(thetas, weights=None) -> np.ndarray:
-    """Elementwise mean of client vectors (optionally weighted by n_k)."""
+    """Elementwise mean of client vectors, weighted by n_k if weights are
+    given and by unit weights if not; one vector is returned as a copy."""
     if not thetas:
         raise ProtocolError("fedavg needs at least one client vector")
     length = thetas[0].size
@@ -153,13 +154,10 @@ def fedavg(thetas, weights=None) -> np.ndarray:
             raise ProtocolError(f"client vector {i} has length {t.size}, expected {length}")
     if len(thetas) == 1:
         return thetas[0].copy()
-    stacked = np.stack(thetas)
-    if weights is None:
-        return stacked.mean(axis=0)
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.ones(len(thetas)) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (len(thetas),) or np.any(w <= 0):
         raise ProtocolError("weights must be positive, one per client vector")
-    return (stacked * w[:, None]).sum(axis=0) / w.sum()
+    return (np.stack(thetas) * w[:, None]).sum(axis=0) / w.sum()
 
 
 def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: EncodedSet,
@@ -386,17 +384,17 @@ def eval_batches(eval_set: EncodedSet) -> range:
     return range(0, len(eval_set), max(1, EVAL_ROWS // width))
 
 
-def evaluate(model, eval_set: EncodedSet, helpers: Helpers) -> tuple[float, float]:
-    """(accuracy, F1) on a pre-encoded eval set, forward-only.
+def evaluate(theta: np.ndarray, helpers: Helpers) -> tuple[float, float]:
+    """(accuracy, F1) of trainable vector theta on the helpers' eval set.
 
     The batches (`eval_batches`; forward trims padding columns per batch)
-    are spread by `Helpers.map`, each weighted by its record count; every
-    process loads the model's trainable vector first, and the labels are
-    put back in batch order.
+    are spread by `Helpers.map`, each weighted by its record count; each
+    process that answers, the run process always, first loads theta into
+    its template, and the labels are put back in batch order.
     """
-    helpers.check(template=model, eval_set=eval_set)
+    eval_set = helpers.eval_set
     starts = eval_batches(eval_set)
-    labels = helpers.map("eval batches at records", "eval", (extract_trainable(model), starts.step),
+    labels = helpers.map("eval batches at records", "eval", (theta, starts.step),
                          {start: min(starts.step, len(eval_set) - start) for start in starts})
     m = confusion([p for start in starts for p in labels[start]], eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
@@ -404,19 +402,18 @@ def evaluate(model, eval_set: EncodedSet, helpers: Helpers) -> tuple[float, floa
 
 def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
               global_eval: EncodedSet, helpers: Helpers) -> GlobalState:
-    """One global round: broadcast, local training, FedAvg, evaluation.
+    """One global round: broadcast state.theta, local training, FedAvg, and
+    `evaluate` of the new theta, which also loads it into state.model.
 
     `helpers` must have been started with state.model, client_sets, cfg and
     global_eval; `Helpers.map` spreads the clients, each weighted by its
-    training set size.
+    training set size. Clients train on clones, so state.theta is only read.
     """
     t0 = time.perf_counter()
-    template = state.model
-    helpers.check(template=template, client_sets=client_sets, cfg=cfg, eval_set=global_eval)
-    snapshot = state.theta.copy()
+    helpers.check(template=state.model, client_sets=client_sets, cfg=cfg, eval_set=global_eval)
     round_idx = state.round_idx
 
-    updates = helpers.map(f"round {round_idx}: clients", "train", (snapshot, round_idx),
+    updates = helpers.map(f"round {round_idx}: clients", "train", (state.theta, round_idx),
                           {cid: len(s) for cid, s in client_sets.items()})
     results = {cid: u[0] for cid, u in updates.items() if u is not None}
     losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
@@ -429,8 +426,7 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
         weights = [len(client_sets[cid]) for cid in reporting]
     new_theta = fedavg([results[cid] for cid in reporting], weights)
 
-    load_trainable(template, new_theta)
-    acc, f1 = evaluate(template, global_eval, helpers)
+    acc, f1 = evaluate(new_theta, helpers)
     report = RoundReport(
         round=round_idx,
         client_losses=losses,

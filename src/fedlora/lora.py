@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
 from .errors import ConfigError, ProtocolError
-from .model import LAYER_MATRIX_NAMES, EncoderModel, _xavier
+from .model import LAYER_MATRIX_NAMES, EncoderModel, ModelConfig, _xavier, param_shapes
 
 _ALIASES = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", **{n: n for n in LAYER_MATRIX_NAMES}}
 
@@ -81,30 +81,16 @@ class AdaptedModel:
     def __init__(self, base: EncoderModel, lora_cfg: LoraConfig,
                  adapters: dict, head_w: Tensor, head_b: Tensor):
         self.base = base
+        # the frozen surface model.forward reads, shared with the base
+        self.cfg, self.tok_emb, self.pos_emb = base.cfg, base.tok_emb, base.pos_emb
+        self.layers = base.layers
         self.lora_cfg = lora_cfg
         self.adapters = adapters  # {(layer_idx, name): Adapter}, fixed order
         self.head_w = head_w
         self.head_b = head_b
 
-    # surface shared with EncoderModel (see model.forward)
-    @property
-    def cfg(self):
-        return self.base.cfg
-
-    @property
-    def tok_emb(self):
-        return self.base.tok_emb
-
-    @property
-    def pos_emb(self):
-        return self.base.pos_emb
-
-    @property
-    def layers(self):
-        return self.base.layers
-
     def linear(self, x: Tensor, layer_idx: int, name: str) -> Tensor:
-        w = self.base.layers[layer_idx][name]
+        w = self.layers[layer_idx][name]
         adapter = self.adapters.get((layer_idx, name))
         if adapter is None:
             return ad.matmul(x, w)
@@ -132,17 +118,24 @@ class AdaptedModel:
         )
 
 
+def check_rank(cfg: LoraConfig, model_cfg: ModelConfig):
+    """ConfigError unless cfg.rank < min(d, k) for each (d x k) matrix that
+    cfg targets in a model_cfg encoder (every layer has the same shapes)."""
+    shapes = dict(param_shapes(model_cfg))
+    for name in cfg.canonical_targets():
+        limit = min(shapes[f"layer0.{name}"])
+        if cfg.rank >= limit:
+            raise ConfigError(f"lora.rank {cfg.rank} must be < min(d, k) = {limit} for matrix {name}")
+
+
 def attach_adapters(base: EncoderModel, cfg: LoraConfig) -> AdaptedModel:
     """Wrap a plain encoder with zero-initialized adapters (B=0 => no-op)."""
     cfg.validate()
+    check_rank(cfg, base.cfg)
     adapters = {}
     for li in range(base.cfg.n_layers):
         for name in cfg.canonical_targets():
             d, k = base.layers[li][name].data.shape
-            if cfg.rank >= min(d, k):
-                raise ConfigError(
-                    f"lora.rank {cfg.rank} must be < min(d, k) = {min(d, k)} for matrix {name}"
-                )
             a_seed = rng.derive(cfg.seed, f"lora.layer{li}.{name}.a")
             adapters[(li, name)] = Adapter(
                 a=Tensor(_xavier(a_seed, cfg.rank, k), requires_grad=True),

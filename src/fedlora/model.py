@@ -96,6 +96,9 @@ class ModelConfig:
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "ff_dim", "max_seq_len", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        if self.vocab_size < N_RESERVED:
+            raise ConfigError(f"model.vocab_size must be >= {N_RESERVED} (PAD, UNK and CLS), "
+                              f"got {self.vocab_size}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"model.d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

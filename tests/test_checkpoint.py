@@ -9,7 +9,7 @@ from fedlora.checkpoint import (load_adapters, load_model, load_vocab,
                                 save_adapters, save_model, save_vocab)
 from fedlora.errors import SchemaError
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
-from fedlora.model import build_vocab, init_model
+from fedlora.model import build_model, build_vocab, init_model
 
 from test_model import small_cfg
 
@@ -43,6 +43,15 @@ def test_model_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(SchemaError):
+        load_model(path)
+
+
+def test_model_load_rejects_a_vocab_without_the_reserved_ids(tmp_path):
+    # self-consistent file, but CLS_ID 2 is no row of a 2-row embedding table
+    cfg = small_cfg(vocab_size=2)
+    path = tmp_path / "model.bin"
+    save_model(path, build_model(cfg, lambda _tag, rows, cols: np.zeros((rows, cols))))
+    with pytest.raises(SchemaError, match="model.vocab_size must be >= 3"):
         load_model(path)
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from fedlora import config
 from fedlora.cli import main, parse_grid
 from fedlora.config import load_experiment
 from fedlora.data import save_corpus, synth_corpus
@@ -116,6 +117,8 @@ BAD_CONFIGS = {  # id: (config document, extra CLI arguments, expected message)
     "section_not_object": ({**TINY_DOC, "fed": 3}, [], "section 'fed' must be an object"),
     "set_without_equals": (TINY_DOC, ["--set", "fed.rounds"], "must look like section.field=value"),
     "set_through_non_object": (TINY_DOC, ["--set", "fed.rounds.x=1"], "crosses a non-object field"),
+    "csv_is_a_directory": (with_data(source={"csv": "."}), [], "data.source.csv is not a regular file: ."),
+    "vocab_size_2": (TINY_DOC, ["--set", "model.vocab_size=2"], "model.vocab_size must be >= 3"),
     "unknown_partition_strategy": (with_partition(strategy="round_robin"), [],
                                    "unknown partition strategy"),
     "quantity_ratios_not_summing_to_1": (with_partition(strategy="quantity_skew", ratios=[0.5, 0.4]), [],
@@ -229,6 +232,33 @@ def test_csv_too_small_for_its_split_exits_2(tmp_path, monkeypatch, capsys, comm
     assert sorted(os.listdir(tmp_path)) == ["exp.json", "tiny.csv"]
 
 
+@pytest.mark.parametrize("command", ["train-federated", "ablate"])
+def test_csv_not_utf8_exits_2_naming_the_file(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.csv").write_bytes(b"text,label\ncalm day,0\ncaf\xe9 day,1\n")
+    cfg, _ = write_config(tmp_path, data=dict(TINY_DOC["data"], source={"csv": "latin1.csv"}))
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CSV latin1.csv is not valid utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["exp.json", "latin1.csv"]
+
+
+@pytest.mark.parametrize("command", ["train-federated", "ablate"])
+def test_rank_no_target_matrix_can_hold_exits_2_before_reading_records(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+
+    def no_records(*args):
+        raise AssertionError("records were read")
+
+    monkeypatch.setattr(config, "synth_corpus", no_records)
+    cfg, _ = write_config(tmp_path)  # d_model 8, ff_dim 16: every target matrix has min(d, k) 8
+    assert main([command, cfg, "--set", "lora.rank=8", "--set", 'lora.targets=["ff1"]']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lora.rank 8 must be < min(d, k) = 8 for matrix ff1")
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 def test_int_is_a_number_for_float_fields(tmp_path):
     cfg, _ = write_config(tmp_path)
     exp = load_experiment(cfg, ["fed.eta=1", "lora.alpha=2", "data.partition.alpha=3"])
@@ -252,6 +282,16 @@ def test_parse_grid():
         parse_grid("1,2")
     with pytest.raises(ConfigError):
         parse_grid(" ; ")
+    for cell in ("0,1,1", "1,0,1", "1,1,0", "2,-1,3"):
+        with pytest.raises(ConfigError, match=f"grid cell '{cell}' must hold K, E and R >= 1"):
+            parse_grid(f"1,1,1;{cell}")
+
+
+def test_ablate_grid_value_below_1_exits_2_writing_nothing(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    assert main(["ablate", cfg, "--grid", "0,1,1"]) == 2
+    assert "error: grid cell '0,1,1' must hold K, E and R >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_ablate_writes_table(tmp_path, capsys):

@@ -54,6 +54,9 @@ def test_fedavg_matches_brute_force_mean():
         thetas = [gen.normal(size=50) for _ in range(int(gen.integers(1, 6)))]
         brute = np.array([sum(t[i] for t in thetas) / len(thetas) for i in range(50)])
         assert np.abs(fedavg(thetas) - brute).max() < 1e-12
+    for k in range(2, 9):  # the unit-weight mean is bit-equal to the plain mean
+        thetas = [gen.normal(size=50) for _ in range(k)]
+        assert fedavg(thetas).tobytes() == np.stack(thetas).mean(axis=0).tobytes()
 
 
 def test_fedavg_linearity():

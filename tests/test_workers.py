@@ -109,7 +109,7 @@ def eval_fixture(n_records):
 
 def evaluate_on(n_helpers, model, eval_set):
     with Helpers(n_helpers, model, {}, FedConfig(), eval_set) as helpers:
-        return evaluate(model, eval_set, helpers)
+        return evaluate(extract_trainable(model), helpers)
 
 
 # parallel == sequential ----------------------------------------------------
@@ -131,6 +131,8 @@ def test_parallel_run_equals_sequential_bit_for_bit(monkeypatch, strategy, aggre
         forks.clear()
         state = run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5), fed,
                               records, spec, eval_frac=0.5)
+        # the run process loads each round's theta to answer its eval group
+        assert extract_trainable(state.model).tobytes() == state.theta.tobytes()
         reports = [r.to_dict() for r in state.history]
         for r in reports:
             del r["wall_time"]
@@ -252,9 +254,12 @@ def test_helpers_refuse_another_model_or_data():
         with pytest.raises(ProtocolError, match="another client_sets"):
             run_round(state, dict(sets), cfg, eval_set, helpers)
         with pytest.raises(ProtocolError, match="another template"):
-            evaluate(state.model.clone(), eval_set, helpers)
+            run_round(dataclasses.replace(state, model=state.model.clone()), sets, cfg, eval_set,
+                      helpers)
+        with pytest.raises(ProtocolError, match="another cfg"):
+            run_round(state, sets, dataclasses.replace(cfg), eval_set, helpers)
         with pytest.raises(ProtocolError, match="another eval_set"):
-            evaluate(state.model, empty_set(), helpers)
+            run_round(state, sets, cfg, empty_set(), helpers)
     assert state.round_idx == 0 and not state.history
 
 
