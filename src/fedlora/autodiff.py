@@ -277,10 +277,9 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def _layer_norm(s: np.ndarray, inputs: tuple, gamma: Tensor, beta: Tensor, eps: float,
-                owned: bool) -> Tensor:
-    """The layer-norm kernel on rows s; its input gradient goes to every tensor in
-    `inputs`. With `owned`, s is a temporary that the forward may overwrite."""
+def _layer_norm(s: np.ndarray, inputs: tuple, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """The layer-norm kernel on rows s, a temporary it normalizes in place; its
+    input gradient goes to every tensor in `inputs`."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     d = s.shape[1]
@@ -288,7 +287,7 @@ def _layer_norm(s: np.ndarray, inputs: tuple, gamma: Tensor, beta: Tensor, eps: 
         raise ShapeError(
             f"layer_norm affine shapes must be (1, {d}), got {gamma.data.shape} and {beta.data.shape}"
         )
-    xhat = np.subtract(s, _row_mean(s), out=s if owned else None)
+    xhat = np.subtract(s, _row_mean(s), out=s)
     inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
     xhat *= inv
     if _active() is None or not any(t.requires_grad for t in (*inputs, gamma, beta)):
@@ -319,7 +318,7 @@ def _layer_norm(s: np.ndarray, inputs: tuple, gamma: Tensor, beta: Tensor, eps: 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization, then affine by gamma/beta rows of width d."""
-    return _layer_norm(x.data, (x,), gamma, beta, eps, owned=False)
+    return _layer_norm(x.data.copy(), (x,), gamma, beta, eps)
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -327,7 +326,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float
     normalization. x and y have one shape, and both receive the sum's gradient."""
     if x.data.shape != y.data.shape:
         raise ShapeError(f"add_layer_norm shapes disagree: {x.data.shape} + {y.data.shape}")
-    return _layer_norm(x.data + y.data, (x, y), gamma, beta, eps, owned=True)
+    return _layer_norm(x.data + y.data, (x, y), gamma, beta, eps)
 
 
 def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:

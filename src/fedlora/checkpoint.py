@@ -19,7 +19,8 @@ that exceeds the bytes left in the file is refused before any allocation.
 
 Every save goes through `write_atomically`, so a save that fails or a
 process that dies midway never leaves a half-written file under the
-target name.
+target name. Every text file the program reads, here and in the config,
+data and cli modules, is opened with `read_text`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,21 @@ def write_atomically(path, mode: str, **open_kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def read_text(path, what: str, error: type, **open_kwargs):
+    """open(path) for utf-8 text, where a file that is missing, cannot be read
+    or is not utf-8 raises `error` naming `what` and path."""
+    try:
+        with open(path, encoding="utf-8", **open_kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not valid utf-8: {exc}") from exc
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{what} {path} cannot be read: {exc.strerror}") from exc
 
 
 def _write_array(fh, arr: np.ndarray):
@@ -125,11 +141,10 @@ def save_adapters(path, am: AdaptedModel):
     cfg = am.lora_cfg
     names = ",".join(f"{li}:{name}" for li, name in am.adapters)
     blob = names.encode("utf-8")
-    alpha = cfg.rank if cfg.alpha is None else cfg.alpha
     with write_atomically(path, "wb") as fh:
         fh.write(ADAPTER_MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<qdq", cfg.rank, alpha, cfg.seed))
+        fh.write(struct.pack("<qdq", cfg.rank, cfg.alpha_or_rank, cfg.seed))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         _write_array(fh, extract_trainable(am))
@@ -171,9 +186,5 @@ def save_vocab(path, vocab: Vocab):
 
 
 def load_vocab(path) -> Vocab:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not valid utf-8: {exc}") from exc
-    return Vocab(token_to_id={t: i + 3 for i, t in enumerate(tokens)}, id_to_token=tokens)
+    with read_text(path, "vocab", SchemaError) as fh:
+        return Vocab([line.rstrip("\n") for line in fh if line.rstrip("\n")])

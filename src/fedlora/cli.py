@@ -20,7 +20,7 @@ import time
 from . import checkpoint
 from .config import load_experiment
 from .errors import ConfigError, FedLoraError, SchemaError
-from .federation import run_centralized, run_federated
+from .federation import check_population, run_centralized, run_federated
 from .lora import trainable_param_count
 
 
@@ -52,12 +52,28 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
     return summary
 
 
+def _output_dir(args, exp) -> str:
+    """The run's output directory: --output-dir, else the config's. ConfigError
+    if the path, or the nearest of its parents that exists, is not a directory,
+    so that no run trains first and then fails to write its artifacts."""
+    out_dir = args.output_dir or exp.output_dir
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output directory {out_dir} cannot be made: {path} is not a directory")
+    return out_dir
+
+
 def cmd_train(args) -> int:
     exp = load_experiment(args.config, args.set)
     kind = args.command.removeprefix("train-")
     if kind == "centralized" and exp.fed.n_clients != 1:
         print(f"warning: fed.n_clients={exp.fed.n_clients} is ignored for centralized training",
               file=sys.stderr)
+    if kind == "federated":
+        check_population(exp.fed, exp.data.partition)
+    out_dir = _output_dir(args, exp)
     records = exp.data.load_records()
     t0 = time.perf_counter()
     if kind == "centralized":
@@ -65,7 +81,6 @@ def cmd_train(args) -> int:
     else:
         state = run_federated(exp.model, exp.lora, exp.fed, records, exp.data.partition,
                               eval_frac=exp.data.eval_frac)
-    out_dir = args.output_dir or exp.output_dir
     summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0)
     print(f"{kind} run complete: {state.round_idx} rounds, "
           f"accuracy {summary['final_eval_accuracy']:.4f}, "
@@ -95,6 +110,7 @@ def parse_grid(text: str):
 def cmd_ablate(args) -> int:
     grid = parse_grid(args.grid)
     exp = load_experiment(args.config, args.set)
+    out_dir = _output_dir(args, exp)
     records = exp.data.load_records()  # every cell trains on the same records
     rows = []
     for k, e, r in grid:
@@ -107,7 +123,6 @@ def cmd_ablate(args) -> int:
         except FedLoraError as exc:
             rows.append((k, e, r, None, None, str(exc)))
 
-    out_dir = args.output_dir or exp.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")
     with checkpoint.write_atomically(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -138,7 +153,7 @@ def _read_rounds(path) -> list[dict]:
     """The reports in a rounds.jsonl; SchemaError naming file:line for a line
     that is not a JSON object with a number in every REPORT_COLUMNS field."""
     reports = []
-    with open(path, encoding="utf-8") as fh:
+    with checkpoint.read_text(path, "round log", SchemaError) as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -158,6 +173,10 @@ def cmd_report(args) -> int:
     rounds_path = os.path.join(args.run_dir, "rounds.jsonl")
     if not os.path.exists(rounds_path):
         raise ConfigError(f"no rounds.jsonl in {args.run_dir}")
+    if args.plot_csv and not os.path.isdir(os.path.dirname(args.plot_csv) or "."):
+        raise ConfigError(f"--plot-csv {args.plot_csv} is not in an existing directory")
+    if args.plot_csv and os.path.isdir(args.plot_csv):
+        raise ConfigError(f"--plot-csv {args.plot_csv} is a directory")
     reports = _read_rounds(rounds_path)
 
     print(f"{'round':>5}  {'accuracy':>8}  {'F1':>8}  {'uplink B':>10}  {'downlink B':>10}")

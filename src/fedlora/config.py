@@ -19,6 +19,7 @@ import types
 import typing
 from dataclasses import dataclass, field, is_dataclass
 
+from .checkpoint import read_text
 from .data import PartitionSpec, load_corpus, n_eval, synth_corpus
 from .errors import ConfigError
 from .federation import FedConfig
@@ -156,13 +157,11 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 
 def load_experiment(path, overrides=None) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with read_text(path, "config file", ConfigError) as fh:
+        try:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return parse_experiment(apply_overrides(doc, overrides))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .checkpoint import read_text
 from .errors import ConfigError, DataError, SchemaError
 
 
@@ -59,10 +60,11 @@ class PartitionSpec:
 
 def load_corpus(path) -> list[Record]:
     """Read records from CSV with at least text,label columns, in file order.
-    A file that is not valid UTF-8 raises SchemaError naming it."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+    A file that cannot be read, is not valid UTF-8 or is not valid CSV (a
+    field over csv's field_size_limit, say) raises SchemaError naming it."""
+    with read_text(path, "CSV", SchemaError, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
             header = reader.fieldnames or []
             for col in ("text", "label"):
                 if col not in header:
@@ -76,8 +78,9 @@ def load_corpus(path) -> list[Record]:
                 if not text:
                     raise DataError(f"empty text at row {i + 2} of {path}")
                 records.append(Record(id=i, text=text, label=int(raw)))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"CSV {path} is not valid utf-8: {exc}") from exc
+        except csv.Error as exc:
+            # DictReader.line_num is set after each row; its csv.reader's counts the failing line
+            raise SchemaError(f"CSV {path} line {reader.reader.line_num}: {exc}") from exc
     return records
 
 
@@ -119,6 +122,12 @@ def _largest_remainder(n: int, weights: np.ndarray) -> np.ndarray:
     return sizes
 
 
+def _cut(perm: np.ndarray, weights) -> list[np.ndarray]:
+    """perm cut into consecutive runs, one per weight, sized by `_largest_remainder`."""
+    sizes = _largest_remainder(len(perm), np.asarray(weights, dtype=float))
+    return np.split(perm, np.cumsum(sizes)[:-1])
+
+
 def partition_clients(records, spec: PartitionSpec) -> list[list[Record]]:
     """Split records into n_clients disjoint groups whose union is the input."""
     spec.validate()
@@ -135,12 +144,7 @@ def partition_clients(records, spec: PartitionSpec) -> list[list[Record]]:
 
     if spec.strategy == "quantity_skew":
         perm = rng.permutation(rng.derive(spec.seed, "quantity"), n)
-        sizes = _largest_remainder(n, np.asarray(spec.ratios, dtype=float))
-        groups, start = [], 0
-        for size in sizes:
-            groups.append([records[perm[i]] for i in range(start, start + size)])
-            start += size
-        return groups
+        return [[records[i] for i in part] for part in _cut(perm, spec.ratios)]
 
     # label_skew: per-label Dirichlet(alpha) proportions across clients
     gen = rng.np_generator(rng.derive(spec.seed, "label_skew"))
@@ -149,11 +153,8 @@ def partition_clients(records, spec: PartitionSpec) -> list[list[Record]]:
         members = [r for r in records if r.label == label]
         perm = rng.permutation(rng.derive(spec.seed, "label_skew", label), len(members))
         props = gen.dirichlet(np.full(spec.n_clients, spec.alpha))
-        sizes = _largest_remainder(len(members), props)
-        start = 0
-        for cid, size in enumerate(sizes):
-            groups[cid].extend(members[perm[i]] for i in range(start, start + size))
-            start += size
+        for group, part in zip(groups, _cut(perm, props)):
+            group.extend(members[i] for i in part)
     return groups
 
 

@@ -442,16 +442,21 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     return state
 
 
-def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConfig,
-                  records, partition: PartitionSpec, eval_frac: float = 0.2) -> GlobalState:
-    """Full pipeline: carve global eval, partition, initialize, run R rounds."""
-    fed_cfg.validate()
-    partition.validate()
+def check_population(fed_cfg: FedConfig, partition: PartitionSpec):
+    """ConfigError unless the fed.n_clients participants fit in the partition."""
     if fed_cfg.n_clients > partition.n_clients:
         raise ConfigError(
             f"fed.n_clients ({fed_cfg.n_clients}) exceeds the partitioned client "
             f"population ({partition.n_clients})"
         )
+
+
+def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConfig,
+                  records, partition: PartitionSpec, eval_frac: float = 0.2) -> GlobalState:
+    """Full pipeline: carve global eval, partition, initialize, run R rounds."""
+    fed_cfg.validate()
+    partition.validate()
+    check_population(fed_cfg, partition)
 
     train_pool, global_eval_records = split_train_eval(
         records, eval_frac, rng.derive(fed_cfg.seed, "global_eval"))

@@ -1,20 +1,23 @@
 """Low-rank adaptation of the encoder: freeze the base, train delta = B @ A.
 
 An adapter on a (d x k) base matrix holds A (r x k) and B (d x r); the
-effective weight is W0 + (alpha / r) * B @ A. An adapted projection is one
-`autodiff.lora_linear` op, x @ W0 + (alpha / r) * (x @ B) @ A, so the
-effective weight is never formed during training. B starts at zero, so a
-freshly adapted model is exactly the base model. The trainable set is the
-adapters plus the classifier head, flattened in the order of
-`AdaptedModel.trainable_parameters()` (layer ascending, then matrix name in
-`model.LAYER_MATRIX_NAMES` order, A before B, head last) — that ordering is
-the wire contract with the federation layer and the adapter checkpoint.
+effective weight is W0 + (alpha / r) * B @ A. The scale alpha / r belongs to
+the model, not to an adapter: every adapter of an `AdaptedModel` uses its
+`lora_cfg.scale`. An adapted projection is one `autodiff.lora_linear` op,
+x @ W0 + (alpha / r) * (x @ B) @ A, so the effective weight is never formed
+during training. B starts at zero, so a freshly adapted model is exactly the
+base model. The trainable set is the adapters plus the classifier head,
+flattened in the order of `AdaptedModel.trainable_parameters()` (layer
+ascending, then matrix name in `model.LAYER_MATRIX_NAMES` order, A before B,
+head last) — that ordering is the wire contract with the federation layer
+and the adapter checkpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,14 +40,17 @@ def canonical_target(name: str) -> str:
 @dataclass
 class LoraConfig:
     rank: int = 4
-    alpha: float | None = None  # None -> alpha = rank, i.e. scale 1
+    alpha: float | None = None
     targets: tuple[str, ...] = ("q", "v")
     seed: int = 0
 
     @property
+    def alpha_or_rank(self) -> float:  # an unset alpha means alpha = rank, i.e. scale 1
+        return self.rank if self.alpha is None else self.alpha
+
+    @property
     def scale(self) -> float:
-        a = self.rank if self.alpha is None else self.alpha
-        return a / self.rank
+        return self.alpha_or_rank / self.rank
 
     def canonical_targets(self) -> tuple[str, ...]:
         names = {canonical_target(t) for t in self.targets}
@@ -60,22 +66,21 @@ class LoraConfig:
         self.canonical_targets()
 
 
-@dataclass
-class Adapter:
+class Adapter(NamedTuple):
     a: Tensor  # (r x k)
     b: Tensor  # (d x r)
-    scale: float
 
-    def delta(self) -> Tensor:
-        """scale * B @ A, the low-rank weight update."""
-        return Tensor(self.scale * (self.b.data @ self.a.data))
+
+def _trainable_copy(t: Tensor) -> Tensor:
+    return Tensor(t.data.copy(), requires_grad=True)
 
 
 class AdaptedModel:
     """Frozen EncoderModel plus trainable adapters and classifier head.
 
-    The base model is shared read-only (clones reuse it); the adapters and
-    the head copies are private to each instance.
+    The base model is shared read-only (clones reuse it); the constructor
+    copies the adapters and the head it is given, so they are private to each
+    instance.
     """
 
     def __init__(self, base: EncoderModel, lora_cfg: LoraConfig,
@@ -85,37 +90,22 @@ class AdaptedModel:
         self.cfg, self.tok_emb, self.pos_emb = base.cfg, base.tok_emb, base.pos_emb
         self.layers = base.layers
         self.lora_cfg = lora_cfg
-        self.adapters = adapters  # {(layer_idx, name): Adapter}, fixed order
-        self.head_w = head_w
-        self.head_b = head_b
+        # {(layer_idx, name): Adapter}, fixed order
+        self.adapters = {key: Adapter(*map(_trainable_copy, adp)) for key, adp in adapters.items()}
+        self.head_w, self.head_b = _trainable_copy(head_w), _trainable_copy(head_b)
 
     def linear(self, x: Tensor, layer_idx: int, name: str) -> Tensor:
         w = self.layers[layer_idx][name]
         adapter = self.adapters.get((layer_idx, name))
         if adapter is None:
             return ad.matmul(x, w)
-        return ad.lora_linear(x, w, adapter.b, adapter.a, adapter.scale)
+        return ad.lora_linear(x, w, adapter.b, adapter.a, self.lora_cfg.scale)
 
     def trainable_parameters(self) -> list[Tensor]:
-        out = []
-        for adapter in self.adapters.values():
-            out.extend([adapter.a, adapter.b])
-        out.extend([self.head_w, self.head_b])
-        return out
+        return [t for adapter in self.adapters.values() for t in adapter] + [self.head_w, self.head_b]
 
     def clone(self) -> "AdaptedModel":
-        adapters = {}
-        for key, adp in self.adapters.items():
-            a = Tensor(adp.a.data.copy(), requires_grad=True)
-            b = Tensor(adp.b.data.copy(), requires_grad=True)
-            adapters[key] = Adapter(a=a, b=b, scale=adp.scale)
-        return AdaptedModel(
-            base=self.base,
-            lora_cfg=self.lora_cfg,
-            adapters=adapters,
-            head_w=Tensor(self.head_w.data.copy(), requires_grad=True),
-            head_b=Tensor(self.head_b.data.copy(), requires_grad=True),
-        )
+        return AdaptedModel(self.base, self.lora_cfg, self.adapters, self.head_w, self.head_b)
 
 
 def check_rank(cfg: LoraConfig, model_cfg: ModelConfig):
@@ -137,33 +127,25 @@ def attach_adapters(base: EncoderModel, cfg: LoraConfig) -> AdaptedModel:
         for name in cfg.canonical_targets():
             d, k = base.layers[li][name].data.shape
             a_seed = rng.derive(cfg.seed, f"lora.layer{li}.{name}.a")
-            adapters[(li, name)] = Adapter(
-                a=Tensor(_xavier(a_seed, cfg.rank, k), requires_grad=True),
-                b=Tensor(np.zeros((d, cfg.rank)), requires_grad=True),
-                scale=cfg.scale,
-            )
-    return AdaptedModel(
-        base=base,
-        lora_cfg=cfg,
-        adapters=adapters,
-        head_w=Tensor(base.head_w.data.copy(), requires_grad=True),
-        head_b=Tensor(base.head_b.data.copy(), requires_grad=True),
-    )
+            adapters[(li, name)] = Adapter(a=Tensor(_xavier(a_seed, cfg.rank, k)),
+                                           b=Tensor(np.zeros((d, cfg.rank))))
+    return AdaptedModel(base, cfg, adapters, base.head_w, base.head_b)
 
 
 def merge_adapters(am: AdaptedModel) -> EncoderModel:
-    """Materialize W0 + delta into a plain encoder; adapters are discarded."""
+    """Materialize W0 + scale * B @ A into a plain encoder; adapters are discarded."""
     if isinstance(am, EncoderModel):
         raise TypeError("model is already a plain encoder; nothing to merge")
     if not isinstance(am, AdaptedModel):
         raise TypeError(f"merge_adapters expects an AdaptedModel, got {type(am).__name__}")
-    base = am.base
+    base, scale = am.base, am.lora_cfg.scale
     layers = []
     for li, layer in enumerate(base.layers):
         merged = {}
         for name, tensor in layer.items():
             adapter = am.adapters.get((li, name))
-            data = tensor.data.copy() if adapter is None else tensor.data + adapter.delta().data
+            data = (tensor.data.copy() if adapter is None
+                    else tensor.data + scale * (adapter.b.data @ adapter.a.data))
             merged[name] = Tensor(data)
         layers.append(merged)
     return EncoderModel(
@@ -179,14 +161,13 @@ def merge_adapters(am: AdaptedModel) -> EncoderModel:
 def trainable_param_count(am: AdaptedModel) -> tuple[int, dict]:
     """Total trainable parameters with a per-component breakdown.
 
-    Every component is a consecutive pair in `trainable_parameters()`: each
-    adapter's A and B (r*(d+k) scalars), then the head weight and bias
-    (d*n_classes + n_classes).
+    Every component is a pair: each adapter's A and B (r*(d+k) scalars), then
+    the head weight and bias (d*n_classes + n_classes).
     """
-    sizes = [p.data.size for p in am.trainable_parameters()]
-    names = [f"layer{li}.{name}" for li, name in am.adapters] + ["head"]
-    breakdown = {name: sizes[2 * i] + sizes[2 * i + 1] for i, name in enumerate(names)}
-    return sum(sizes), breakdown
+    pairs = {f"layer{li}.{name}": adapter for (li, name), adapter in am.adapters.items()}
+    pairs["head"] = (am.head_w, am.head_b)
+    breakdown = {name: w.data.size + b.data.size for name, (w, b) in pairs.items()}
+    return sum(breakdown.values()), breakdown
 
 
 def extract_trainable(am: AdaptedModel) -> np.ndarray:

@@ -35,10 +35,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9']+")
 LAYER_MATRIX_NAMES = ("wq", "wk", "wv", "wo", "ff1", "ff2")
 
 
-@dataclass
 class Vocab:
-    token_to_id: dict
-    id_to_token: list
+    def __init__(self, id_to_token: list):
+        self.id_to_token = id_to_token  # token i has id N_RESERVED + i, after PAD, UNK and CLS
+        self.token_to_id = {tok: N_RESERVED + i for i, tok in enumerate(id_to_token)}
 
     @property
     def size(self) -> int:
@@ -66,9 +66,7 @@ def build_vocab(corpus, max_size: int) -> Vocab:
     if n_docs == 0:
         raise DataError("cannot build vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, _ in ranked[: max_size - N_RESERVED]]
-    token_to_id = {tok: N_RESERVED + i for i, tok in enumerate(kept)}
-    return Vocab(token_to_id=token_to_id, id_to_token=kept)
+    return Vocab([tok for tok, _ in ranked[: max_size - N_RESERVED]])
 
 
 def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:

@@ -259,6 +259,84 @@ def test_rank_no_target_matrix_can_hold_exits_2_before_reading_records(
     assert os.listdir(tmp_path) == ["exp.json"]
 
 
+def no_records(*args):
+    raise AssertionError("records were read")
+
+
+def long_field_csv(tmp_path):
+    (tmp_path / "long.csv").write_text("text,label\ncalm day,0\n" + "x" * 131073 + ",1\n",
+                                       encoding="utf-8")
+    return write_config(tmp_path, data=dict(TINY_DOC["data"], source={"csv": "long.csv"}))[0]
+
+
+def unreadable_rounds(tmp_path, make):
+    (tmp_path / "run").mkdir()
+    make(tmp_path / "run" / "rounds.jsonl")
+    return ["report", "run", "--plot-csv", "plot.csv"]
+
+
+UNREADABLE_FILES = {  # id: (makes the file and returns the CLI arguments, expected message)
+    "config_not_utf8": (lambda tmp: (tmp / "exp.json").write_bytes(b'{"fed": "caf\xe9"}')
+                        and ["train-federated", "exp.json"], "config file exp.json is not valid utf-8"),
+    "config_is_a_directory": (lambda tmp: (tmp / "exp.json").mkdir() or ["train-federated", "exp.json"],
+                              "config file exp.json cannot be read"),
+    "rounds_not_utf8": (lambda tmp: unreadable_rounds(tmp, lambda p: p.write_bytes(b"caf\xe9\n")),
+                        "round log run/rounds.jsonl is not valid utf-8"),
+    "rounds_is_a_directory": (lambda tmp: unreadable_rounds(tmp, lambda p: p.mkdir()),
+                              "round log run/rounds.jsonl cannot be read"),
+    "csv_field_over_limit": (lambda tmp: ["train-federated", long_field_csv(tmp)],
+                             "CSV long.csv line 3: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_file_exits_2_naming_it(tmp_path, monkeypatch, capsys, case):
+    make, message = UNREADABLE_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    args = make(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", ["train-federated", "train-centralized", "ablate"])
+def test_output_dir_that_is_a_file_exits_2_before_reading_records(tmp_path, monkeypatch, capsys,
+                                                                   command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(config, "synth_corpus", no_records)
+    cfg, _ = write_config(tmp_path, output_dir="taken")
+    (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+    for out in ([], ["--output-dir", "taken/sub"]):
+        assert main([command, cfg, *out]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]  # after train-centralized's K warning
+        assert err.startswith("error: output directory taken") and "is not a directory" in err
+    assert sorted(os.listdir(tmp_path)) == ["exp.json", "taken"]
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file\n"
+
+
+@pytest.mark.parametrize("plot", ["missing/x.csv", "run"])
+def test_report_plot_csv_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, plot):
+    monkeypatch.chdir(tmp_path)
+    write_rounds(tmp_path / "run", GOOD_ROUND)
+    assert main(["report", "run", "--plot-csv", plot]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --plot-csv {plot} ") and captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["run"] and os.listdir(tmp_path / "run") == ["rounds.jsonl"]
+
+
+def test_more_clients_than_the_partition_exits_2_before_reading_records(tmp_path, monkeypatch,
+                                                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(config, "synth_corpus", no_records)
+    cfg, _ = write_config(tmp_path)  # 2 partition clients
+    assert main(["train-federated", cfg, "--set", "fed.n_clients=5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fed.n_clients (5) exceeds the partitioned client population (2)")
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 def test_int_is_a_number_for_float_fields(tmp_path):
     cfg, _ = write_config(tmp_path)
     exp = load_experiment(cfg, ["fed.eta=1", "lora.alpha=2", "data.partition.alpha=3"])

@@ -3,7 +3,8 @@ import collections
 import numpy as np
 import pytest
 
-from fedlora.data import (PartitionSpec, Record, load_corpus, make_shards,
+from fedlora import rng
+from fedlora.data import (PartitionSpec, Record, _largest_remainder, load_corpus, make_shards,
                           partition_clients, save_corpus, split_train_eval,
                           synth_corpus)
 from fedlora.errors import ConfigError, DataError, SchemaError
@@ -142,6 +143,30 @@ def test_quantity_skew_largest_remainder():
         assert abs(len(g) - 10 * ratio) < 1.0
 
 
+def partition_by_loops(records, spec):
+    """The label_skew and quantity_skew partitions with the cut written as a
+    start/size loop over each permutation: the oracle for partition_clients."""
+    if spec.strategy == "quantity_skew":
+        perm = rng.permutation(rng.derive(spec.seed, "quantity"), len(records))
+        sizes = _largest_remainder(len(records), np.asarray(spec.ratios, dtype=float))
+        groups, start = [], 0
+        for size in sizes:
+            groups.append([records[perm[i]] for i in range(start, start + size)])
+            start += size
+        return groups
+    gen = rng.np_generator(rng.derive(spec.seed, "label_skew"))
+    groups = [[] for _ in range(spec.n_clients)]
+    for label in sorted({r.label for r in records}):
+        members = [r for r in records if r.label == label]
+        perm = rng.permutation(rng.derive(spec.seed, "label_skew", label), len(members))
+        sizes = _largest_remainder(len(members), gen.dirichlet(np.full(spec.n_clients, spec.alpha)))
+        start = 0
+        for cid, size in enumerate(sizes):
+            groups[cid].extend(members[perm[i]] for i in range(start, start + size))
+            start += size
+    return groups
+
+
 def test_partition_soundness_randomized():
     gen = np.random.default_rng(0)
     for trial in range(100):
@@ -162,6 +187,9 @@ def test_partition_soundness_randomized():
         assert_partition_sound(groups, recs)
         again = partition_clients(recs, spec)
         assert [[r.id for r in g] for g in groups] == [[r.id for r in g] for g in again]
+        if strategy != "iid":
+            oracle = partition_by_loops(recs, spec)
+            assert [[r.id for r in g] for g in groups] == [[r.id for r in g] for g in oracle]
 
 
 def test_make_shards_splits_each_client():

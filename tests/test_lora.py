@@ -3,6 +3,7 @@ import pytest
 
 from fedlora import autodiff as ad
 from fedlora.autodiff import Graph, Tensor
+from fedlora.checkpoint import load_adapters, save_adapters
 from fedlora.errors import ConfigError, ProtocolError
 from fedlora.federation import FedConfig, client_update, encode_records
 from fedlora.lora import (Adapter, LoraConfig, attach_adapters, extract_trainable,
@@ -54,13 +55,16 @@ def test_rank_too_large_rejected():
 
 def test_adapter_delta_zero_when_b_zero():
     _, am = make_adapted()
-    for adapter in am.adapters.values():
-        assert np.all(adapter.delta().data == 0.0)
+    for a, b in am.adapters.values():
+        assert np.all(am.lora_cfg.scale * (b.data @ a.data) == 0.0)
 
 
 def test_adapter_delta_hand_outer_product():
-    adapter = Adapter(a=Tensor([[3.0, 4.0]]), b=Tensor([[1.0], [2.0]]), scale=1.0)
-    assert np.array_equal(adapter.delta().data, [[3.0, 4.0], [6.0, 8.0]])
+    base = init_model(small_cfg(d_model=2, n_heads=1))
+    base.layers[0]["wq"].data[...] = 0.0
+    am = attach_adapters(base, LoraConfig(rank=1, seed=0, targets=("q",)))
+    am.adapters[(0, "wq")] = Adapter(a=Tensor([[3.0, 4.0]]), b=Tensor([[1.0], [2.0]]))
+    assert np.array_equal(merge_adapters(am).layers[0]["wq"].data, [[3.0, 4.0], [6.0, 8.0]])
 
 
 def test_merged_delta_round_trips():
@@ -72,7 +76,7 @@ def test_merged_delta_round_trips():
     merged = merge_adapters(am)
     for (li, name), adapter in am.adapters.items():
         extracted = merged.layers[li][name].data - base.layers[li][name].data
-        assert np.allclose(extracted, adapter.delta().data, atol=1e-12)
+        assert np.allclose(extracted, am.lora_cfg.scale * (adapter.b.data @ adapter.a.data), atol=1e-12)
     # merging leaves the frozen base untouched
     for p, b in zip(base.parameters(), frozen_before):
         assert np.array_equal(p.data, b)
@@ -88,6 +92,22 @@ def test_merge_equivalence_on_random_batches():
         ids = random_batch(base.cfg, gen)
         diff = np.abs(forward(am, ids).data - forward(merged, ids).data)
         assert diff.max() < 1e-6
+
+
+def test_non_unit_scale_merges_clones_and_round_trips(tmp_path):
+    base = init_model(small_cfg())
+    am = attach_adapters(base, LoraConfig(rank=2, alpha=5.0, seed=9, targets=("q", "v")))
+    assert am.lora_cfg.scale == 2.5
+    gen = np.random.default_rng(7)
+    for adapter in am.adapters.values():
+        adapter.b.data = gen.normal(size=adapter.b.data.shape) * 0.5
+    ids = random_batch(base.cfg, gen)
+    logits = forward(am, ids).data
+    assert np.abs(logits - forward(merge_adapters(am), ids).data).max() < 1e-12
+    save_adapters(tmp_path / "adapters.bin", am)
+    for copy in (am.clone(), load_adapters(tmp_path / "adapters.bin", base)):
+        assert extract_trainable(copy).tobytes() == extract_trainable(am).tobytes()
+        assert forward(copy, ids).data.tobytes() == logits.tobytes()
 
 
 def test_merge_zero_adapters_equals_base():
