@@ -61,9 +61,10 @@ def write_atomically(path, mode: str, **open_kwargs):
 @contextlib.contextmanager
 def read_text(path, what: str, error: type, **open_kwargs):
     """open(path) for utf-8 text, where a file that is missing, cannot be read
-    or is not utf-8 raises `error` naming `what` and path."""
+    or is not utf-8 raises `error` naming `what` and path. A leading
+    byte-order mark (as in Excel's "CSV UTF-8") is dropped."""
     try:
-        with open(path, encoding="utf-8", **open_kwargs) as fh:
+        with open(path, encoding="utf-8-sig", **open_kwargs) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not valid utf-8: {exc}") from exc

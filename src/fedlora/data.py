@@ -60,6 +60,7 @@ class PartitionSpec:
 
 def load_corpus(path) -> list[Record]:
     """Read records from CSV with at least text,label columns, in file order.
+    A UTF-8 byte-order mark (spreadsheets' "CSV UTF-8" export) is skipped.
     A file that cannot be read, is not valid UTF-8 or is not valid CSV (a
     field over csv's field_size_limit, say) raises SchemaError naming it."""
     with read_text(path, "CSV", SchemaError, newline="") as fh:
@@ -191,28 +192,65 @@ _FILLER_WORDS = [
 ]
 
 
+_WORDS = _CALM_WORDS + _STRESS_WORDS + _FILLER_WORDS
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _word_draws(bitgen, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coin, pick) for `count` words, as per-word Generator calls would
+    draw them from `bitgen`: coin[t] is `random() < 0.6`, then pick[t] is
+    `integers(k)` with k = 12 if coin[t] else 16; both come from one
+    `random_raw` block.
+
+    `random()` takes a fresh 64-bit draw r and is (r >> 11) * 2**-53.
+    `integers(k)` takes 32-bit halves, the low half of a fresh draw and then
+    its high half, and is Lemire's (half * k) >> 32, which rejects the half
+    and takes the next when (half * k) mod 2**32 < (2**32 - k) % k (4 for
+    k=12, never for k=16). A rejection shifts every later draw by a half, so
+    the first one found is recorded and the later words are placed again.
+    """
+    t = np.arange(count)
+    tries = np.ones(count, dtype=np.int64)  # halves word t takes
+    raw = np.empty(0, dtype=np.uint64)
+    while True:
+        before = np.cumsum(tries) - tries  # halves taken before word t
+        kept = before + tries - 1  # the half word t keeps
+        coin_at = t + (before + 1) // 2  # draws before: t doubles, ceil(halves / 2)
+        # an even half opens a draw after t + 1 doubles; an odd one is the high half
+        # of its predecessor's draw, which belongs to word t - 1 unless t rejected it
+        half_at = t + 1 + kept // 2 - ((kept % 2 == 1) & (tries == 1))
+        need = int(max(coin_at[-1], half_at[-1])) + 1
+        if need > raw.size:
+            raw = np.concatenate([raw, bitgen.random_raw(need - raw.size)])
+        coin = (raw[coin_at] >> np.uint64(11)) * 2.0 ** -53 < 0.6
+        half = np.where(kept % 2 == 0, raw[half_at] & _LOW32, raw[half_at] >> np.uint64(32))
+        k = np.where(coin, np.uint64(12), np.uint64(16))
+        m = half * k
+        rejected = (m & _LOW32) < (np.uint64(2 ** 32) - k) % k
+        if not rejected.any():
+            return coin, (m >> np.uint64(32)).astype(np.intp)
+        tries[np.argmax(rejected)] += 1
+
+
 def synth_corpus(n: int, seed: int = 0) -> list[Record]:
     """Balanced two-class keyword corpus, deterministic per seed.
 
     Each text draws 10 tokens: with probability 0.6 a word from its class
     pool, otherwise shared filler. Class pools are disjoint, so a text
     without any pool word is rare (0.4^10 ~ 1e-4) and Bayes accuracy is
-    well above 0.95 by construction.
+    well above 0.95 by construction. Record i has label i % 2, and its words
+    are the ones a word-by-word loop of `random()` and `integers()` calls on
+    one generator would pick (`_word_draws` draws them in one block).
     """
     if n < 2:
         raise DataError(f"synthetic corpus needs n >= 2, got {n}")
     gen = rng.np_generator(rng.derive(seed, "synth"))
-    pools = (_CALM_WORDS, _STRESS_WORDS)
-    records = []
-    for i in range(n):
-        label = i % 2
-        pool = pools[label]
-        words = []
-        for _ in range(10):
-            if gen.random() < 0.6:
-                words.append(pool[gen.integers(len(pool))])
-            else:
-                words.append(_FILLER_WORDS[gen.integers(len(_FILLER_WORDS))])
-        records.append(Record(id=i, text=" ".join(words), label=label))
+    coin, pick = _word_draws(gen.bit_generator, 10 * n)
+    label = np.arange(10 * n) // 10 % 2
+    # _WORDS holds the calm pool, the stress pool, then the filler
+    first = np.where(coin, label * len(_CALM_WORDS), 2 * len(_CALM_WORDS))
+    words = [_WORDS[j] for j in (first + pick).tolist()]
+    records = [Record(id=i, text=" ".join(words[10 * i:10 * i + 10]), label=i % 2)
+               for i in range(n)]
     perm = rng.permutation(rng.derive(seed, "synth_order"), n)
     return [records[i] for i in perm]

@@ -119,6 +119,7 @@ class GlobalState:
     history: list = field(default_factory=list)
     model: AdaptedModel | None = None
     vocab: Vocab | None = None
+    processes: int = 1  # the run process and its helpers
 
     def summary(self) -> dict:
         last = self.history[-1] if self.history else None
@@ -128,6 +129,7 @@ class GlobalState:
             "final_eval_f1": last.eval_f1 if last else None,
             "total_uplink_bytes": sum(r.uplink_bytes for r in self.history),
             "total_downlink_bytes": sum(r.downlink_bytes for r in self.history),
+            "processes": self.processes,
         }
 
 
@@ -474,9 +476,9 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
     }
     global_eval = encode_records(global_eval_records, vocab, model_cfg.max_seq_len)
 
-    state = GlobalState(theta=theta, round_idx=0, model=am, vocab=vocab)
-    n_groups = max(len(client_sets), len(eval_batches(global_eval)))
-    with Helpers(process_count(n_groups) - 1, am, client_sets, fed_cfg, global_eval) as helpers:
+    processes = process_count(max(len(client_sets), len(eval_batches(global_eval))))
+    state = GlobalState(theta=theta, round_idx=0, model=am, vocab=vocab, processes=processes)
+    with Helpers(processes - 1, am, client_sets, fed_cfg, global_eval) as helpers:
         for _ in range(fed_cfg.rounds):
             run_round(state, client_sets, fed_cfg, global_eval, helpers)
     return state

@@ -7,7 +7,7 @@ import pytest
 from fedlora import config
 from fedlora.cli import main, parse_grid
 from fedlora.config import load_experiment
-from fedlora.data import save_corpus, synth_corpus
+from fedlora.data import load_corpus, save_corpus, synth_corpus
 from fedlora.errors import ConfigError
 
 TINY_DOC = {
@@ -67,6 +67,30 @@ def test_csv_source_trains_like_the_same_synthetic_records(tmp_path):
     assert main(["train-federated", synthetic_cfg]) == 0
     assert (tmp_path / "run" / "adapters.bin").read_bytes() \
         == (tmp_path / "synthetic" / "adapters.bin").read_bytes()
+
+
+def test_csv_with_a_byte_order_mark_trains_like_the_same_rows_without(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 byte-order mark,
+    # which must not become part of the first column's name
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    with open(plain, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("text", "label")]
+                                 + [(r.text, r.label) for r in synth_corpus(60, seed=3)])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_corpus(marked) == load_corpus(plain)
+    for corpus in (plain, marked):
+        cfg, _ = write_config(tmp_path, data=dict(TINY_DOC["data"], source={"csv": str(corpus)}),
+                              output_dir=str(tmp_path / corpus.stem))
+        assert main(["train-federated", cfg]) == 0
+    assert (tmp_path / "marked" / "adapters.bin").read_bytes() \
+        == (tmp_path / "plain" / "adapters.bin").read_bytes()
+
+
+def test_config_with_a_byte_order_mark_loads_like_the_same_file_without(tmp_path):
+    cfg, _ = write_config(tmp_path)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "exp.json").read_bytes())
+    assert load_experiment(str(marked)) == load_experiment(cfg)
 
 
 def test_unparsable_csv_label_exits_1(tmp_path, capsys):

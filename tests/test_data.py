@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fedlora import rng
-from fedlora.data import (PartitionSpec, Record, _largest_remainder, load_corpus, make_shards,
-                          partition_clients, save_corpus, split_train_eval,
-                          synth_corpus)
+from fedlora.data import (_CALM_WORDS, _FILLER_WORDS, _STRESS_WORDS, PartitionSpec, Record,
+                          _largest_remainder, _word_draws, load_corpus, make_shards,
+                          partition_clients, save_corpus, split_train_eval, synth_corpus)
 from fedlora.errors import ConfigError, DataError, SchemaError
 from fedlora.model import build_vocab, word_tokens
 
@@ -215,6 +215,102 @@ def test_synth_corpus_deterministic():
 def test_synth_corpus_rejects_tiny_n():
     with pytest.raises(DataError):
         synth_corpus(1, seed=0)
+
+
+def scalar_synth_corpus(n, seed):
+    """The word-by-word loop that synth_corpus replaces: the oracle it must equal."""
+    gen = rng.np_generator(rng.derive(seed, "synth"))
+    pools = (_CALM_WORDS, _STRESS_WORDS)
+    records = []
+    for i in range(n):
+        label = i % 2
+        pool = pools[label]
+        words = []
+        for _ in range(10):
+            if gen.random() < 0.6:
+                words.append(pool[gen.integers(len(pool))])
+            else:
+                words.append(_FILLER_WORDS[gen.integers(len(_FILLER_WORDS))])
+        records.append(Record(id=i, text=" ".join(words), label=label))
+    perm = rng.permutation(rng.derive(seed, "synth_order"), n)
+    return [records[i] for i in perm]
+
+
+# every size against several seeds, and the configs' (2000, 3) and (400, 3)
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (2, 3, 10, 401, 2000, 5000)
+                                     for seed in (0, 3, 11)] + [(400, 3), (1000, 7), (2, 1)])
+def test_synth_corpus_equals_the_word_by_word_loop(n, seed):
+    assert synth_corpus(n, seed) == scalar_synth_corpus(n, seed)
+
+
+class CountingBitGen:
+    """Hands out a bit generator's raw draws and counts the calls."""
+
+    def __init__(self, bitgen):
+        self.bitgen, self.calls = bitgen, 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self.bitgen.random_raw(size)
+
+
+@pytest.mark.parametrize("seed", [54719, 89361])
+def test_synth_corpus_equals_the_loop_past_a_rejected_half(seed):
+    # Lemire's method rejects one 32-bit half in each of these corpora, at
+    # word 16230 and word 7017 (an even and an odd word), which shifts every
+    # later draw by a half
+    counting = CountingBitGen(rng.np_generator(rng.derive(seed, "synth")).bit_generator)
+    _word_draws(counting, 20000)
+    assert counting.calls == 2  # the block, then the one draw the shift needs
+    assert synth_corpus(2000, seed) == scalar_synth_corpus(2000, seed)
+
+
+class ScriptedBitGen:
+    """A bit generator whose raw draws are given."""
+
+    def __init__(self, raws):
+        self.raws, self.pos = raws, 0
+
+    def random_raw(self, size):
+        out = np.array(self.raws[self.pos:self.pos + size], dtype=np.uint64)
+        assert out.size == size, "drew past the script"
+        self.pos += size
+        return out
+
+
+def loop_draws(raws, count):
+    """What Generator.random() and Generator.integers(k) take, word by word."""
+    draws, high_half_left = iter(raws), None
+    coins, picks = [], []
+    for _ in range(count):
+        coin = (next(draws) >> 11) * 2.0 ** -53 < 0.6
+        k = 12 if coin else 16
+        while True:
+            if high_half_left is None:
+                r = next(draws)
+                half, high_half_left = r & 0xFFFFFFFF, r >> 32
+            else:
+                half, high_half_left = high_half_left, None
+            m = half * k
+            if m & 0xFFFFFFFF >= (2 ** 32 - k) % k:
+                break
+        coins.append(coin)
+        picks.append(m >> 32)
+    return coins, picks
+
+
+def test_word_draws_place_rejections_back_to_back_and_twice_in_one_word():
+    # a zero draw is both a coin for the class pool and, as a half, rejected
+    # by integers(12); here words 0, 19 and 37 take 5, 6 and 3 halves
+    gen = np.random.default_rng(0)
+    raws = [int(r) for r in gen.integers(0, 2 ** 64, size=400, dtype=np.uint64)]
+    for pos in (0, 1, 2, 7, 8, 30, 31, 32, 33, 90, 120, 121):
+        raws[pos] = 0
+    coins, picks = loop_draws(raws, 200)
+    bitgen = ScriptedBitGen(raws)
+    coin, pick = _word_draws(bitgen, 200)
+    assert coin.tolist() == coins and pick.tolist() == picks
+    assert bitgen.pos > 300  # the rejections took draws past the 3 per 2 words
 
 
 def test_unigram_count_classifier_oracle():
