@@ -7,8 +7,10 @@ Any leaf can be overridden on the command line with --set, e.g. --set
 fed.eta=0.1 (values parsed as JSON, falling back to string). `_build` maps
 each object onto the dataclass its field declares, and every other value
 must have the JSON type of its field: a float field takes any number, an
-int field an integer, and no number is a bool. `DataConfig.validate` checks
-the source, and `lora.rank` must fit every target matrix of the model.
+int field an integer in [-2**63, 2**63) (the i64 the checkpoint headers
+pack the model's and the adapters' integers in), and no number is a bool.
+`DataConfig.validate` checks the source, and `lora.rank` must fit every
+target matrix of the model.
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ def _checked(path: str, value, hint):
     accepted, what = _JSON_TYPES[base]
     if type(value) not in accepted:  # exact: a JSON bool is no number
         raise ConfigError(f"{path} must be {what}, got {json.dumps(value)}")
+    if base is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{path} must lie in [-2**63, 2**63), got {value}")
     return base(_checked(f"{path}[{i}]", v, args[0]) for i, v in enumerate(value)) if args else value
 
 

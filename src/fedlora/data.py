@@ -196,40 +196,26 @@ _WORDS = _CALM_WORDS + _STRESS_WORDS + _FILLER_WORDS
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _word_draws(bitgen, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coin, pick) for `count` words, as per-word Generator calls would
-    draw them from `bitgen`: coin[t] is `random() < 0.6`, then pick[t] is
-    `integers(k)` with k = 12 if coin[t] else 16; both come from one
-    `random_raw` block.
+def _word_draws(bitgen, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(coin, pick) for an even `count` of words, as per-word Generator calls
+    would draw them from `bitgen` (coin[t] is `random() < 0.6`, then pick[t] is
+    `integers(k)`, k = 12 if coin[t] else 16), or None if a half is rejected.
 
-    `random()` takes a fresh 64-bit draw r and is (r >> 11) * 2**-53.
-    `integers(k)` takes 32-bit halves, the low half of a fresh draw and then
-    its high half, and is Lemire's (half * k) >> 32, which rejects the half
-    and takes the next when (half * k) mod 2**32 < (2**32 - k) % k (4 for
-    k=12, never for k=16). A rejection shifts every later draw by a half, so
-    the first one found is recorded and the later words are placed again.
+    Words 2i and 2i + 1 read row i of a `random_raw` block of 3-draw rows: word
+    2i's `random()`, the draw whose low and high halves their `integers(k)`
+    take, then word 2i + 1's `random()`. `random()` is (r >> 11) * 2**-53 and
+    `integers(k)` is Lemire's (half * k) >> 32, which rejects a half when
+    (half * k) mod 2**32 < (2**32 - k) % k (k=12: a multiple of 2**30; k=16:
+    never) and takes the next one, shifting every later draw off this layout.
     """
-    t = np.arange(count)
-    tries = np.ones(count, dtype=np.int64)  # halves word t takes
-    raw = np.empty(0, dtype=np.uint64)
-    while True:
-        before = np.cumsum(tries) - tries  # halves taken before word t
-        kept = before + tries - 1  # the half word t keeps
-        coin_at = t + (before + 1) // 2  # draws before: t doubles, ceil(halves / 2)
-        # an even half opens a draw after t + 1 doubles; an odd one is the high half
-        # of its predecessor's draw, which belongs to word t - 1 unless t rejected it
-        half_at = t + 1 + kept // 2 - ((kept % 2 == 1) & (tries == 1))
-        need = int(max(coin_at[-1], half_at[-1])) + 1
-        if need > raw.size:
-            raw = np.concatenate([raw, bitgen.random_raw(need - raw.size)])
-        coin = (raw[coin_at] >> np.uint64(11)) * 2.0 ** -53 < 0.6
-        half = np.where(kept % 2 == 0, raw[half_at] & _LOW32, raw[half_at] >> np.uint64(32))
-        k = np.where(coin, np.uint64(12), np.uint64(16))
-        m = half * k
-        rejected = (m & _LOW32) < (np.uint64(2 ** 32) - k) % k
-        if not rejected.any():
-            return coin, (m >> np.uint64(32)).astype(np.intp)
-        tries[np.argmax(rejected)] += 1
+    row = bitgen.random_raw(3 * count // 2).reshape(-1, 3)
+    coin = (row[:, [0, 2]] >> np.uint64(11)) * 2.0 ** -53 < 0.6
+    half = np.stack([row[:, 1] & _LOW32, row[:, 1] >> np.uint64(32)], axis=1)
+    k = np.where(coin, np.uint64(12), np.uint64(16))
+    m = half * k
+    if ((m & _LOW32) < (np.uint64(2 ** 32) - k) % k).any():
+        return None
+    return coin.ravel(), (m >> np.uint64(32)).astype(np.intp).ravel()
 
 
 def synth_corpus(n: int, seed: int = 0) -> list[Record]:
@@ -240,12 +226,20 @@ def synth_corpus(n: int, seed: int = 0) -> list[Record]:
     without any pool word is rare (0.4^10 ~ 1e-4) and Bayes accuracy is
     well above 0.95 by construction. Record i has label i % 2, and its words
     are the ones a word-by-word loop of `random()` and `integers()` calls on
-    one generator would pick (`_word_draws` draws them in one block).
+    one PCG64 generator picks: `_word_draws` reads them from one block, and
+    if it holds a rejected half, that loop runs on a fresh generator.
     """
     if n < 2:
         raise DataError(f"synthetic corpus needs n >= 2, got {n}")
     gen = rng.np_generator(rng.derive(seed, "synth"))
-    coin, pick = _word_draws(gen.bit_generator, 10 * n)
+    draws = _word_draws(gen.bit_generator, 10 * n)
+    if draws is None:  # a rejected half, 3 seeds in 100,000 at n=2000: draw word by word
+        gen = rng.np_generator(rng.derive(seed, "synth"))
+        draws = np.zeros((2, 10 * n), dtype=np.intp)
+        for t in range(10 * n):
+            draws[0, t] = gen.random() < 0.6
+            draws[1, t] = gen.integers(12 if draws[0, t] else 16)
+    coin, pick = draws
     label = np.arange(10 * n) // 10 % 2
     # _WORDS holds the calm pool, the stress pool, then the filler
     first = np.where(coin, label * len(_CALM_WORDS), 2 * len(_CALM_WORDS))

@@ -4,10 +4,14 @@ The encoder is deliberately small (defaults: d_model=32, 2 layers, 2 heads)
 and randomly initialized; it exercises the same architecture class that the
 federated LoRA pipeline targets, at desk scale.
 
-Trainable-parameter enumeration order is fixed and load-bearing (the
-federation layer exchanges flattened vectors): token embedding, positional
-embedding, then per layer [wq, wk, wv, wo, ln1_gamma, ln1_beta, ff1, ff2,
-ln2_gamma, ln2_beta], then classifier head weight and bias.
+Base-parameter enumeration order is fixed (`param_shapes`): token
+embedding, positional embedding, then per layer [wq, wk, wv, wo, ln1_gamma,
+ln1_beta, ff1, ff2, ln2_gamma, ln2_beta], then classifier head weight and
+bias. Only the model checkpoint depends on it: `save_model` writes
+`parameters()` in this order and `load_model` reads them back through
+`build_model`. Each parameter's init is keyed by its tag, not its position,
+and the federation layer exchanges `lora.extract_trainable` (the adapters,
+then the head), not the base.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ class Vocab:
     def __init__(self, id_to_token: list):
         self.id_to_token = id_to_token  # token i has id N_RESERVED + i, after PAD, UNK and CLS
         self.token_to_id = {tok: N_RESERVED + i for i, tok in enumerate(id_to_token)}
-
-    @property
-    def size(self) -> int:
-        return N_RESERVED + len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)

@@ -5,9 +5,10 @@ counter-based generator: output i is mix64(seed + (i+1) * GAMMA), so whole
 arrays are generated vectorized and bit-reproducibly, independent of call
 order or platform.
 
-Data-layer sampling (shuffles, Dirichlet draws) goes through numpy's PCG64
-seeded from derived sub-seeds; it only needs to be a pure function of the
-seed, not bit-portable across languages.
+Every shuffle, split and partition order is `permutation`, an argsort of
+that SplitMix64 stream. NumPy's PCG64 (`np_generator`), seeded from a derived
+sub-seed, serves only the label-skew Dirichlet proportions and the synthetic
+corpus's words, which need only be a pure function of the seed.
 """
 
 from __future__ import annotations

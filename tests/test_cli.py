@@ -143,6 +143,10 @@ BAD_CONFIGS = {  # id: (config document, extra CLI arguments, expected message)
     "set_through_non_object": (TINY_DOC, ["--set", "fed.rounds.x=1"], "crosses a non-object field"),
     "csv_is_a_directory": (with_data(source={"csv": "."}), [], "data.source.csv is not a regular file: ."),
     "vocab_size_2": (TINY_DOC, ["--set", "model.vocab_size=2"], "model.vocab_size must be >= 3"),
+    "lora_seed_2_pow_63": (TINY_DOC, ["--set", "lora.seed=9223372036854775808"],
+                           "lora.seed must lie in [-2**63, 2**63), got 9223372036854775808"),
+    "model_seed_below_i64": (TINY_DOC, ["--set", "model.seed=-9223372036854775809"],
+                             "model.seed must lie in [-2**63, 2**63), got -9223372036854775809"),
     "unknown_partition_strategy": (with_partition(strategy="round_robin"), [],
                                    "unknown partition strategy"),
     "quantity_ratios_not_summing_to_1": (with_partition(strategy="quantity_skew", ratios=[0.5, 0.4]), [],

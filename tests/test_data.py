@@ -244,25 +244,33 @@ def test_synth_corpus_equals_the_word_by_word_loop(n, seed):
 
 
 class CountingBitGen:
-    """Hands out a bit generator's raw draws and counts the calls."""
+    """Hands out a bit generator's raw draws and records each call's size."""
 
     def __init__(self, bitgen):
-        self.bitgen, self.calls = bitgen, 0
+        self.bitgen, self.sizes = bitgen, []
 
     def random_raw(self, size):
-        self.calls += 1
+        self.sizes.append(size)
         return self.bitgen.random_raw(size)
 
 
-@pytest.mark.parametrize("seed", [54719, 89361])
-def test_synth_corpus_equals_the_loop_past_a_rejected_half(seed):
-    # Lemire's method rejects one 32-bit half in each of these corpora, at
-    # word 16230 and word 7017 (an even and an odd word), which shifts every
-    # later draw by a half
-    counting = CountingBitGen(rng.np_generator(rng.derive(seed, "synth")).bit_generator)
-    _word_draws(counting, 20000)
-    assert counting.calls == 2  # the block, then the one draw the shift needs
-    assert synth_corpus(2000, seed) == scalar_synth_corpus(2000, seed)
+@pytest.mark.parametrize("n", [2000, 400])
+def test_word_draws_take_one_block_of_three_draws_per_two_words(n):
+    counting = CountingBitGen(rng.np_generator(rng.derive(3, "synth")).bit_generator)
+    assert _word_draws(counting, 10 * n) is not None
+    assert counting.sizes == [15 * n]
+
+
+@pytest.mark.parametrize("seed", [54719, 89361, 92993])
+def test_synth_corpus_equals_the_loop_past_a_rejected_half(seed, monkeypatch):
+    # Lemire's method rejects one 32-bit half in each of these corpora, which
+    # shifts every later draw by a half
+    assert _word_draws(rng.np_generator(rng.derive(seed, "synth")).bit_generator, 20000) is None
+    made, np_generator = [], rng.np_generator
+    monkeypatch.setattr(rng, "np_generator", lambda s: made.append(s) or np_generator(s))
+    records = synth_corpus(2000, seed)
+    assert made == [rng.derive(seed, "synth")] * 2  # the block, then the fresh generator it replays on
+    assert records == scalar_synth_corpus(2000, seed)
 
 
 class ScriptedBitGen:
@@ -299,18 +307,39 @@ def loop_draws(raws, count):
     return coins, picks
 
 
-def test_word_draws_place_rejections_back_to_back_and_twice_in_one_word():
-    # a zero draw is both a coin for the class pool and, as a half, rejected
-    # by integers(12); here words 0, 19 and 37 take 5, 6 and 3 halves
+K12_COIN, K16_COIN = 0, 2 ** 64 - 1  # random() reads 0.0 (< 0.6) and 1 - 2**-53
+
+
+def scripted_raws(word, coin, half):
+    """300 raws for 200 words, with `word`'s coin draw and its 32-bit half set."""
     gen = np.random.default_rng(0)
-    raws = [int(r) for r in gen.integers(0, 2 ** 64, size=400, dtype=np.uint64)]
-    for pos in (0, 1, 2, 7, 8, 30, 31, 32, 33, 90, 120, 121):
-        raws[pos] = 0
+    raws = [int(r) for r in gen.integers(0, 2 ** 64, size=300, dtype=np.uint64)]
+    pair, high = divmod(word, 2)
+    raws[3 * pair + 2 * high] = coin
+    shift = 32 * high
+    raws[3 * pair + 1] = raws[3 * pair + 1] & ~(0xFFFFFFFF << shift) | half << shift
+    return raws
+
+
+HALVES_12_REJECTS = [0, 2 ** 30, 2 ** 31, 3 * 2 ** 30]
+
+
+@pytest.mark.parametrize("word", [0, 1, 98, 199])
+@pytest.mark.parametrize("half", HALVES_12_REJECTS)
+def test_word_draws_report_a_half_that_integers_12_rejects(word, half):
+    assert _word_draws(ScriptedBitGen(scripted_raws(word, K12_COIN, half)), 200) is None
+
+
+@pytest.mark.parametrize("word", [0, 1, 98, 199])
+@pytest.mark.parametrize("coin, half", [(K16_COIN, h) for h in HALVES_12_REJECTS]
+                         + [(K12_COIN, 2 ** 30 - 1), (K12_COIN, 2 ** 30 + 1)])
+def test_word_draws_equal_the_loop_next_to_the_rejected_halves(word, coin, half):
+    raws = scripted_raws(word, coin, half)
     coins, picks = loop_draws(raws, 200)
-    bitgen = ScriptedBitGen(raws)
-    coin, pick = _word_draws(bitgen, 200)
-    assert coin.tolist() == coins and pick.tolist() == picks
-    assert bitgen.pos > 300  # the rejections took draws past the 3 per 2 words
+    draws = _word_draws(ScriptedBitGen(raws), 200)
+    assert draws is not None
+    assert draws[0].tolist() == coins and draws[1].tolist() == picks
+    assert coins[word] == (coin == K12_COIN)
 
 
 def test_unigram_count_classifier_oracle():
