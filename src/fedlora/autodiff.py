@@ -251,11 +251,10 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise DataError(f"row index out of range for table of {table.data.shape[0]} rows")
 
-    def backward(g, grad_out):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, grad_out)
-            g.accumulate(table, full)
+    def backward(g, grad_out):  # taped only when table requires grad
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx, grad_out)
+        g.accumulate(table, full)
 
     return _emit(np.take(table.data, idx, axis=0), backward, table)
 

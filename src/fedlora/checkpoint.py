@@ -13,6 +13,12 @@ Adapter file: magic b"FLLA", u32 version, i64 rank, f8 alpha, i64 seed,
 Vocab file:   one token per line, utf-8; id = line number - 1 + 3 (ids 0-2
               are reserved for PAD/UNK/CLS).
 
+A seed field holds the seed's 64-bit word in signed form, (seed + 2**63) %
+2**64 - 2**63: a seed in [-2**63, 2**63) as it is, and one from the Python
+API outside it (an `rng.derive` seed can reach 2**64 - 1) as the seed that
+differs from it by 2**64. The rng functions mask seeds to 64 bits, so the
+seed read back gives the same streams.
+
 A file that is short, carries trailing bytes, or holds a header the model
 or adapter config rejects raises SchemaError, and a length or model size
 that exceeds the bytes left in the file is refused before any allocation.
@@ -111,11 +117,16 @@ def _expect_end(fh, path):
         raise SchemaError(f"{path} has trailing bytes after the last array")
 
 
+def _i64(seed: int) -> int:
+    """The seed field of a header: seed's 64-bit word in signed form."""
+    return (seed + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+
 def save_model(path, m: EncoderModel):
     with write_atomically(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<8q", *dataclasses.astuple(m.cfg)))
+        fh.write(struct.pack("<8q", *dataclasses.astuple(m.cfg)[:-1], _i64(m.cfg.seed)))
         for p in m.parameters():
             _write_array(fh, p.data)
 
@@ -145,7 +156,7 @@ def save_adapters(path, am: AdaptedModel):
     with write_atomically(path, "wb") as fh:
         fh.write(ADAPTER_MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<qdq", cfg.rank, cfg.alpha_or_rank, cfg.seed))
+        fh.write(struct.pack("<qdq", cfg.rank, cfg.alpha_or_rank, _i64(cfg.seed)))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         _write_array(fh, extract_trainable(am))

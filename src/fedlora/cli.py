@@ -2,9 +2,10 @@
 
 Subcommands: train-federated, train-centralized, ablate, report.
 Exit codes: 0 success, 1 runtime failure (a failed round included: a killed
-worker, or every client failed or diverged), 2 config/usage error. A training
-run writes its artifacts only after its last round, each through a temp file
-moved into place, so a run that exits 1 leaves none.
+worker, or every client failed or diverged; and running out of memory), 2
+config/usage error. A training run writes its artifacts only after its last
+round, each through a temp file moved into place, so a run that exits 1
+leaves none.
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
         return 2
     except FedLoraError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a corpus or vocabulary too large to allocate
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

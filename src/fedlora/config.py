@@ -8,7 +8,9 @@ fed.eta=0.1 (values parsed as JSON, falling back to string). `_build` maps
 each object onto the dataclass its field declares, and every other value
 must have the JSON type of its field: a float field takes any number, an
 int field an integer in [-2**63, 2**63) (the i64 the checkpoint headers
-pack the model's and the adapters' integers in), and no number is a bool.
+pack the model's and the adapters' integers in; a seed given through the
+Python API may lie outside it, and the headers pack its 64-bit word), and no
+number is a bool.
 `DataConfig.validate` checks the source, and `lora.rank` must fit every
 target matrix of the model.
 """
@@ -37,8 +39,6 @@ class DataConfig:
     eval_frac: float = 0.2
 
     def validate(self):
-        if self.source is None:
-            raise ConfigError("data.source must name exactly one of 'csv' or 'synthetic'")
         if not isinstance(self.source, dict) or len(self.source) != 1:
             raise ConfigError("data.source must be {'csv': path} or {'synthetic': n}")
         ((kind, value),) = self.source.items()
@@ -56,7 +56,10 @@ class DataConfig:
 
     def _check_size(self, source: str, n: int):
         """ConfigError unless n records leave the eval split at least one
-        record and every partition client at least one training record."""
+        record and the training pool at least one record per partition
+        client. An IID partition then gives every client a record, which
+        `make_shards`'s hold-out never takes; a skewed one can still leave a
+        client none, and that client is skipped."""
         if n < 2:
             raise ConfigError(f"{source} must be >= 2, got {n}")
         n_train = n - n_eval(n, self.eval_frac)

@@ -162,12 +162,15 @@ def partition_clients(records, spec: PartitionSpec) -> list[list[Record]]:
 def make_shards(records, spec: PartitionSpec, eval_frac: float) -> list[ClientShard]:
     """Partition, then split each client's data locally into train/eval.
 
-    A client trains on `train` only. `run_federated` reads no `eval`, so
-    those records are held out of training and scored nowhere.
+    A shard of s records holds out n_eval(s, eval_frac) of them only when
+    that is fewer than s, so the hold-out never takes a shard's last record;
+    otherwise the whole shard trains. A client trains on `train` only.
+    `run_federated` reads no `eval`, so those records are held out of
+    training and scored nowhere.
     """
     shards = []
     for cid, group in enumerate(partition_clients(records, spec)):
-        if len(group) >= 2:
+        if n_eval(len(group), eval_frac) < len(group):
             train, eval_set = split_train_eval(group, eval_frac, rng.derive(spec.seed, "shard_split", cid))
         else:
             train, eval_set = list(group), []

@@ -115,11 +115,14 @@ def encode_records(records, vocab: Vocab, max_len: int) -> EncodedSet:
 @dataclass
 class GlobalState:
     theta: np.ndarray
-    round_idx: int
     history: list = field(default_factory=list)
     model: AdaptedModel | None = None
     vocab: Vocab | None = None
     processes: int = 1  # the run process and its helpers
+
+    @property
+    def round_idx(self) -> int:  # rounds completed: a failed round appends no report
+        return len(self.history)
 
     def summary(self) -> dict:
         last = self.history[-1] if self.history else None
@@ -439,7 +442,6 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
         wall_time=time.perf_counter() - t0,
     )
     state.theta = new_theta
-    state.round_idx += 1
     state.history.append(report)
     return state
 
@@ -462,7 +464,7 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
 
     train_pool, global_eval_records = split_train_eval(
         records, eval_frac, rng.derive(fed_cfg.seed, "global_eval"))
-    vocab = build_vocab(train_pool, model_cfg.vocab_size)
+    vocab = build_vocab([r.text for r in train_pool], model_cfg.vocab_size)
     shards = make_shards(train_pool, partition, eval_frac)
     participating = shards[: fed_cfg.n_clients]
 
@@ -477,7 +479,7 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
     global_eval = encode_records(global_eval_records, vocab, model_cfg.max_seq_len)
 
     processes = process_count(max(len(client_sets), len(eval_batches(global_eval))))
-    state = GlobalState(theta=theta, round_idx=0, model=am, vocab=vocab, processes=processes)
+    state = GlobalState(theta=theta, model=am, vocab=vocab, processes=processes)
     with Helpers(processes - 1, am, client_sets, fed_cfg, global_eval) as helpers:
         for _ in range(fed_cfg.rounds):
             run_round(state, client_sets, fed_cfg, global_eval, helpers)

@@ -134,8 +134,6 @@ def attach_adapters(base: EncoderModel, cfg: LoraConfig) -> AdaptedModel:
 
 def merge_adapters(am: AdaptedModel) -> EncoderModel:
     """Materialize W0 + scale * B @ A into a plain encoder; adapters are discarded."""
-    if isinstance(am, EncoderModel):
-        raise TypeError("model is already a plain encoder; nothing to merge")
     if not isinstance(am, AdaptedModel):
         raise TypeError(f"merge_adapters expects an AdaptedModel, got {type(am).__name__}")
     base, scale = am.base, am.lora_cfg.scale

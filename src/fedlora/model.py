@@ -52,19 +52,16 @@ def word_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def build_vocab(corpus, max_size: int) -> Vocab:
+def build_vocab(texts: list[str], max_size: int) -> Vocab:
     """Frequency-ranked word vocabulary; ties broken lexicographically."""
     if max_size < N_RESERVED:
         raise ConfigError(f"vocab max_size must be >= {N_RESERVED}, got {max_size}")
+    if not texts:
+        raise DataError("cannot build vocabulary from an empty corpus")
     counts: dict[str, int] = {}
-    n_docs = 0
-    for item in corpus:
-        text = item.text if hasattr(item, "text") else item
-        n_docs += 1
+    for text in texts:
         for tok in word_tokens(text):
             counts[tok] = counts.get(tok, 0) + 1
-    if n_docs == 0:
-        raise DataError("cannot build vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocab([tok for tok, _ in ranked[: max_size - N_RESERVED]])
 
@@ -91,7 +88,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
-        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "ff_dim", "max_seq_len", "n_classes"):
+        for name in ("d_model", "n_heads", "n_layers", "ff_dim", "max_seq_len", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.vocab_size < N_RESERVED:

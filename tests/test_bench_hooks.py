@@ -18,15 +18,16 @@ from test_cli import write_config
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_child(tmp_path, mode: str) -> dict:
-    """child.json of `perfbench/child.py MODE` on write_config's tiny config."""
+def run_child(tmp_path, mode: str, command: str = "train-federated", *extra: str) -> dict:
+    """child.json of `perfbench/child.py MODE OUT COMMAND CONFIG EXTRA...` on
+    write_config's tiny config, written to OUT = tmp_path / MODE."""
     cfg, _ = write_config(tmp_path)
     out = tmp_path / mode
     out.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(fedlora.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "perfbench/child.py", mode, str(out),
-                           "train-federated", cfg], cwd=REPO, env=env,
+                           command, cfg, *extra], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads((out / "child.json").read_text(encoding="utf-8"))
@@ -53,3 +54,12 @@ def test_bench_child_counts_rounds_and_samples_and_probes_set_up(tmp_path):
 
     probe = run_child(tmp_path, "probe")
     assert probe["first_round_at"] is not None and probe["cells"] == []
+
+
+def test_bench_child_writes_each_ablate_cells_checkpoints(tmp_path):
+    # the bench saves each cell's state.model.base and state.model itself
+    run = run_child(tmp_path, "run", "ablate", "--grid", "1,1,1;2,1,1")
+    assert run["exit_code"] == 0 and len(run["cells"]) == 2
+    for i in range(2):
+        for name in ("base_model.bin", "adapters.bin"):
+            assert (tmp_path / "run" / f"cell{i}" / name).stat().st_size > 0

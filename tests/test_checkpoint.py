@@ -78,6 +78,27 @@ def test_adapter_round_trip_bit_identical(tmp_path):
     assert list(loaded.adapters) == list(am.adapters)
 
 
+def test_derived_seeds_of_2_pow_63_or_more_save_and_load(tmp_path):
+    seed = rng.derive(1, "model")  # as criterion 6 builds its configs
+    assert seed >= 2 ** 63
+    base = init_model(small_cfg(seed=seed))
+    am = attach_adapters(base, LoraConfig(rank=2, seed=seed, targets=("q", "v")))
+    save_model(tmp_path / "model.bin", base)
+    save_adapters(tmp_path / "adapters.bin", am)
+    loaded = load_model(tmp_path / "model.bin")
+    loaded_am = load_adapters(tmp_path / "adapters.bin", loaded)
+    assert loaded.cfg.seed == seed - 2 ** 64 and loaded_am.lora_cfg.seed == seed - 2 ** 64
+    for p, q in zip(base.parameters(), loaded.parameters()):
+        assert np.array_equal(p.data, q.data)
+    assert np.array_equal(extract_trainable(loaded_am), extract_trainable(am))
+    # the seed read back gives the same streams
+    again = init_model(small_cfg(seed=loaded.cfg.seed))
+    for p, q in zip(base.parameters(), again.parameters()):
+        assert np.array_equal(p.data, q.data)
+    again_am = attach_adapters(again, loaded_am.lora_cfg)
+    assert np.array_equal(extract_trainable(again_am), extract_trainable(am))
+
+
 def test_adapter_load_rejects_model_magic(tmp_path):
     base = init_model(small_cfg())
     path = tmp_path / "model.bin"

@@ -132,6 +132,7 @@ def with_partition(**fields):
 
 BAD_CONFIGS = {  # id: (config document, extra CLI arguments, expected message)
     "unknown_fed_field": ({"fed": {"mystery_knob": 1}}, [], "unknown config field fed.mystery_knob"),
+    "source_null": (with_data(source=None), [], "data.source must be"),
     "source_names_both_kinds": (with_data(source={"csv": "c.csv", "synthetic": 60}), [],
                                 "data.source must be"),
     "unknown_source_kind": (with_data(source={"jsonl": "c.jsonl"}), [], "unknown data.source kind"),
@@ -217,6 +218,33 @@ def test_synthetic_corpus_too_small_for_its_split_exits_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert os.listdir(tmp_path) == ["exp.json"]
+
+
+@pytest.mark.parametrize("n", [10, 13])
+def test_hold_out_leaves_every_client_a_training_record(tmp_path, n):
+    # eval_frac 0.6 leaves 2-record shards; ceil(2 * 0.6) = 2 held out both
+    cfg, out = write_config(tmp_path)
+    assert main(["train-federated", cfg, "--set", f'data.source={{"synthetic": {n}}}',
+                 "--set", "data.eval_frac=0.6"]) == 0
+    with open(f"{out}/rounds.jsonl", encoding="utf-8") as fh:
+        reports = [json.loads(line) for line in fh]
+    assert len(reports) == 2
+    for rep in reports:
+        assert sorted(rep["client_losses"]) == ["0", "1"]
+        assert None not in rep["client_losses"].values()
+
+
+# each first array is over 2**48 bytes, so NumPy refuses it before allocating
+TOO_LARGE_TO_ALLOCATE = ['data.source={"synthetic": 1000000000000000}',
+                         "model.vocab_size=1000000000000000"]
+
+
+@pytest.mark.parametrize("value", TOO_LARGE_TO_ALLOCATE)
+def test_config_too_large_to_allocate_exits_1_without_output(tmp_path, capsys, value):
+    cfg, out = write_config(tmp_path)
+    assert main(["train-federated", cfg, "--set", value]) == 1
+    assert capsys.readouterr().err.startswith("runtime error: out of memory: Unable to allocate")
+    assert not os.path.exists(out)
 
 
 NON_FINITE_SETS = {  # id: (--set values, expected message); Python's json reads NaN and Infinity

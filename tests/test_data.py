@@ -199,6 +199,16 @@ def test_make_shards_splits_each_client():
         assert not {r.id for r in s.train} & {r.id for r in s.eval}
 
 
+def test_make_shards_hold_out_never_takes_a_shards_last_record():
+    # ceil(2 * 0.6) = 2 would hold out both records of each 2-record shard
+    spec = PartitionSpec(n_clients=2, strategy="iid", seed=0)
+    for n, sizes in ((4, [2, 2]), (5, [1, 2])):
+        recs = records_n(n)
+        shards = make_shards(recs, spec, 0.6)
+        assert [len(s.train) for s in shards] == sizes
+        assert_partition_sound([s.train + s.eval for s in shards], recs)
+
+
 # synthesis -----------------------------------------------------------------
 
 def test_synth_corpus_balanced():

@@ -118,7 +118,7 @@ def training_fixture():
     model_cfg = ModelConfig(**DESK_MODEL)
     base = init_model(model_cfg)
     am = attach_adapters(base, LoraConfig(rank=2, seed=3))
-    vocab = build_vocab(records, model_cfg.vocab_size)
+    vocab = build_vocab([r.text for r in records], model_cfg.vocab_size)
     return am, encode_records(records, vocab, model_cfg.max_seq_len)
 
 
@@ -129,7 +129,7 @@ def test_encode_records_is_one_id_matrix_whose_mask_is_not_pad():
         Record(id=901, text="zzz unseen words only", label=1),
         Record(id=902, text=" ".join(["word"] * 30), label=0),
     ]
-    vocab = build_vocab(records[:20], 200)
+    vocab = build_vocab([r.text for r in records[:20]], 200)
     encoded = encode_records(records, vocab, max_len)
     assert encoded.ids.dtype == np.intp and encoded.ids.shape == (len(records), max_len)
     assert np.array_equal(encoded.ids, [tokenize(r.text, vocab, max_len) for r in records])
@@ -220,7 +220,7 @@ def test_run_round_client_order_independent():
     sets_b = dict(reversed(list(sets_a.items())))
     out = []
     for sets in (sets_a, sets_b):
-        state = GlobalState(theta=theta.copy(), round_idx=0, model=am.clone())
+        state = GlobalState(theta=theta.copy(), model=am.clone())
         run_round_in_process(state, sets, cfg, train)
         out.append(state.theta)
     assert np.abs(out[0] - out[1]).max() < 1e-12
@@ -229,7 +229,7 @@ def test_run_round_client_order_independent():
 def test_run_round_all_clients_failed():
     am, train = training_fixture()
     empty = empty_set()
-    state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am)
+    state = GlobalState(theta=extract_trainable(am), model=am)
     with pytest.raises(RoundError):
         run_round_in_process(state, {0: empty}, FedConfig(seed=1), train)
     assert state.round_idx == 0 and not state.history
@@ -239,7 +239,7 @@ def test_skipped_client_excluded_from_average():
     am, train = training_fixture()
     empty = empty_set()
     cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
-    state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am.clone())
+    state = GlobalState(theta=extract_trainable(am), model=am.clone())
     run_round_in_process(state, {0: train, 1: empty}, cfg, train)
     report = state.history[0]
     assert report.client_losses[1] is None

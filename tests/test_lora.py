@@ -205,7 +205,7 @@ def test_frozen_base_bit_identical_after_training():
     base, am = make_adapted()
     frozen_before = [p.data.copy() for p in base.parameters()]
     records = D.synth_corpus(40, seed=8)
-    vocab = build_vocab(records, base.cfg.vocab_size)
+    vocab = build_vocab([r.text for r in records], base.cfg.vocab_size)
     train = encode_records(records, vocab, base.cfg.max_seq_len)
     cfg = FedConfig(n_clients=1, rounds=1, local_epochs=2, eta=0.3, batch_size=8, seed=1)
     theta, _ = client_update(am, extract_trainable(am), train, cfg, round_idx=0, client_id=0)

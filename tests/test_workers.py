@@ -84,7 +84,7 @@ def two_client_round():
     """Two equal shards: client 0 trains in this process, client 1 on a helper."""
     am, train = training_fixture()
     cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
-    state = GlobalState(theta=extract_trainable(am), round_idx=0, model=am.clone())
+    state = GlobalState(theta=extract_trainable(am), model=am.clone())
     return state, {0: train, 1: train}, cfg, train
 
 
@@ -104,7 +104,8 @@ def eval_fixture(n_records):
     gen = np.random.default_rng(0)
     for adapter in am.adapters.values():
         adapter.b.data = gen.normal(size=adapter.b.data.shape)
-    return am, encode_records(records, build_vocab(records, cfg.vocab_size), cfg.max_seq_len)
+    vocab = build_vocab([r.text for r in records], cfg.vocab_size)
+    return am, encode_records(records, vocab, cfg.max_seq_len)
 
 
 def evaluate_on(n_helpers, model, eval_set):
@@ -313,7 +314,7 @@ def test_parent_group_exception_still_reaps_children(monkeypatch):
         # reply left over from the failed round would not match a new snapshot
         monkeypatch.undo()
         state.theta = state.theta * 0.5
-        ref = GlobalState(theta=state.theta.copy(), round_idx=0, model=state.model.clone())
+        ref = GlobalState(theta=state.theta.copy(), model=state.model.clone())
         run_round_in_process(ref, sets, cfg, eval_set)
         run_round(state, sets, cfg, eval_set, helpers)
     assert np.array_equal(state.theta, ref.theta)
