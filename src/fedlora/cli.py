@@ -2,15 +2,18 @@
 
 Subcommands: train-federated, train-centralized, ablate, report.
 Exit codes: 0 success, 1 runtime failure (a failed round included: a killed
-worker, or every client failed or diverged; and running out of memory), 2
-config/usage error. A training run writes its artifacts only after its last
-round, each through a temp file moved into place, so a run that exits 1
-leaves none.
+worker, or every client failed or diverged; running out of memory; and an
+OSError such as a full disk), 2 config/usage error, which includes an output
+file name that is taken by a directory. A training run writes its RUN_FILES
+only after its last round: each under a temp name beside its target, then
+all moved into place, so a run that exits 1 leaves none of them. This module
+alone builds what a run writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -25,37 +28,56 @@ from .federation import check_population, run_centralized, run_federated
 from .lora import trainable_param_count
 
 
-def _write_run_artifacts(out_dir: str, state, wall_time: float):
-    os.makedirs(out_dir, exist_ok=True)
-    with checkpoint.write_atomically(os.path.join(out_dir, "rounds.jsonl"), "w",
-                                     encoding="utf-8") as fh:
-        for report in state.history:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+RUN_FILES = ("rounds.jsonl", "summary.json", "adapters.bin", "base_model.bin", "vocab.txt")
 
+
+def _write_text(path, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_run_artifacts(out_dir: str, state, wall_time: float):
+    """Write RUN_FILES into out_dir: each under a temp name beside its target,
+    then all moved into place. A save that fails removes the temp files, so
+    the run leaves none of its files."""
+    last = state.history[-1]  # run_* return only after all fed.rounds >= 1 rounds report
     n_trainable, breakdown = trainable_param_count(state.model)
     total_params = state.model.base.param_count()
     summary = {
-        **state.summary(),
+        "rounds": len(state.history),
+        "final_eval_accuracy": last.eval_accuracy,
+        "final_eval_f1": last.eval_f1,
+        "total_uplink_bytes": sum(r.uplink_bytes for r in state.history),
+        "total_downlink_bytes": sum(r.downlink_bytes for r in state.history),
+        "processes": state.processes,
         "trainable_params": n_trainable,
         "trainable_breakdown": breakdown,
         "total_params": total_params,
         "trainable_ratio": n_trainable / total_params,
         "wall_time_s": wall_time,
     }
-    with checkpoint.write_atomically(os.path.join(out_dir, "summary.json"), "w",
-                                     encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    checkpoint.save_adapters(os.path.join(out_dir, "adapters.bin"), state.model)
-    checkpoint.save_model(os.path.join(out_dir, "base_model.bin"), state.model.base)
-    checkpoint.save_vocab(os.path.join(out_dir, "vocab.txt"), state.vocab)
+    staged = {name: os.path.join(out_dir, f"{name}.tmp{os.getpid()}") for name in RUN_FILES}
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        _write_text(staged["rounds.jsonl"], "".join(json.dumps(report.to_dict(), sort_keys=True)
+                                                    + "\n" for report in state.history))
+        _write_text(staged["summary.json"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        checkpoint.save_adapters(staged["adapters.bin"], state.model)
+        checkpoint.save_model(staged["base_model.bin"], state.model.base)
+        checkpoint.save_vocab(staged["vocab.txt"], state.vocab)
+        for name in RUN_FILES:
+            os.replace(staged[name], os.path.join(out_dir, name))
+    finally:
+        for path in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     return summary
 
 
-def _output_dir(args, exp) -> str:
+def _output_dir(args, exp, names) -> str:
     """The run's output directory: --output-dir, else the config's. ConfigError
     if the path, or the nearest of its parents that exists, is not a directory,
+    or if one of `names`, the files the command writes there, is a directory,
     so that no run trains first and then fails to write its artifacts."""
     out_dir = args.output_dir or exp.output_dir
     path = os.path.abspath(out_dir)
@@ -63,6 +85,9 @@ def _output_dir(args, exp) -> str:
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"output directory {out_dir} cannot be made: {path} is not a directory")
+    for name in names:
+        if os.path.isdir(os.path.join(out_dir, name)):
+            raise ConfigError(f"output file {os.path.join(out_dir, name)} is a directory")
     return out_dir
 
 
@@ -74,7 +99,7 @@ def cmd_train(args) -> int:
               file=sys.stderr)
     if kind == "federated":
         check_population(exp.fed, exp.data.partition)
-    out_dir = _output_dir(args, exp)
+    out_dir = _output_dir(args, exp, RUN_FILES)
     records = exp.data.load_records()
     t0 = time.perf_counter()
     if kind == "centralized":
@@ -94,15 +119,13 @@ def parse_grid(text: str):
     each value >= 1. A K above the partition population is left to the cell."""
     cells = []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"grid cell {chunk!r} must be three integers K,E,R")
         try:
-            cells.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ConfigError(f"grid cell {chunk!r} must be three integers K,E,R")
-        if min(cells[-1]) < 1:
+            k, e, r = map(int, chunk.split(","))
+        except ValueError:  # a field count other than 3, or a field that is no integer
+            raise ConfigError(f"grid cell {chunk!r} must be three integers K,E,R") from None
+        if min(k, e, r) < 1:
             raise ConfigError(f"grid cell {chunk!r} must hold K, E and R >= 1")
+        cells.append((k, e, r))
     if not cells:
         raise ConfigError("ablation grid is empty")
     return cells
@@ -111,7 +134,7 @@ def parse_grid(text: str):
 def cmd_ablate(args) -> int:
     grid = parse_grid(args.grid)
     exp = load_experiment(args.config, args.set)
-    out_dir = _output_dir(args, exp)
+    out_dir = _output_dir(args, exp, ("ablation.csv",))
     records = exp.data.load_records()  # every cell trains on the same records
     rows = []
     for k, e, r in grid:
@@ -120,9 +143,9 @@ def cmd_ablate(args) -> int:
             state = run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
                                   eval_frac=exp.data.eval_frac)
             last = state.history[-1]
-            rows.append((k, e, r, last.eval_accuracy, last.eval_f1, ""))
+            rows.append((k, e, r, f"{last.eval_accuracy:.4f}", f"{last.eval_f1:.4f}", ""))
         except FedLoraError as exc:
-            rows.append((k, e, r, None, None, str(exc)))
+            rows.append((k, e, r, "", "", str(exc)))
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")
@@ -130,19 +153,14 @@ def cmd_ablate(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["num_clients", "client_epochs", "global_epochs",
                          "eval_accuracy", "eval_f1", "error"])
-        for k, e, r, acc, f1, err in rows:
-            writer.writerow([k, e, r,
-                             "" if acc is None else f"{acc:.4f}",
-                             "" if f1 is None else f"{f1:.4f}", err])
+        writer.writerows(rows)
 
     header = f"{'Num Clients':>11}  {'Client Epochs':>13}  {'Global Epochs':>13}  {'Eval Accuracy':>13}  {'Eval F1':>8}"
     print(header)
     print("-" * len(header))
     for k, e, r, acc, f1, err in rows:
-        if acc is None:
-            print(f"{k:>11}  {e:>13}  {r:>13}  {'failed: ' + err}")
-        else:
-            print(f"{k:>11}  {e:>13}  {r:>13}  {acc:>13.4f}  {f1:>8.4f}")
+        result = f"{acc:>13}  {f1:>8}" if acc else f"failed: {err}"
+        print(f"{k:>11}  {e:>13}  {r:>13}  {result}")
     print(f"table written to {csv_path}")
     return 0
 
@@ -178,6 +196,9 @@ def cmd_report(args) -> int:
         raise ConfigError(f"--plot-csv {args.plot_csv} is not in an existing directory")
     if args.plot_csv and os.path.isdir(args.plot_csv):
         raise ConfigError(f"--plot-csv {args.plot_csv} is a directory")
+    if args.plot_csv and os.path.realpath(args.plot_csv) in {
+            os.path.realpath(os.path.join(args.run_dir, name)) for name in RUN_FILES}:
+        raise ConfigError(f"--plot-csv {args.plot_csv} is one of the run's files")
     reports = _read_rounds(rounds_path)
 
     print(f"{'round':>5}  {'accuracy':>8}  {'F1':>8}  {'uplink B':>10}  {'downlink B':>10}")
@@ -241,6 +262,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # e.g. a corpus or vocabulary too large to allocate
         print(f"runtime error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. a full disk while a run's files are written
+        print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 
 

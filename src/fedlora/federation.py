@@ -124,17 +124,6 @@ class GlobalState:
     def round_idx(self) -> int:  # rounds completed: a failed round appends no report
         return len(self.history)
 
-    def summary(self) -> dict:
-        last = self.history[-1] if self.history else None
-        return {
-            "rounds": self.round_idx,
-            "final_eval_accuracy": last.eval_accuracy if last else None,
-            "final_eval_f1": last.eval_f1 if last else None,
-            "total_uplink_bytes": sum(r.uplink_bytes for r in self.history),
-            "total_downlink_bytes": sum(r.downlink_bytes for r in self.history),
-            "processes": self.processes,
-        }
-
 
 def sgd_step(params, eta: float):
     """Plain gradient descent: p <- p - eta * grad, skipping absent grads."""

@@ -1,12 +1,16 @@
 """The benchmark hooks fedlora by function name (`perfbench/child.py`), so a
 rename there would silently empty its metrics or its per-layer breakdown. Run
-one tiny CLI run through it in each mode and check what the hooks saw."""
+one tiny CLI run through it in each mode and check what the hooks saw, and
+apply `perfbench/run.py`'s own checks of the files the CLI wrote."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fedlora
 from fedlora import rng
@@ -63,3 +67,25 @@ def test_bench_child_writes_each_ablate_cells_checkpoints(tmp_path):
     for i in range(2):
         for name in ("base_model.bin", "adapters.bin"):
             assert (tmp_path / "run" / f"cell{i}" / name).stat().st_size > 0
+
+
+def load_bench():
+    """perfbench/run.py as a module, for its checks of a run."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+@pytest.mark.parametrize("cli_args,n_cells", [(["train-federated"], 1),
+                                               (["ablate", "--grid", "1,1,1;2,1,1"], 2)])
+def test_bench_checks_pass_on_what_the_cli_writes(tmp_path, cli_args, n_cells):
+    # as run.py spawns it: the CLI writes to OUT/cli, every cell returns, and
+    # check_run compares the CLI's files (rounds.jsonl or ablation.csv) with the
+    # returned states and reloads each final state's checkpoint
+    out = tmp_path / "run"
+    child = run_child(tmp_path, "run", cli_args[0], *cli_args[1:], "--output-dir", str(out / "cli"))
+    run = {"mode": "run", "dir": str(out), "exit_code": 0, "completed": True, "child": child}
+    bench = load_bench()
+    assert len(child["cells"]) == n_cells
+    assert bench.check_run(run, cli_args, bench.trajectory(child["cells"])) == []

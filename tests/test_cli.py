@@ -4,11 +4,12 @@ import os
 
 import pytest
 
-from fedlora import config
-from fedlora.cli import main, parse_grid
+from fedlora import checkpoint, cli, config
+from fedlora.cli import RUN_FILES, main, parse_grid
 from fedlora.config import load_experiment
 from fedlora.data import load_corpus, save_corpus, synth_corpus
 from fedlora.errors import ConfigError
+from fedlora.federation import run_federated
 
 TINY_DOC = {
     "model": {"vocab_size": 200, "d_model": 8, "n_heads": 2, "n_layers": 1,
@@ -372,7 +373,39 @@ def test_output_dir_that_is_a_file_exits_2_before_reading_records(tmp_path, monk
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file\n"
 
 
-@pytest.mark.parametrize("plot", ["missing/x.csv", "run"])
+RUN_FILE_TAKEN = [("train-federated", name) for name in RUN_FILES] + [
+    ("train-centralized", "summary.json"), ("ablate", "ablation.csv")]
+
+
+@pytest.mark.parametrize("command,name", RUN_FILE_TAKEN)
+def test_output_file_that_is_a_directory_exits_2_before_reading_records(
+        tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(config, "synth_corpus", no_records)
+    cfg, _ = write_config(tmp_path, output_dir="out")
+    (tmp_path / "out" / name).mkdir(parents=True)
+    (tmp_path / "out" / "rounds.jsonl.old").write_text("an earlier run\n", encoding="utf-8")
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]  # after train-centralized's K warning
+    assert err == f"error: output file {os.path.join('out', name)} is a directory"
+    assert sorted(os.listdir(tmp_path / "out")) == sorted([name, "rounds.jsonl.old"])
+    assert os.listdir(tmp_path / "out" / name) == []
+
+
+def test_save_that_fails_midway_exits_1_leaving_no_run_file(tmp_path, monkeypatch, capsys):
+    def disk_full(path, vocab):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(checkpoint, "save_vocab", disk_full)
+    cfg, out = write_config(tmp_path)
+    assert main(["train-federated", cfg]) == 1
+    assert capsys.readouterr().err.startswith("runtime error: [Errno 28] No space left on device")
+    assert os.listdir(out) == []
+
+
+# a directory, a path in none, and two of the run's own files (RUN_FILES)
+@pytest.mark.parametrize("plot", ["missing/x.csv", "run", "run/rounds.jsonl",
+                                  "./run/../run/summary.json"])
 def test_report_plot_csv_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, plot):
     monkeypatch.chdir(tmp_path)
     write_rounds(tmp_path / "run", GOOD_ROUND)
@@ -380,6 +413,7 @@ def test_report_plot_csv_that_cannot_be_written_exits_2(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: --plot-csv {plot} ") and captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["run"] and os.listdir(tmp_path / "run") == ["rounds.jsonl"]
+    assert (tmp_path / "run" / "rounds.jsonl").read_text(encoding="utf-8") == GOOD_ROUND + "\n"
 
 
 def test_more_clients_than_the_partition_exits_2_before_reading_records(tmp_path, monkeypatch,
@@ -421,10 +455,19 @@ def test_parse_grid():
             parse_grid(f"1,1,1;{cell}")
 
 
-def test_ablate_grid_value_below_1_exits_2_writing_nothing(tmp_path, capsys):
+BAD_GRIDS = {  # grid cell: expected message
+    "1,2": "must be three integers K,E,R",
+    "1,2,3,4": "must be three integers K,E,R",
+    "1,x,3": "must be three integers K,E,R",
+    "0,1,1": "must hold K, E and R >= 1",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(BAD_GRIDS))
+def test_ablate_bad_grid_cell_exits_2_writing_nothing(tmp_path, capsys, cell):
     cfg, out = write_config(tmp_path)
-    assert main(["ablate", cfg, "--grid", "0,1,1"]) == 2
-    assert "error: grid cell '0,1,1' must hold K, E and R >= 1" in capsys.readouterr().err
+    assert main(["ablate", cfg, "--grid", f"1,1,1;{cell}"]) == 2
+    assert capsys.readouterr().err == f"error: grid cell {cell!r} {BAD_GRIDS[cell]}\n"
     assert not os.path.exists(out)
 
 
@@ -441,13 +484,42 @@ def test_ablate_writes_table(tmp_path, capsys):
     assert "Eval F1" in capsys.readouterr().out
 
 
-def test_ablate_records_infeasible_cell(tmp_path):
+def test_ablate_records_infeasible_cell(tmp_path, capsys):
     cfg, out = write_config(tmp_path)
     # K=5 exceeds the 2-shard partition population: recorded, not fatal
     assert main(["ablate", cfg, "--grid", "2,1,1;5,1,1"]) == 0
+    error = "fed.n_clients (5) exceeds the partitioned client population (2)"
     with open(f"{out}/ablation.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["error"] == "" and rows[1]["error"] != ""
+        assert fh.read().splitlines() == [
+            "num_clients,client_epochs,global_epochs,eval_accuracy,eval_f1,error",
+            "2,1,1,0.3333,0.5000,",
+            f"5,1,1,,,{error}"]
+    assert capsys.readouterr().out.splitlines() == [
+        "Num Clients  Client Epochs  Global Epochs  Eval Accuracy   Eval F1",
+        "-" * 66,
+        "          2              1              1         0.3333    0.5000",
+        f"          5              1              1  failed: {error}",
+        f"table written to {os.path.join(out, 'ablation.csv')}"]
+
+
+def test_summary_follows_the_round_log(tmp_path, monkeypatch):
+    states = []
+
+    def keep_state(*args, **kwargs):
+        states.append(run_federated(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(cli, "run_federated", keep_state)
+    cfg, out = write_config(tmp_path, fed={**TINY_DOC["fed"], "rounds": 3})
+    assert main(["train-federated", cfg]) == 0
+    reports = [json.loads(line) for line in open(f"{out}/rounds.jsonl", encoding="utf-8")]
+    summary = read_summary(out)
+    assert summary["rounds"] == len(reports) == 3
+    assert summary["total_uplink_bytes"] == sum(r["uplink_bytes"] for r in reports)
+    assert summary["total_downlink_bytes"] == sum(r["downlink_bytes"] for r in reports)
+    assert summary["final_eval_accuracy"] == reports[-1]["eval_accuracy"]
+    assert summary["final_eval_f1"] == reports[-1]["eval_f1"]
+    assert summary["processes"] == states[0].processes
 
 
 def test_ablate_empty_grid_exits_2(tmp_path):
@@ -507,7 +579,7 @@ def test_report_rejects_malformed_round_line_naming_file_and_line(tmp_path, caps
     assert captured.out == "" and not (tmp_path / "plot.csv").exists()
 
 
-def test_report_plot_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+def test_report_plot_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
     run = tmp_path / "run"
     write_rounds(run, GOOD_ROUND, GOOD_ROUND)
     plot = tmp_path / "plot.csv"
@@ -525,8 +597,8 @@ def test_report_plot_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
             return self.fh.write(text)
 
     monkeypatch.setattr(csv, "writer", lambda fh: real_writer(FailsAfterFirstWrite(fh)))
-    with pytest.raises(OSError, match="disk full"):
-        main(["report", str(run), "--plot-csv", str(plot)])
+    assert main(["report", str(run), "--plot-csv", str(plot)]) == 1
+    assert capsys.readouterr().err == "runtime error: disk full\n"
     assert plot.read_text(encoding="utf-8") == "an earlier plot\n"
     assert sorted(os.listdir(tmp_path)) == ["plot.csv", "run"]
 

@@ -165,7 +165,7 @@ def test_helpers_fork_once_per_run_not_per_round(monkeypatch):
         assert state.round_idx == 3
         # 4 clients and one 24-record eval batch: process_count(4) - 1 helpers
         assert forks == [TEST_PID] * (federation.process_count(4) - 1) == [TEST_PID] * (cores - 1)
-        assert state.processes == state.summary()["processes"] == cores
+        assert state.processes == cores
 
 
 def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
