@@ -81,7 +81,7 @@ def read_text(path, what: str, error: type, **open_kwargs):
 
 
 def _write_array(fh, arr: np.ndarray):
-    fh.write(arr.astype("<f8").tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # through the buffer: no bytes copy
 
 
 def _bytes_left(fh) -> int:

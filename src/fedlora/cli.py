@@ -76,12 +76,13 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
 
 def _output_dir(args, exp, names) -> str:
     """The run's output directory: --output-dir, else the config's. ConfigError
-    if the path, or the nearest of its parents that exists, is not a directory,
+    if the path, or the nearest of its parents that exists (a dangling
+    symbolic link counts as existing), is not a directory,
     or if one of `names`, the files the command writes there, is a directory,
     so that no run trains first and then fails to write its artifacts."""
     out_dir = args.output_dir or exp.output_dir
     path = os.path.abspath(out_dir)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"output directory {out_dir} cannot be made: {path} is not a directory")
@@ -257,14 +258,11 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FedLoraError as exc:
+    except (FedLoraError, OSError) as exc:  # OSError: e.g. a full disk while a run's files are written
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a corpus or vocabulary too large to allocate
         print(f"runtime error: out of memory: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # e.g. a full disk while a run's files are written
-        print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,8 @@ int field an integer in [-2**63, 2**63) (the i64 the checkpoint headers
 pack the model's and the adapters' integers in; a seed given through the
 Python API may lie outside it, and the headers pack its 64-bit word), and no
 number is a bool.
-`DataConfig.validate` checks the source, and `lora.rank` must fit every
-target matrix of the model.
+`DataConfig.validate` checks the source, and `LoraConfig.validate`, the one
+rank check, requires `lora.rank` to fit every target matrix of the model.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .checkpoint import read_text
 from .data import PartitionSpec, load_corpus, n_eval, synth_corpus
 from .errors import ConfigError
 from .federation import FedConfig
-from .lora import LoraConfig, check_rank
+from .lora import LoraConfig
 from .model import ModelConfig
 
 
@@ -90,8 +90,7 @@ class ExperimentConfig:
 
     def validate(self):
         self.model.validate()
-        self.lora.validate()
-        check_rank(self.lora, self.model)
+        self.lora.validate(self.model)
         self.fed.validate()
         self.data.validate()
 

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import rng
 from .autodiff import Tensor
 from .errors import ConfigError, ProtocolError
-from .model import LAYER_MATRIX_NAMES, EncoderModel, ModelConfig, _xavier, param_shapes
+from .model import LAYER_MATRIX_NAMES, EncoderModel, ModelConfig, _xavier, build_model, param_shapes
 
 _ALIASES = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", **{n: n for n in LAYER_MATRIX_NAMES}}
 
@@ -56,14 +56,21 @@ class LoraConfig:
         names = {canonical_target(t) for t in self.targets}
         return tuple(n for n in LAYER_MATRIX_NAMES if n in names)
 
-    def validate(self):
+    def validate(self, model_cfg: ModelConfig):
+        """ConfigError for a bad field, or unless rank < min(d, k) for each
+        (d x k) matrix it targets in a model_cfg encoder (every layer has the
+        same shapes). This is the one rank check."""
         if self.rank < 1:
             raise ConfigError(f"lora.rank must be >= 1, got {self.rank}")
         if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"lora.alpha must be positive and finite, got {self.alpha}")
         if not self.targets:
             raise ConfigError("lora.targets must not be empty")
-        self.canonical_targets()
+        shapes = dict(param_shapes(model_cfg))
+        for name in self.canonical_targets():
+            limit = min(shapes[f"layer0.{name}"])
+            if self.rank >= limit:
+                raise ConfigError(f"lora.rank {self.rank} must be < min(d, k) = {limit} for matrix {name}")
 
 
 class Adapter(NamedTuple):
@@ -108,20 +115,9 @@ class AdaptedModel:
         return AdaptedModel(self.base, self.lora_cfg, self.adapters, self.head_w, self.head_b)
 
 
-def check_rank(cfg: LoraConfig, model_cfg: ModelConfig):
-    """ConfigError unless cfg.rank < min(d, k) for each (d x k) matrix that
-    cfg targets in a model_cfg encoder (every layer has the same shapes)."""
-    shapes = dict(param_shapes(model_cfg))
-    for name in cfg.canonical_targets():
-        limit = min(shapes[f"layer0.{name}"])
-        if cfg.rank >= limit:
-            raise ConfigError(f"lora.rank {cfg.rank} must be < min(d, k) = {limit} for matrix {name}")
-
-
 def attach_adapters(base: EncoderModel, cfg: LoraConfig) -> AdaptedModel:
     """Wrap a plain encoder with zero-initialized adapters (B=0 => no-op)."""
-    cfg.validate()
-    check_rank(cfg, base.cfg)
+    cfg.validate(base.cfg)
     adapters = {}
     for li in range(base.cfg.n_layers):
         for name in cfg.canonical_targets():
@@ -136,24 +132,15 @@ def merge_adapters(am: AdaptedModel) -> EncoderModel:
     """Materialize W0 + scale * B @ A into a plain encoder; adapters are discarded."""
     if not isinstance(am, AdaptedModel):
         raise TypeError(f"merge_adapters expects an AdaptedModel, got {type(am).__name__}")
-    base, scale = am.base, am.lora_cfg.scale
-    layers = []
-    for li, layer in enumerate(base.layers):
-        merged = {}
-        for name, tensor in layer.items():
-            adapter = am.adapters.get((li, name))
-            data = (tensor.data.copy() if adapter is None
-                    else tensor.data + scale * (adapter.b.data @ adapter.a.data))
-            merged[name] = Tensor(data)
-        layers.append(merged)
-    return EncoderModel(
-        cfg=base.cfg,
-        tok_emb=Tensor(base.tok_emb.data.copy()),
-        pos_emb=Tensor(base.pos_emb.data.copy()),
-        layers=layers,
-        head_w=Tensor(am.head_w.data.copy()),
-        head_b=Tensor(am.head_b.data.copy()),
-    )
+
+    def merged(tag, _rows, _cols):  # a copy of what model.forward reads for the tag
+        if not tag.startswith("layer"):
+            return getattr(am, tag).data.copy()
+        li, name = tag.removeprefix("layer").split(".")
+        w, adapter = am.layers[int(li)][name].data, am.adapters.get((int(li), name))
+        return w.copy() if adapter is None else w + am.lora_cfg.scale * (adapter.b.data @ adapter.a.data)
+
+    return build_model(am.cfg, merged)
 
 
 def trainable_param_count(am: AdaptedModel) -> tuple[int, dict]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,7 @@ def build_vocab(texts: list[str], max_size: int) -> Vocab:
         raise ConfigError(f"vocab max_size must be >= {N_RESERVED}, got {max_size}")
     if not texts:
         raise DataError("cannot build vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
-    for text in texts:
-        for tok in word_tokens(text):
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(tok for text in texts for tok in word_tokens(text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocab([tok for tok, _ in ranked[: max_size - N_RESERVED]])
 

@@ -46,6 +46,12 @@ def test_matmul_gradient_matches_finite_differences():
     assert ad.grad_check(f, [a, b], eps=1e-5) < 1e-6
 
 
+def test_grad_check_rejects_an_eps_above_1e_2():
+    x = Tensor(np.ones((1, 1)), requires_grad=True)
+    with pytest.raises(ConfigError, match=r"grad_check eps must be in \(0, 1e-2\], got 0.1"):
+        ad.grad_check(lambda: x, [x], eps=0.1)
+
+
 def test_softmax_symmetry_and_stability():
     out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]])

@@ -194,6 +194,7 @@ MODEL_CORRUPTIONS = {
     "negative_vocab_size": lambda b: _patch(b, 8, struct.pack("<q", -5)),
     "zero_d_model": lambda b: _patch(b, 16, struct.pack("<q", 0)),
     "trailing_bytes": lambda b: b + bytes(8),
+    "version_2": lambda b: _patch(b, 4, struct.pack("<I", 2)),
 }
 ADAPTER_CORRUPTIONS = {
     "rank_zero": lambda b: _patch(b, 8, struct.pack("<q", 0)),
@@ -204,6 +205,7 @@ ADAPTER_CORRUPTIONS = {
     "unknown_target": lambda b: b.replace(b"0:wq", b"0:zz", 1),
     "empty_name_blob": lambda b: b[:32] + struct.pack("<I", 0) + b[36 + len(b"0:wq,0:wv"):],
     "trailing_bytes": lambda b: b + bytes(8),
+    "version_2": lambda b: _patch(b, 4, struct.pack("<I", 2)),
 }
 
 
@@ -253,3 +255,27 @@ def test_vocab_file_not_utf8_raises_schema_error(tmp_path):
     path.write_bytes(b"stress\n\xff\xfecalm\n")
     with pytest.raises(SchemaError):
         load_vocab(path)
+
+
+ARRAY_LAYOUTS = {  # id: the (rows x cols) array, in this layout, of a float64 one
+    "c_contiguous": lambda a: a,
+    "transposed_view": lambda a: np.ascontiguousarray(a.T).T,
+    "float32": lambda a: a.astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(ARRAY_LAYOUTS))
+def test_saves_write_each_array_as_its_little_endian_float64_bytes(tmp_path, layout):
+    am = attach_adapters(init_model(small_cfg()), LoraConfig(rank=2, seed=3, targets=("q", "v")))
+    for p in am.base.parameters() + am.trainable_parameters():
+        p.data = ARRAY_LAYOUTS[layout](p.data + 0.5)
+    if layout == "transposed_view":
+        assert not am.base.tok_emb.data.flags.c_contiguous
+    # headers: magic, version and 8 x i64 (72 bytes); magic, version, rank,
+    # alpha, seed, blob length and the blob b"0:wq,0:wv" (45 bytes)
+    for save, model, header, arrays in (
+            (save_model, am.base, 72, [p.data for p in am.base.parameters()]),
+            (save_adapters, am, 45, [extract_trainable(am)])):
+        save(tmp_path / "out.bin", model)
+        assert (tmp_path / "out.bin").read_bytes()[header:] == b"".join(
+            arr.astype("<f8").tobytes() for arr in arrays)

@@ -153,6 +153,15 @@ BAD_CONFIGS = {  # id: (config document, extra CLI arguments, expected message)
                                    "unknown partition strategy"),
     "quantity_ratios_not_summing_to_1": (with_partition(strategy="quantity_skew", ratios=[0.5, 0.4]), [],
                                          "sum to 1"),
+    "partition_n_clients_0": (with_partition(n_clients=0), [], "partition.n_clients must be >= 1, got 0"),
+    "label_skew_alpha_0": (with_partition(strategy="label_skew", alpha=0), [],
+                           "partition.alpha must be positive, got 0"),
+    "quantity_ratios_one_short": (with_partition(strategy="quantity_skew", ratios=[1.0]), [],
+                                  "partition.ratios must have one entry per client"),
+    "unknown_aggregation": (TINY_DOC, ["--set", "fed.aggregation=median"], "unknown aggregation 'median'"),
+    "lora_targets_empty": (TINY_DOC, ["--set", "lora.targets=[]"], "lora.targets must not be empty"),
+    "n_classes_3": (TINY_DOC, ["--set", "model.n_classes=3"],
+                    "model.n_classes must be 2 for the stress task, got 3"),
 }
 
 
@@ -373,6 +382,21 @@ def test_output_dir_that_is_a_file_exits_2_before_reading_records(tmp_path, monk
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file\n"
 
 
+@pytest.mark.parametrize("command", ["train-federated", "train-centralized", "ablate"])
+def test_output_dir_that_is_a_dangling_link_exits_2_before_reading_records(tmp_path, monkeypatch,
+                                                                           capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(config, "synth_corpus", no_records)
+    cfg, _ = write_config(tmp_path, output_dir="link")
+    os.symlink("missing", "link")
+    for out in ([], ["--output-dir", "link/sub"]):
+        assert main([command, cfg, *out]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]  # after train-centralized's K warning
+        assert err.startswith("error: output directory link") and "is not a directory" in err
+    assert sorted(os.listdir(tmp_path)) == ["exp.json", "link"]
+    assert os.readlink("link") == "missing"
+
+
 RUN_FILE_TAKEN = [("train-federated", name) for name in RUN_FILES] + [
     ("train-centralized", "summary.json"), ("ablate", "ablation.csv")]
 
@@ -432,6 +456,21 @@ def test_int_is_a_number_for_float_fields(tmp_path):
     exp = load_experiment(cfg, ["fed.eta=1", "lora.alpha=2", "data.partition.alpha=3"])
     assert (exp.fed.eta, exp.lora.alpha, exp.data.partition.alpha) == (1, 2, 3)
     assert exp.lora.targets == ("q", "v")
+
+
+def test_null_lora_alpha_writes_the_adapters_of_an_unset_one(tmp_path):
+    adapters = []
+    for name, lora in (("null", {**TINY_DOC["lora"], "alpha": None}), ("unset", TINY_DOC["lora"])):
+        cfg, _ = write_config(tmp_path, lora=lora, output_dir=str(tmp_path / name))
+        assert main(["train-federated", cfg]) == 0
+        adapters.append((tmp_path / name / "adapters.bin").read_bytes())
+    assert adapters[0] == adapters[1]
+
+
+def test_partition_n_clients_defaults_to_fed_n_clients(tmp_path):
+    partition = {k: v for k, v in TINY_DOC["data"]["partition"].items() if k != "n_clients"}
+    cfg, _ = write_config(tmp_path, data={**TINY_DOC["data"], "partition": partition})
+    assert load_experiment(cfg, ["fed.n_clients=3"]).data.partition.n_clients == 3
 
 
 def test_missing_config_exits_2(tmp_path):

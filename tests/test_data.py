@@ -44,6 +44,12 @@ def test_load_corpus_bad_label_reports_row(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_empty_text_reports_row(tmp_path):
+    path = write_csv(tmp_path, ["0,fine,0", '1," ",1'])
+    with pytest.raises(DataError, match="empty text at row 3"):
+        load_corpus(path)
+
+
 def test_corpus_round_trips_through_csv(tmp_path):
     records = synth_corpus(20, seed=3)
     path = tmp_path / "out.csv"

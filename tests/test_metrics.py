@@ -20,6 +20,11 @@ def test_confusion_length_mismatch():
         confusion([1], [1, 0])
 
 
+def test_confusion_rejects_a_label_other_than_0_or_1():
+    with pytest.raises(DataError, match="labels must be 0 or 1, got pred=2 gold=0"):
+        confusion([2], [0])
+
+
 def test_confusion_matches_naive_recount():
     gen = np.random.default_rng(0)
     preds = gen.integers(0, 2, size=1000).tolist()

@@ -37,6 +37,11 @@ def test_build_vocab_empty_corpus():
         build_vocab([], max_size=10)
 
 
+def test_build_vocab_max_size_below_the_reserved_ids():
+    with pytest.raises(ConfigError, match="vocab max_size must be >= 3, got 2"):
+        build_vocab(["a b"], 2)
+
+
 def test_build_vocab_respects_max_size():
     v = build_vocab(["a b c d e f"], max_size=5)
     assert len(v.id_to_token) == 5 - M.N_RESERVED
