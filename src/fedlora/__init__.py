@@ -1,6 +1,13 @@
 """Desk-scale federated LoRA fine-tuning simulator for binary text
 classification, built on a minimal reverse-mode autodiff engine."""
 
+import os
+
+# One BLAS thread per process, set before any submodule imports NumPy: the
+# helper processes are the parallelism. A value the caller set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .autodiff import Graph, Tensor, grad_check
 from .data import ClientShard, PartitionSpec, Record, load_corpus, partition_clients, split_train_eval, synth_corpus
 from .federation import FedConfig, GlobalState, RoundReport, comm_cost, fedavg, run_centralized, run_federated

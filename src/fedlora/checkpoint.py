@@ -11,7 +11,8 @@ Adapter file: magic b"FLLA", u32 version, i64 rank, f8 alpha, i64 seed,
               the classifier head weight and bias: the head is part of the
               trainable set, so it ships with the adapters).
 Vocab file:   one token per line, utf-8; id = line number - 1 + 3 (ids 0-2
-              are reserved for PAD/UNK/CLS).
+              are reserved for PAD/UNK/CLS). A blank line or a repeated
+              token raises SchemaError naming the line.
 
 A seed field holds the seed's 64-bit word in signed form, (seed + 2**63) %
 2**64 - 2**63: a seed in [-2**63, 2**63) as it is, and one from the Python
@@ -199,4 +200,12 @@ def save_vocab(path, vocab: Vocab):
 
 def load_vocab(path) -> Vocab:
     with read_text(path, "vocab", SchemaError) as fh:
-        return Vocab([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        tokens = [line.rstrip("\n") for line in fh]
+    first_line = {}
+    for line_no, token in enumerate(tokens, 1):
+        if not token:
+            raise SchemaError(f"{path}:{line_no} is a blank line, not a vocab token")
+        if token in first_line:
+            raise SchemaError(f"{path}:{line_no} repeats the vocab token of line {first_line[token]}")
+        first_line[token] = line_no
+    return Vocab(tokens)

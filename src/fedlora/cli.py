@@ -1,13 +1,9 @@
-"""Command-line entry point.
+"""Command-line entry point: train-federated, train-centralized, ablate, report.
 
-Subcommands: train-federated, train-centralized, ablate, report.
-Exit codes: 0 success, 1 runtime failure (a failed round included: a killed
-worker, or every client failed or diverged; running out of memory; and an
-OSError such as a full disk), 2 config/usage error, which includes an output
-file name that is taken by a directory. A training run writes its RUN_FILES
-only after its last round: each under a temp name beside its target, then
-all moved into place, so a run that exits 1 leaves none of them. This module
-alone builds what a run writes.
+A training run writes its RUN_FILES only after its last round: each under a
+temp name beside its target, then all moved into place, so a run that exits
+1 leaves none of them. This module alone builds what a run writes. Each exit
+code and error message is listed in README's "Exit codes and errors" table.
 """
 
 from __future__ import annotations
@@ -76,11 +72,13 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
 
 def _output_dir(args, exp, names) -> str:
     """The run's output directory: --output-dir, else the config's. ConfigError
-    if the path, or the nearest of its parents that exists (a dangling
-    symbolic link counts as existing), is not a directory,
+    if the path is empty, if it or the nearest of its parents that exists (a
+    dangling symbolic link counts as existing) is not a directory,
     or if one of `names`, the files the command writes there, is a directory,
     so that no run trains first and then fails to write its artifacts."""
-    out_dir = args.output_dir or exp.output_dir
+    out_dir = exp.output_dir if args.output_dir is None else args.output_dir
+    if not out_dir:
+        raise ConfigError("output directory is an empty path")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -193,6 +191,8 @@ def cmd_report(args) -> int:
     rounds_path = os.path.join(args.run_dir, "rounds.jsonl")
     if not os.path.exists(rounds_path):
         raise ConfigError(f"no rounds.jsonl in {args.run_dir}")
+    if args.plot_csv == "":
+        raise ConfigError(f"--plot-csv {args.plot_csv} is an empty path")
     if args.plot_csv and not os.path.isdir(os.path.dirname(args.plot_csv) or "."):
         raise ConfigError(f"--plot-csv {args.plot_csv} is not in an existing directory")
     if args.plot_csv and os.path.isdir(args.plot_csv):

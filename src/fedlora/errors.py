@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping (see cli.py): ConfigError/SchemaError -> 2, everything
-else -> 1.
+Exit-code mapping (cli.main): ConfigError/SchemaError -> 2, everything
+else -> 1. README's "Exit codes and errors" table lists each case.
 """
 
 

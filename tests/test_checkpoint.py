@@ -250,10 +250,19 @@ def test_huge_header_raises_schema_error_before_allocating(tmp_path, header):
     assert peak < 1_000_000
 
 
-def test_vocab_file_not_utf8_raises_schema_error(tmp_path):
+VOCAB_CORRUPTIONS = {  # id: (file bytes, expected message); save_vocab writes neither of the last two
+    "not_utf8": (b"stress\n\xff\xfecalm\n", "is not valid utf-8"),
+    "blank_line": (b"alpha\n\nbeta\n", "vocab.txt:2 is a blank line"),
+    "repeated_token": (b"alpha\nbeta\nalpha\n", "vocab.txt:3 repeats the vocab token of line 1"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(VOCAB_CORRUPTIONS))
+def test_corrupt_vocab_file_raises_schema_error(tmp_path, corruption):
+    data, message = VOCAB_CORRUPTIONS[corruption]
     path = tmp_path / "vocab.txt"
-    path.write_bytes(b"stress\n\xff\xfecalm\n")
-    with pytest.raises(SchemaError):
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match=message):
         load_vocab(path)
 
 

@@ -1,9 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedlora
 from fedlora import checkpoint, cli, config
 from fedlora.cli import RUN_FILES, main, parse_grid
 from fedlora.config import load_experiment
@@ -57,6 +61,39 @@ def test_rerun_is_deterministic(tmp_path):
     second = read_summary(out)
     for key in ("final_eval_accuracy", "final_eval_f1", "total_uplink_bytes"):
         assert first[key] == second[key]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(threads):
+    """This environment with fedlora importable and the BLAS thread variables
+    unset (threads None) or all set to `threads`."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(fedlora.__file__).parents[1])
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, str(threads)))
+    return env
+
+
+@pytest.mark.parametrize("threads,expected", [(None, "1"), (2, "2")])
+def test_import_pins_one_blas_thread_unless_the_caller_set_a_count(threads, expected):
+    code = "import os, fedlora; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=blas_env(threads),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected}\n"
+
+
+def test_adapters_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    cfg, _ = write_config(tmp_path)
+    for threads in (1, 2):
+        proc = subprocess.run([sys.executable, "-m", "fedlora.cli", "train-federated", cfg,
+                               "--output-dir", str(tmp_path / str(threads))],
+                              env=blas_env(threads), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "1" / "adapters.bin").read_bytes() \
+        == (tmp_path / "2" / "adapters.bin").read_bytes()
 
 
 def test_csv_source_trains_like_the_same_synthetic_records(tmp_path):
@@ -162,6 +199,7 @@ BAD_CONFIGS = {  # id: (config document, extra CLI arguments, expected message)
     "lora_targets_empty": (TINY_DOC, ["--set", "lora.targets=[]"], "lora.targets must not be empty"),
     "n_classes_3": (TINY_DOC, ["--set", "model.n_classes=3"],
                     "model.n_classes must be 2 for the stress task, got 3"),
+    "output_dir_empty": ({**TINY_DOC, "output_dir": ""}, [], "output directory is an empty path"),
 }
 
 
@@ -397,6 +435,18 @@ def test_output_dir_that_is_a_dangling_link_exits_2_before_reading_records(tmp_p
     assert os.readlink("link") == "missing"
 
 
+@pytest.mark.parametrize("command", ["train-federated", "train-centralized", "ablate"])
+def test_empty_output_dir_exits_2_before_reading_records(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(config, "synth_corpus", no_records)
+    cfg, _ = write_config(tmp_path, output_dir="out")
+    for out in (["--output-dir", ""], ["--set", 'output_dir=""']):
+        assert main([command, cfg, *out]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]  # after train-centralized's K warning
+        assert err == "error: output directory is an empty path"
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 RUN_FILE_TAKEN = [("train-federated", name) for name in RUN_FILES] + [
     ("train-centralized", "summary.json"), ("ablate", "ablation.csv")]
 
@@ -427,8 +477,8 @@ def test_save_that_fails_midway_exits_1_leaving_no_run_file(tmp_path, monkeypatc
     assert os.listdir(out) == []
 
 
-# a directory, a path in none, and two of the run's own files (RUN_FILES)
-@pytest.mark.parametrize("plot", ["missing/x.csv", "run", "run/rounds.jsonl",
+# an empty path, a directory, a path in none, and two of the run's own files (RUN_FILES)
+@pytest.mark.parametrize("plot", ["", "missing/x.csv", "run", "run/rounds.jsonl",
                                   "./run/../run/summary.json"])
 def test_report_plot_csv_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, plot):
     monkeypatch.chdir(tmp_path)
