@@ -24,10 +24,14 @@ A file that is short, carries trailing bytes, or holds a header the model
 or adapter config rejects raises SchemaError, and a length or model size
 that exceeds the bytes left in the file is refused before any allocation.
 
-Every save goes through `write_atomically`, so a save that fails or a
-process that dies midway never leaves a half-written file under the
-target name. Every text file the program reads, here and in the config,
-data and cli modules, is opened with `read_text`.
+Every file the program writes reaches its name through `write_atomically`:
+each target is written under a temp name beside it, once all are written
+they are moved into place with os.replace in the order given, and on any
+exception the temp files left are removed, so no target is left
+half-written. The savers here stage their own file; a run that stages its
+RUN_FILES passes them temp paths, and the staging nests. Every text file the
+program reads, here and in the config, data and cli modules, is opened with
+`read_text`.
 """
 
 from __future__ import annotations
@@ -50,19 +54,18 @@ VERSION = 1
 
 
 @contextlib.contextmanager
-def write_atomically(path, mode: str, **open_kwargs):
-    """open(path, mode) that writes a temp file beside `path` and moves it into
-    place with os.replace only once the block completes; on any exception the
-    temp file is removed and an existing `path` is left as it was."""
-    tmp = f"{path}.tmp{os.getpid()}"
+def write_atomically(*paths):
+    """Yield a list of temp paths, one beside each of `paths`, for the block to
+    write; staged as the module docstring says."""
+    tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 @contextlib.contextmanager
@@ -92,7 +95,7 @@ def _bytes_left(fh) -> int:
 def _read(fh, n: int) -> bytes:
     left = _bytes_left(fh)
     if n > left:  # refuse before reading, so a bad length allocates nothing
-        raise SchemaError(f"checkpoint truncated: wanted {n} bytes, {left} left")
+        raise SchemaError(f"{fh.name}: checkpoint truncated: wanted {n} bytes, {left} left")
     return fh.read(n)
 
 
@@ -110,7 +113,7 @@ def _read_preamble(fh, path, magic: bytes, kind: str):
         raise SchemaError(f"{path} is not a fedlora {kind} checkpoint")
     (version,) = _unpack(fh, "<I")
     if version != VERSION:
-        raise SchemaError(f"unsupported {kind} checkpoint version {version}")
+        raise SchemaError(f"{path} has unsupported {kind} checkpoint version {version}")
 
 
 def _expect_end(fh, path):
@@ -124,7 +127,7 @@ def _i64(seed: int) -> int:
 
 
 def save_model(path, m: EncoderModel):
-    with write_atomically(path, "wb") as fh:
+    with write_atomically(path) as [tmp], open(tmp, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<8q", *dataclasses.astuple(m.cfg)[:-1], _i64(m.cfg.seed)))
@@ -154,7 +157,7 @@ def save_adapters(path, am: AdaptedModel):
     cfg = am.lora_cfg
     names = ",".join(f"{li}:{name}" for li, name in am.adapters)
     blob = names.encode("utf-8")
-    with write_atomically(path, "wb") as fh:
+    with write_atomically(path) as [tmp], open(tmp, "wb") as fh:
         fh.write(ADAPTER_MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<qdq", cfg.rank, cfg.alpha_or_rank, _i64(cfg.seed)))
@@ -163,7 +166,7 @@ def save_adapters(path, am: AdaptedModel):
         _write_array(fh, extract_trainable(am))
 
 
-def _parse_adapter_names(blob: bytes) -> list[tuple[int, str]]:
+def _parse_adapter_names(path, blob: bytes) -> list[tuple[int, str]]:
     try:
         keys = []
         for entry in blob.decode("utf-8").split(","):
@@ -171,7 +174,7 @@ def _parse_adapter_names(blob: bytes) -> list[tuple[int, str]]:
             keys.append((int(li), name))
         return keys
     except ValueError as exc:  # also covers UnicodeDecodeError
-        raise SchemaError(f"malformed adapter name list: {exc}") from exc
+        raise SchemaError(f"{path} has a malformed adapter name list: {exc}") from exc
 
 
 def load_adapters(path, base: EncoderModel) -> AdaptedModel:
@@ -179,21 +182,21 @@ def load_adapters(path, base: EncoderModel) -> AdaptedModel:
         _read_preamble(fh, path, ADAPTER_MAGIC, "adapter")
         rank, alpha, seed = _unpack(fh, "<qdq")
         (blob_len,) = _unpack(fh, "<I")
-        keys = _parse_adapter_names(_read(fh, blob_len))
+        keys = _parse_adapter_names(path, _read(fh, blob_len))
         targets = tuple(dict.fromkeys(name for _, name in keys))
         try:
             am = attach_adapters(base, LoraConfig(rank=rank, alpha=alpha, targets=targets, seed=seed))
         except ConfigError as exc:
             raise SchemaError(f"{path} has an invalid adapter header: {exc}") from exc
         if list(am.adapters) != keys:
-            raise SchemaError("adapter checkpoint layout does not match the base model")
+            raise SchemaError(f"{path} has an adapter layout that does not match the base model")
         load_trainable(am, _read_array(fh, (trainable_param_count(am)[0],)))
         _expect_end(fh, path)
     return am
 
 
 def save_vocab(path, vocab: Vocab):
-    with write_atomically(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as [tmp], open(tmp, "w", encoding="utf-8") as fh:
         for token in vocab.id_to_token:
             fh.write(token + "\n")
 

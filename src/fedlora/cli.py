@@ -1,24 +1,24 @@
 """Command-line entry point: train-federated, train-centralized, ablate, report.
 
-A training run writes its RUN_FILES only after its last round: each under a
-temp name beside its target, then all moved into place, so a run that exits
-1 leaves none of them. This module alone builds what a run writes. Each exit
-code and error message is listed in README's "Exit codes and errors" table.
+A training run writes its RUN_FILES only after its last round, all through
+one `checkpoint.write_atomically`. This module alone builds what a run
+writes. Each exit code and error message is listed in README's "Exit codes
+and errors" table.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import json
 import os
+import pathlib
 import sys
 import time
 
 from . import checkpoint
 from .config import load_experiment
+from .data import save_csv
 from .errors import ConfigError, FedLoraError, SchemaError
 from .federation import check_population, run_centralized, run_federated
 from .lora import trainable_param_count
@@ -27,15 +27,8 @@ from .lora import trainable_param_count
 RUN_FILES = ("rounds.jsonl", "summary.json", "adapters.bin", "base_model.bin", "vocab.txt")
 
 
-def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_run_artifacts(out_dir: str, state, wall_time: float):
-    """Write RUN_FILES into out_dir: each under a temp name beside its target,
-    then all moved into place. A save that fails removes the temp files, so
-    the run leaves none of its files."""
+    """Write RUN_FILES into out_dir, all or none of them."""
     last = state.history[-1]  # run_* return only after all fed.rounds >= 1 rounds report
     n_trainable, breakdown = trainable_param_count(state.model)
     total_params = state.model.base.param_count()
@@ -52,21 +45,17 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
         "trainable_ratio": n_trainable / total_params,
         "wall_time_s": wall_time,
     }
-    staged = {name: os.path.join(out_dir, f"{name}.tmp{os.getpid()}") for name in RUN_FILES}
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        _write_text(staged["rounds.jsonl"], "".join(json.dumps(report.to_dict(), sort_keys=True)
-                                                    + "\n" for report in state.history))
-        _write_text(staged["summary.json"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        checkpoint.save_adapters(staged["adapters.bin"], state.model)
-        checkpoint.save_model(staged["base_model.bin"], state.model.base)
-        checkpoint.save_vocab(staged["vocab.txt"], state.vocab)
-        for name in RUN_FILES:
-            os.replace(staged[name], os.path.join(out_dir, name))
-    finally:
-        for path in staged.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+    with checkpoint.write_atomically(*(os.path.join(out_dir, name) for name in RUN_FILES)) as (
+            rounds_path, summary_path, adapters_path, model_path, vocab_path):
+        pathlib.Path(rounds_path).write_text(
+            "".join(json.dumps(report.to_dict(), sort_keys=True) + "\n" for report in state.history),
+            encoding="utf-8")
+        pathlib.Path(summary_path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                                              encoding="utf-8")
+        checkpoint.save_adapters(adapters_path, state.model)
+        checkpoint.save_model(model_path, state.model.base)
+        checkpoint.save_vocab(vocab_path, state.vocab)
     return summary
 
 
@@ -148,11 +137,8 @@ def cmd_ablate(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")
-    with checkpoint.write_atomically(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["num_clients", "client_epochs", "global_epochs",
-                         "eval_accuracy", "eval_f1", "error"])
-        writer.writerows(rows)
+    save_csv(csv_path, ["num_clients", "client_epochs", "global_epochs", "eval_accuracy",
+                         "eval_f1", "error"], rows)
 
     header = f"{'Num Clients':>11}  {'Client Epochs':>13}  {'Global Epochs':>13}  {'Eval Accuracy':>13}  {'Eval F1':>8}"
     print(header)
@@ -212,10 +198,8 @@ def cmd_report(args) -> int:
     print(f"total communication: {cum_up} bytes up, {cum_down} bytes down over {len(reports)} rounds")
 
     if args.plot_csv:
-        with checkpoint.write_atomically(args.plot_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            writer.writerows([rep[key] for key in REPORT_COLUMNS] for rep in reports)
+        save_csv(args.plot_csv, REPORT_COLUMNS, ([rep[key] for key in REPORT_COLUMNS]
+                                                 for rep in reports))
         print(f"plot data written to {args.plot_csv}")
     return 0
 

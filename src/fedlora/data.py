@@ -2,7 +2,8 @@
 
 CSV input needs at least `text` and `label` columns (RFC-4180 quoting, so
 embedded commas/newlines in post text are fine); extra columns, such as the
-Dreaddit subreddit field, are ignored. `save_corpus` writes id,text,label.
+Dreaddit subreddit field, are ignored. `save_corpus` writes id,text,label
+atomically, through `save_csv`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .checkpoint import read_text
+from .checkpoint import read_text, write_atomically
 from .errors import ConfigError, DataError, SchemaError
 
 
@@ -74,10 +75,10 @@ def load_corpus(path) -> list[Record]:
             for i, row in enumerate(reader):
                 raw = (row["label"] or "").strip()
                 if raw not in ("0", "1"):
-                    raise DataError(f"unparsable label {raw!r} at row {i + 2} of {path}")
+                    raise SchemaError(f"unparsable label {raw!r} at row {i + 2} of {path}")
                 text = (row["text"] or "").strip()
                 if not text:
-                    raise DataError(f"empty text at row {i + 2} of {path}")
+                    raise SchemaError(f"empty text at row {i + 2} of {path}")
                 records.append(Record(id=i, text=text, label=int(raw)))
         except csv.Error as exc:
             # DictReader.line_num is set after each row; its csv.reader's counts the failing line
@@ -85,13 +86,17 @@ def load_corpus(path) -> list[Record]:
     return records
 
 
+def save_csv(path, header, rows):
+    """Write a header and rows as CSV, through `write_atomically`."""
+    with write_atomically(path) as [tmp], open(tmp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_corpus(records, path):
     """Write records to the same CSV schema load_corpus reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "text", "label"])
-        for r in records:
-            writer.writerow([r.id, r.text, r.label])
+    save_csv(path, ["id", "text", "label"], ([r.id, r.text, r.label] for r in records))
 
 
 def n_eval(n: int, eval_frac: float) -> int:

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -60,7 +61,7 @@ def test_model_load_rejects_truncation(tmp_path):
     path = tmp_path / "model.bin"
     save_model(path, m)
     path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="model.bin is too short for the model its header describes"):
         load_model(path)
 
 
@@ -113,7 +114,7 @@ def test_adapter_load_rejects_mismatched_base(tmp_path):
     path = tmp_path / "adapters.bin"
     save_adapters(path, am)
     other = init_model(small_cfg(d_model=8, n_layers=2))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="adapters.bin has an adapter layout that does not match the base"):
         load_adapters(path, other)
 
 
@@ -171,7 +172,7 @@ def test_model_file_cut_at_every_offset_raises_schema_error(tmp_path):
     good = path.read_bytes()
     for cut in range(len(good)):
         path.write_bytes(good[:cut])
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=re.escape(str(path))):  # every message names the file
             load_model(path)
 
 
@@ -180,7 +181,7 @@ def test_adapter_file_cut_at_every_offset_raises_schema_error(tmp_path):
     good = path.read_bytes()
     for cut in range(len(good)):
         path.write_bytes(good[:cut])
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
             load_adapters(path, base)
 
 
@@ -190,30 +191,42 @@ def _patch(data: bytes, offset: int, new: bytes) -> bytes:
 
 # header layout: magic (4) + version (4), then the model's 8 x i64 config
 # fields, or the adapter's rank, alpha, seed (24), name blob length (4), blob
-MODEL_CORRUPTIONS = {
-    "negative_vocab_size": lambda b: _patch(b, 8, struct.pack("<q", -5)),
-    "zero_d_model": lambda b: _patch(b, 16, struct.pack("<q", 0)),
-    "trailing_bytes": lambda b: b + bytes(8),
-    "version_2": lambda b: _patch(b, 4, struct.pack("<I", 2)),
+MODEL_CORRUPTIONS = {  # id: (corruption, expected message)
+    "negative_vocab_size": (lambda b: _patch(b, 8, struct.pack("<q", -5)),
+                            "model.bin has an invalid model header: model.vocab_size must be >= 3"),
+    "zero_d_model": (lambda b: _patch(b, 16, struct.pack("<q", 0)),
+                     "model.bin has an invalid model header: model.d_model must be >= 1"),
+    "trailing_bytes": (lambda b: b + bytes(8), "model.bin has trailing bytes after the last array"),
+    "version_2": (lambda b: _patch(b, 4, struct.pack("<I", 2)),
+                  "model.bin has unsupported model checkpoint version 2"),
 }
-ADAPTER_CORRUPTIONS = {
-    "rank_zero": lambda b: _patch(b, 8, struct.pack("<q", 0)),
-    "alpha_nan": lambda b: _patch(b, 16, struct.pack("<d", float("nan"))),
-    "names_not_utf8": lambda b: _patch(b, 36, b"\xff\xfe"),
-    "name_without_colon": lambda b: b.replace(b"0:wq", b"0;wq", 1),
-    "layer_not_an_int": lambda b: b.replace(b"0:wq", b"x:wq", 1),
-    "unknown_target": lambda b: b.replace(b"0:wq", b"0:zz", 1),
-    "empty_name_blob": lambda b: b[:32] + struct.pack("<I", 0) + b[36 + len(b"0:wq,0:wv"):],
-    "trailing_bytes": lambda b: b + bytes(8),
-    "version_2": lambda b: _patch(b, 4, struct.pack("<I", 2)),
+MALFORMED_NAMES = "adapters.bin has a malformed adapter name list"
+ADAPTER_CORRUPTIONS = {  # id: (corruption, expected message)
+    "rank_zero": (lambda b: _patch(b, 8, struct.pack("<q", 0)),
+                  "adapters.bin has an invalid adapter header: lora.rank must be >= 1"),
+    "alpha_nan": (lambda b: _patch(b, 16, struct.pack("<d", float("nan"))),
+                  "adapters.bin has an invalid adapter header: lora.alpha must be positive and finite"),
+    "names_not_utf8": (lambda b: _patch(b, 36, b"\xff\xfe"), f"{MALFORMED_NAMES}: 'utf-8' codec"),
+    "name_without_colon": (lambda b: b.replace(b"0:wq", b"0;wq", 1),
+                           f"{MALFORMED_NAMES}: not enough values to unpack"),
+    "layer_not_an_int": (lambda b: b.replace(b"0:wq", b"x:wq", 1),
+                         f"{MALFORMED_NAMES}: invalid literal for int"),
+    "unknown_target": (lambda b: b.replace(b"0:wq", b"0:zz", 1),
+                       "adapters.bin has an invalid adapter header: unknown LoRA target matrix 'zz'"),
+    "empty_name_blob": (lambda b: b[:32] + struct.pack("<I", 0) + b[36 + len(b"0:wq,0:wv"):],
+                        f"{MALFORMED_NAMES}: not enough values to unpack"),
+    "trailing_bytes": (lambda b: b + bytes(8), "adapters.bin has trailing bytes after the last array"),
+    "version_2": (lambda b: _patch(b, 4, struct.pack("<I", 2)),
+                  "adapters.bin has unsupported adapter checkpoint version 2"),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
 def test_corrupt_model_file_raises_schema_error(tmp_path, corruption):
     _, path, _ = write_tiny_checkpoints(tmp_path)
-    path.write_bytes(MODEL_CORRUPTIONS[corruption](path.read_bytes()))
-    with pytest.raises(SchemaError):
+    corrupt, message = MODEL_CORRUPTIONS[corruption]
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(SchemaError, match=message):
         load_model(path)
 
 
@@ -222,8 +235,9 @@ def test_corrupt_adapter_file_raises_schema_error(tmp_path, corruption):
     base, _, path = write_tiny_checkpoints(tmp_path)
     good = path.read_bytes()
     assert good[36:36 + 9] == b"0:wq,0:wv"
-    path.write_bytes(ADAPTER_CORRUPTIONS[corruption](good))
-    with pytest.raises(SchemaError):
+    corrupt, message = ADAPTER_CORRUPTIONS[corruption]
+    path.write_bytes(corrupt(good))
+    with pytest.raises(SchemaError, match=message):
         load_adapters(path, base)
 
 

@@ -131,13 +131,13 @@ def test_config_with_a_byte_order_mark_loads_like_the_same_file_without(tmp_path
     assert load_experiment(str(marked)) == load_experiment(cfg)
 
 
-def test_unparsable_csv_label_exits_1(tmp_path, capsys):
+def test_unparsable_csv_label_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("text,label\ncalm sunny day,0\nmystery row,maybe\n", encoding="utf-8")
     cfg, _ = write_config(tmp_path, data=dict(TINY_DOC["data"], source={"csv": str(corpus)}))
-    assert main(["train-federated", cfg]) == 1
+    assert main(["train-federated", cfg]) == 2
     err = capsys.readouterr().err
-    assert "runtime error" in err and "unparsable label" in err
+    assert "error:" in err and "unparsable label" in err
 
 
 def test_set_override_changes_rounds(tmp_path):

@@ -1,4 +1,5 @@
 import collections
+import csv
 
 import numpy as np
 import pytest
@@ -40,13 +41,13 @@ def test_load_corpus_missing_column(tmp_path):
 
 def test_load_corpus_bad_label_reports_row(tmp_path):
     path = write_csv(tmp_path, ["0,fine,0", "1,bad,2"])
-    with pytest.raises(DataError, match="row 3"):
+    with pytest.raises(SchemaError, match="unparsable label '2' at row 3"):
         load_corpus(path)
 
 
 def test_load_corpus_empty_text_reports_row(tmp_path):
     path = write_csv(tmp_path, ["0,fine,0", '1," ",1'])
-    with pytest.raises(DataError, match="empty text at row 3"):
+    with pytest.raises(SchemaError, match="empty text at row 3"):
         load_corpus(path)
 
 
@@ -57,6 +58,32 @@ def test_corpus_round_trips_through_csv(tmp_path):
     loaded = load_corpus(path)
     assert [r.text for r in loaded] == [r.text for r in records]
     assert [r.label for r in loaded] == [r.label for r in records]
+
+
+def test_save_corpus_that_fails_midway_leaves_no_target_or_temp_file(tmp_path, monkeypatch):
+    real_writer = csv.writer
+
+    class FailsAfterFirstRow:
+        def __init__(self, fh):
+            self.fh, self.rows = fh, 0
+
+        def write(self, text):
+            self.rows += 1
+            if self.rows > 1:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(csv, "writer", lambda fh: real_writer(FailsAfterFirstRow(fh)))
+    path = tmp_path / "out.csv"
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(synth_corpus(20, seed=3), path)
+    assert list(tmp_path.iterdir()) == []
+
+    path.write_text("an earlier corpus\n", encoding="utf-8")
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(synth_corpus(20, seed=3), path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "an earlier corpus\n"
 
 
 # splitting -----------------------------------------------------------------
