@@ -25,11 +25,14 @@ or adapter config rejects raises SchemaError, and a length or model size
 that exceeds the bytes left in the file is refused before any allocation.
 
 Every file the program writes reaches its name through `write_atomically`:
-each target is written under a temp name beside it, once all are written
-they are moved into place with os.replace in the order given, and on any
-exception the temp files left are removed, so no target is left
-half-written. The savers here stage their own file; a run that stages its
-RUN_FILES passes them temp paths, and the staging nests. Every text file the
+each target is written under a temp name beside it, `{target}.tmp<pid>`,
+once all are written they are moved into place with os.replace in the order
+given, and on any exception the temp files left are removed, so no target is
+left half-written. A process killed before it could remove its temp files
+leaves them behind; the next staging of the same target removes every
+`{target}.tmp<pid>` whose pid is no live process. The savers here stage
+their own file; a run that stages its RUN_FILES passes them temp paths, and
+the staging nests. Every text file the
 program reads, here and in the config, data and cli modules, is opened with
 `read_text`.
 """
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import glob
 import os
+import re
 import struct
 
 import numpy as np
@@ -53,10 +58,33 @@ ADAPTER_MAGIC = b"FLLA"
 VERSION = 1
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
+
+
+def _remove_stale_temps(path):
+    """Remove `{path}.tmp<pid>` files, and their nested stages, whose pid is
+    no live process: what a run killed while staging left behind."""
+    path = os.fspath(path)
+    for tmp in glob.glob(glob.escape(f"{path}.tmp") + "[0-9]*"):
+        match = re.fullmatch(r"\.tmp(\d+)(\.tmp\d+)*", tmp[len(path):])
+        if match and not _alive(int(match[1])):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 @contextlib.contextmanager
 def write_atomically(*paths):
     """Yield a list of temp paths, one beside each of `paths`, for the block to
     write; staged as the module docstring says."""
+    for path in paths:
+        _remove_stale_temps(path)
     tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
     try:
         yield tmps

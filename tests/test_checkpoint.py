@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import tracemalloc
@@ -302,3 +303,20 @@ def test_saves_write_each_array_as_its_little_endian_float64_bytes(tmp_path, lay
         save(tmp_path / "out.bin", model)
         assert (tmp_path / "out.bin").read_bytes()[header:] == b"".join(
             arr.astype("<f8").tobytes() for arr in arrays)
+
+
+def test_staging_removes_a_dead_processes_temp_files_and_keeps_a_live_ones(tmp_path):
+    pid = os.fork()  # a pid that is no live process once reaped
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    target = tmp_path / "summary.json"
+    dead = [f"{target}.tmp{pid}", f"{target}.tmp{pid}.tmp{pid}"]
+    kept = [f"{target}.tmp{os.getppid()}",  # a live process's, mid-staging
+            f"{target}.tmp{pid}x", f"{target}.tmpx", f"{tmp_path / 'rounds.jsonl'}.tmp{pid}"]
+    for path in dead + kept:
+        open(path, "w", encoding="utf-8").close()
+    with checkpoint.write_atomically(target) as [tmp]:
+        open(tmp, "w", encoding="utf-8").close()
+    assert not any(os.path.exists(path) for path in dead)
+    assert all(os.path.exists(path) for path in kept) and target.exists()
