@@ -2,9 +2,11 @@
 
 Define-by-run: ops executed inside a `with Graph() as g:` block are recorded
 on the tape in insertion order; `g.backward(loss)` replays the tape in exact
-reverse insertion order, accumulating gradients into `.grad` slots, and then
-drops the tape. Ops executed with no open graph run forward-only (evaluation
-mode).
+reverse insertion order, accumulating gradients into `.grad` slots. Each node
+is taken off the tape as it runs and is freed once it has run, with its
+closure, the arrays it saved and its output's gradient, so the tape shrinks
+as the backward unwinds. Ops executed with no open graph run forward-only
+(evaluation mode).
 
 `Tensor.requires_grad` is the one record of gradient need: an op's output
 needs a gradient iff one of its inputs does, and an op with only frozen
@@ -85,20 +87,26 @@ class Graph:
             t.grad += delta
 
     def backward(self, loss: Tensor):
+        """Run the tape backward from `loss`, popping each node as it runs: a
+        node, its saved arrays and its output's gradient are freed once it has
+        run, so the step's peak stays near what the forward left live. The tape
+        is empty afterwards, however the backward ends."""
         if not any(out is loss for out, _ in reversed(self._nodes)):
             raise StateError("loss is not an output on this graph's tape (empty tape, backward "
                              "already ran, another graph's loss, or a loss that needs no gradient)")
         if loss.data.shape != (1, 1):
             raise ShapeError(f"loss must be scalar (1x1), got {loss.data.shape}")
         loss.grad = np.ones((1, 1))
+        nodes = self._nodes
         try:
-            for out, backward_fn in reversed(self._nodes):
+            while nodes:
+                out, backward_fn = nodes.pop()  # rebinding frees the node that ran before
                 if out.grad is not None:
                     backward_fn(out.grad)
         finally:
             # each node's closure refers back to this graph; dropping the nodes
             # breaks that cycle, so the activations are freed now, not by the GC
-            self._nodes.clear()
+            nodes.clear()
 
 
 def zero_grads(tensors: Sequence[Tensor]):

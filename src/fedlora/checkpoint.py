@@ -120,10 +120,14 @@ def _bytes_left(fh) -> int:
     return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
-def _read(fh, n: int) -> bytes:
+def _check_left(fh, n: int):
     left = _bytes_left(fh)
     if n > left:  # refuse before reading, so a bad length allocates nothing
         raise SchemaError(f"{fh.name}: checkpoint truncated: wanted {n} bytes, {left} left")
+
+
+def _read(fh, n: int) -> bytes:
+    _check_left(fh, n)
     return fh.read(n)
 
 
@@ -132,8 +136,14 @@ def _unpack(fh, fmt: str) -> tuple:
 
 
 def _read_array(fh, shape) -> np.ndarray:
-    n = int(np.prod(shape))
-    return np.frombuffer(_read(fh, n * 8), dtype="<f8").reshape(shape).copy()
+    """A <f8 array of `shape` read straight into its own buffer: no bytes copy."""
+    n = 8 * int(np.prod(shape))
+    _check_left(fh, n)
+    arr = np.empty(shape, dtype="<f8")
+    got = fh.readinto(arr)
+    if got != n:  # the file shrank since the check
+        raise SchemaError(f"{fh.name}: checkpoint truncated: wanted {n} bytes, read {got}")
+    return arr
 
 
 def _read_preamble(fh, path, magic: bytes, kind: str):

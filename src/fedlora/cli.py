@@ -119,21 +119,26 @@ def parse_grid(text: str):
     return cells
 
 
+def _ablation_row(exp, records, k: int, e: int, r: int) -> tuple:
+    """One ablation.csv row: the (K, E, R) cell's final accuracy and F1, or its
+    error. The cell's state is dropped on return, so the next cell's set-up
+    does not run beside this cell's model."""
+    fed = dataclasses.replace(exp.fed, n_clients=k, local_epochs=e, rounds=r)
+    try:
+        state = run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
+                              eval_frac=exp.data.eval_frac)
+    except FedLoraError as exc:
+        return (k, e, r, "", "", str(exc))
+    last = state.history[-1]
+    return (k, e, r, f"{last.eval_accuracy:.4f}", f"{last.eval_f1:.4f}", "")
+
+
 def cmd_ablate(args) -> int:
     grid = parse_grid(args.grid)
     exp = load_experiment(args.config, args.set)
     out_dir = _output_dir(args, exp, ("ablation.csv",))
     records = exp.data.load_records()  # every cell trains on the same records
-    rows = []
-    for k, e, r in grid:
-        fed = dataclasses.replace(exp.fed, n_clients=k, local_epochs=e, rounds=r)
-        try:
-            state = run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
-                                  eval_frac=exp.data.eval_frac)
-            last = state.history[-1]
-            rows.append((k, e, r, f"{last.eval_accuracy:.4f}", f"{last.eval_f1:.4f}", ""))
-        except FedLoraError as exc:
-            rows.append((k, e, r, "", "", str(exc)))
+    rows = [_ablation_row(exp, records, *cell) for cell in grid]
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")

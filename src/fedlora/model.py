@@ -228,10 +228,10 @@ def forward(model, ids_batch) -> Tensor:
     last = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
         rows = x if li < last else ad.gather_rows(x, np.arange(n_seq) * seq_len)
-        q = model.linear(rows, li, "wq")
-        k = model.linear(x, li, "wk")
-        v = model.linear(x, li, "wv")
-        attn_out = model.linear(ad.attention(q, k, v, mask, cfg.n_heads), li, "wo")
+        # q, k and v are passed straight in, so off the tape they are freed
+        # when attention returns, not kept through the feed-forward block
+        attn_out = model.linear(ad.attention(model.linear(rows, li, "wq"), model.linear(x, li, "wk"),
+                                             model.linear(x, li, "wv"), mask, cfg.n_heads), li, "wo")
         x = ad.add_layer_norm(rows, attn_out, layer["ln1_gamma"], layer["ln1_beta"], LN_EPS)
         ff = model.linear(ad.relu(model.linear(x, li, "ff1")), li, "ff2")
         x = ad.add_layer_norm(x, ff, layer["ln2_gamma"], layer["ln2_beta"], LN_EPS)

@@ -27,12 +27,34 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def uniform_array(seed: int, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """n doubles in [low, high) from the counter-based SplitMix64 stream."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * GAMMA)
-    u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return low + u * (high - low)
+    """n doubles in [low, high) from the counter-based SplitMix64 stream:
+    low + ((mix64(seed + i * GAMMA) >> 11) * 2**-53) * (high - low), i = 1..n.
+
+    The mix runs in place in one full-size uint64 work array, with one
+    shift buffer that is freed before the float conversion, so the peak is
+    twice the output. The work array is kept whole on purpose: the sizes of
+    the arrays freed here move glibc's dynamic mmap and trim thresholds
+    (the mmap one starts at 128 KiB, and freeing a larger mmap-backed block
+    raises it), and with them the page faults of every later training step.
+    Mixed in blocks of 16384 values (128 KiB), which leave the threshold
+    near its start, the init made the round loop of the benchmark's skew
+    workload take 127K minor page faults instead of 1.5K (README, "Memory").
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= GAMMA
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):  # _mix64, in place
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    del shifted
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    u *= high - low
+    u += low
+    return u
 
 
 def derive(seed: int, *tags) -> int:

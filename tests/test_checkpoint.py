@@ -66,6 +66,14 @@ def test_model_load_rejects_truncation(tmp_path):
         load_model(path)
 
 
+def test_read_array_refuses_a_short_read(tmp_path, monkeypatch):
+    path = tmp_path / "arrays.bin"
+    path.write_bytes(np.arange(2.0).astype("<f8").tobytes())
+    monkeypatch.setattr(checkpoint, "_bytes_left", lambda fh: 24)  # as if the file shrank after the check
+    with open(path, "rb") as fh, pytest.raises(SchemaError, match="wanted 24 bytes, read 16"):
+        checkpoint._read_array(fh, (3,))
+
+
 def test_adapter_round_trip_bit_identical(tmp_path):
     base = init_model(small_cfg(seed=7))
     am = attach_adapters(base, LoraConfig(rank=2, seed=3, targets=("q", "v")))
