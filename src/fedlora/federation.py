@@ -13,15 +13,18 @@ the config and the encoded sets (each one id matrix, shared by the fork
 without copying). Both phases of a round go through `Helpers.map`. The eval
 batches (EVAL_ROWS token rows each; load: records) are split by `assign`,
 largest load first to the least-loaded process. The clients (load: E x
-training records) are split by `plan_training`: `assign`'s groups, unless
-its largest is more than one batch over max(largest load, ceil(total /
+training records) are split by `plan_training` into (client id, range of
+its SGD steps) pieces: a piece per client on `assign`'s groups, unless its
+largest is more than one batch over max(largest load, ceil(total /
 processes)); then McNaughton's wrap-around rule reaches that bound by
 cutting at most one client per pair of neighbouring processes at a step
 boundary. The cut client's head, its first steps, runs first on the later
 process and sends its carry (theta_k and the current epoch's losses so far)
-down a carry pipe, made at the fork, to the earlier process, whose last
-item is the tail: the remaining steps from that carry. Plain SGD keeps no
-state beyond theta_k, and each epoch's shuffle is derived from (seed,
+down that process's carry pipe to the earlier process, whose last piece is
+the tail: the remaining steps from that carry. The helpers are forked last
+first, each making its own carry pipe, so every process holds only the
+write end of its own pipe and the read end of the next one. Plain SGD keeps
+no state beyond theta_k, and each epoch's shuffle is derived from (seed,
 client, round, epoch), so the head and tail run the whole update's steps in
 its order, bit for bit.
 
@@ -169,6 +172,11 @@ def fedavg(thetas, weights=None) -> np.ndarray:
     return (np.stack(thetas) * w[:, None]).sum(axis=0) / w.sum()
 
 
+def sgd_steps(n: int, epochs: int, batch: int) -> int:
+    """SGD steps in a client update on n records: E x ceil(n / B)."""
+    return epochs * -(-n // batch)
+
+
 def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: EncodedSet,
                   cfg: FedConfig, round_idx: int, client_id: int,
                   steps: range | None = None, carry: tuple | None = None):
@@ -179,18 +187,18 @@ def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: Encod
     or theta_k raises ClientError, so a diverged client is skipped.
 
     A piece of the update runs only `steps`, a range of the client's
-    E x ceil(n / B) SGD steps in epoch order. A piece that starts after step
-    0 starts from `carry`, (theta_k before its first step, the losses of that
-    step's epoch so far), not from the snapshot; a piece that ends before the
-    last step returns its own carry. Each epoch's shuffle is derived from
+    `sgd_steps` in epoch order. A piece that starts after step 0 starts from
+    `carry`, (theta_k before its first step, the losses of that step's epoch
+    so far), not from the snapshot; a piece that ends before the last step
+    returns its own carry. Each epoch's shuffle is derived from
     (seed, client, round, epoch), so the pieces run the same steps as the
     whole update, bit for bit.
     """
     if len(train_set) == 0:
         raise ClientError(f"client {client_id} has an empty training set")
     n, size = len(train_set), cfg.batch_size
-    per_epoch = -(-n // size)
-    total = cfg.local_epochs * per_epoch
+    total = sgd_steps(n, cfg.local_epochs, size)
+    per_epoch = total // cfg.local_epochs
     steps = range(total) if steps is None else steps
     theta, losses = (snapshot, []) if carry is None else (carry[0], list(carry[1]))
     am = template.clone()
@@ -247,7 +255,8 @@ class Helpers:
     helpers is the in-process case and forks nothing. Process 0 is the run
     process and process i the i-th helper; carry pipe i runs from process
     i + 1 to process i, so that a client cut by `plan_training` can send its
-    head's carry down it to its tail.
+    head's carry down it to its tail. The helpers are forked last first, so
+    each one starts holding only its own carry ends (see `_fork`).
     """
 
     def __init__(self, n: int, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
@@ -255,22 +264,12 @@ class Helpers:
         self.template, self.client_sets, self.cfg, self.eval_set = template, client_sets, cfg, eval_set
         self.procs = []  # (pid, request pipe fd, reply pipe reader) per live helper
         self.carry_in = self.carry_out = None  # this process's ends of its carry pipes
-        carries = []
-        keep = None  # the run process's end of carry pipe 0, once every helper is forked
         try:
             for _ in range(n):
-                carries.append(os.pipe())
-            for i in range(n):
-                self.procs.append(self._fork(carries, i))
-            keep = carries[0][0] if carries else None
+                self.procs.insert(0, self._fork())
         except BaseException:
             self.close()
             raise
-        finally:
-            for fd in (fd for pipe in carries for fd in pipe if fd != keep):
-                os.close(fd)
-        if keep is not None:
-            self.carry_in = os.fdopen(keep, "rb")
 
     def __enter__(self):
         return self
@@ -284,25 +283,27 @@ class Helpers:
             if value is not getattr(self, name):
                 raise ProtocolError(f"the helpers were started with another {name}")
 
-    def _fork(self, carries: list, i: int):
+    def _fork(self):
+        """Fork the helper before those forked so far, with a new carry pipe:
+        the helper keeps its write end and the read end of the next helper's
+        pipe, which this process held; this process keeps the new read end."""
+        carry_r, carry_w = os.pipe()
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (request_r, request_w, reply_r, reply_w):
+            for fd in (carry_r, carry_w, request_r, request_w, reply_r, reply_w):
                 os.close(fd)
             raise
         if pid == 0:
-            self.carry_out = carries[i][1]
-            keep = {self.carry_out}
-            if i + 1 < len(carries):
-                keep.add(carries[i + 1][0])
-                self.carry_in = os.fdopen(carries[i + 1][0], "rb")
-            self._serve(request_r, reply_w, request_w, reply_r,
-                        *(fd for pipe in carries for fd in pipe if fd not in keep))
-        os.close(request_r)
-        os.close(reply_w)  # so the reader sees EOF once the helper exits
+            self.carry_out = carry_w
+            self._serve(request_r, reply_w, request_w, reply_r, carry_r)
+        for fd in (request_r, reply_w, carry_w):  # so each reader sees EOF once the helper exits
+            os.close(fd)
+        if self.carry_in is not None:
+            self.carry_in.close()
+        self.carry_in = os.fdopen(carry_r, "rb")
         return pid, request_w, os.fdopen(reply_r, "rb")
 
     def _serve(self, request_fd: int, reply_fd: int, *run_fds: int):
@@ -310,9 +311,9 @@ class Helpers:
         then exit. Never returns; a reply it cannot send exits with code 1."""
         code = 1
         try:
-            # drop the run process's ends of this helper's pipes, every other
-            # process's carry ends and every earlier helper's pipes, so each
-            # reader sees EOF as soon as the one process that writes to it ends
+            # drop the run process's ends of this helper's pipes and every
+            # later helper's pipes, so each reader sees EOF as soon as the
+            # one process that writes to it ends
             for fd in run_fds:
                 os.close(fd)
             procs, self.procs = self.procs, []
@@ -349,49 +350,45 @@ class Helpers:
 
     def _train(self, snapshot, round_idx: int, group: list) -> dict:
         """{client id: (theta_k, loss), or None if it raised ClientError} for
-        each whole client and tail in `group` (see `plan_training`), run in
-        order. A head's carry, or the exception it raised, goes down this
-        process's carry pipe instead; an exception other than ClientError is
-        also raised here. A tail waits for its carry, and the carry is taken
-        even when an earlier item raised, so none is left for the next round.
+        each piece in `group` (see `plan_training`), run in order, that ends
+        its client's update. A piece that starts later takes its carry from
+        the next process first; one that stops short sends its result, or the
+        exception it raised, down this process's carry pipe instead. An
+        exception other than ClientError is also raised here; the carry is
+        taken even when an earlier piece raised, so none is left for the next
+        round.
         """
-        head = group[0] if group and isinstance(group[0], tuple) and not group[0][1].start else None
-        tail = group[-1] if group and isinstance(group[-1], tuple) and group[-1][1].start else None
         out = {}
+        waiting = group[-1][0] if group and group[-1][1].start else None  # a carry to take
         try:
-            if head:
-                self._run_head(snapshot, round_idx, *head)
-            for item in group[bool(head):len(group) - bool(tail)]:
-                out[item] = self._update(snapshot, round_idx, item)
-            if tail:
-                cid, steps = tail
-                tail = None  # _update takes the carry; the finally must not wait again
-                out[cid] = self._update(snapshot, round_idx, cid, steps)
+            for cid, steps in group:
+                train_set = self.client_sets[cid]
+                sends = steps.stop < sgd_steps(len(train_set), self.cfg.local_epochs,
+                                               self.cfg.batch_size)
+                try:
+                    carry = None
+                    if steps.start:
+                        waiting = None  # taken here; the finally must not wait again
+                        carry = self._take_carry(round_idx, cid)
+                    ok, value = True, client_update(self.template, snapshot, train_set, self.cfg,
+                                                    round_idx, cid, steps, carry)
+                except Exception as exc:
+                    ok, value = False, exc
+                if sends:
+                    self._send_carry(round_idx, cid, (ok, value))
+                if not ok and not isinstance(value, ClientError):
+                    raise value
+                if not sends:
+                    out[cid] = value if ok else None
         finally:
-            if tail:
+            if waiting is not None:
                 with contextlib.suppress(Exception):
-                    self._take_carry(round_idx, tail[0])
+                    self._take_carry(round_idx, waiting)
         return out
 
-    def _update(self, snapshot, round_idx: int, cid, tail: range | None = None):
-        """client_update's result for cid, or for its tail's steps from the
-        carry its head sends; None if either raised ClientError."""
-        try:
-            piece = {} if tail is None else {"steps": tail, "carry": self._take_carry(round_idx, cid)}
-            return client_update(self.template, snapshot, self.client_sets[cid], self.cfg,
-                                 round_idx, cid, **piece)
-        except ClientError:
-            return None
-
-    def _run_head(self, snapshot, round_idx: int, cid, steps: range):
-        """Run cid's first `steps` and send their carry, or the exception
-        they raised, to the preceding process; raise that exception here
-        too, unless it is a ClientError, which the tail reports."""
-        try:
-            carry = (True, client_update(self.template, snapshot, self.client_sets[cid], self.cfg,
-                                         round_idx, cid, steps=steps))
-        except Exception as exc:
-            carry = (False, exc)
+    def _send_carry(self, round_idx: int, cid, carry: tuple):
+        """Send (True, carry) or (False, exception) of cid's first steps to
+        the preceding process."""
         try:
             data = pickle.dumps(carry)
         except Exception as exc:  # the tail must hear something, or it waits for good
@@ -399,8 +396,6 @@ class Helpers:
                 f"round {round_idx}: client {cid}: its first steps' result cannot be sent: {exc}")))
         with contextlib.suppress(BrokenPipeError):  # the tail's process is gone; map says so
             _write_all(self.carry_out, data)
-        if not carry[0] and not isinstance(carry[1], ClientError):
-            raise carry[1]
 
     def _take_carry(self, round_idx: int, cid):
         """The carry of cid's head from the next process; raises what the
@@ -418,11 +413,12 @@ class Helpers:
         """{item: result} over every item of `loads` ({item: load}).
 
         `plan(loads, n_proc)`, `assign` by default, splits the items over
-        n_proc = min(len(loads), helpers + 1) processes, at least 1. The
-        i-th helper answers (kind, *args, group i) while the run process
-        answers group 0 through the same `_answer`; their dicts are merged.
-        A client that `plan_training` cut has its head in group i + 1 and
-        its tail in group i, so its result comes from group i, trained on
+        n_proc = min(len(loads), helpers + 1) processes, at least 1;
+        `plan_training` makes each group a list of (client id, steps)
+        pieces. The i-th helper answers (kind, *args, group i) while the run
+        process answers group 0 through the same `_answer`; their dicts are
+        merged. A client that `plan_training` cut has its head in group i + 1
+        and its tail in group i, so its result comes from group i, trained on
         from the carry that group i + 1 sends down their carry pipe. Every
         reply is received even if group 0 raises. An exception a helper
         raised is raised again here; a helper that dies before it replies (a
@@ -490,17 +486,20 @@ def assign(loads: dict, n_proc: int) -> list[list]:
 
 def plan_training(sizes: dict, n_proc: int, epochs: int, batch: int) -> list[list]:
     """The training phase's groups for n_proc processes, given
-    {client id: training records}.
+    {client id: training records}: lists of (client id, range of its
+    `sgd_steps`) pieces.
 
-    A client's load is epochs x its records. `assign`'s groups stand unless
-    the largest is more than one batch over the bound C = max(largest load,
-    ceil(total / n_proc)); then McNaughton's wrap-around rule (Management
-    Science 6(1), 1959) reaches C: the clients are laid end to end in id
-    order and the line is cut every C. A client that straddles the cut after
-    group i is split at the step boundary nearest to where the cut falls in
-    its load: its head, (id, range(0, h)), runs first in group i + 1, and its
-    tail, (id, range(h, steps)), last in group i. Every other item is a whole
-    client's id. Since no load exceeds C, the head is due to end before the
+    A client's load is epochs x its records. `assign`'s groups, one whole
+    piece (id, range(steps)) per client, stand unless the largest is more
+    than one batch over the bound C = max(largest load, ceil(total /
+    n_proc)); then McNaughton's wrap-around rule (Management Science 6(1),
+    1959) reaches C: the clients are laid end to end in id order and the
+    line is cut every C. A client that straddles the cut after group i is
+    split at the step boundary nearest to where the cut falls in its load:
+    its head, (id, range(0, h)), runs first in group i + 1, and its tail,
+    (id, range(h, steps)), last in group i. An empty piece is dropped, but
+    an empty client keeps its one piece, so that its ClientError is still
+    reported. Since no load exceeds C, the head is due to end before the
     tail starts; each cut moves by at most half a batch, so no group ends
     more than one batch over C.
     """
@@ -508,29 +507,25 @@ def plan_training(sizes: dict, n_proc: int, epochs: int, batch: int) -> list[lis
     groups = assign(loads, n_proc)
     bound = max(max(loads.values(), default=0), -(-sum(loads.values()) // n_proc))
     if max(sum(loads[cid] for cid in group) for group in groups) <= bound + batch:
-        return groups
+        return [[(cid, range(sgd_steps(sizes[cid], epochs, batch))) for cid in group]
+                for group in groups]
     groups = [[] for _ in range(n_proc)]
     start = 0
     for cid in sorted(loads):
         i = min(start // bound, n_proc - 1)
         start += loads[cid]
+        n, h = sizes[cid], 0
+        steps = sgd_steps(n, epochs, batch)
         past_cut = start - (i + 1) * bound  # the load due in group i + 1
-        if past_cut <= 0:
-            groups[i].append(cid)
-            continue
-        n = sizes[cid]
-        per_epoch = -(-n // batch)
-        epoch, offset = divmod(past_cut, n)  # the head ends `offset` records into `epoch`
-        below = offset // batch * batch  # the step boundaries on either side of it
-        above = min(below + batch, n)
-        h = epoch * per_epoch + offset // batch + (above - offset < offset - below)
-        if h == 0:
-            groups[i + 1].append(cid)
-        elif h == epochs * per_epoch:
-            groups[i].append(cid)
-        else:
+        if past_cut > 0:
+            epoch, offset = divmod(past_cut, n)  # the head ends `offset` records into `epoch`
+            below = offset // batch * batch  # the step boundaries on either side of it
+            above = min(below + batch, n)
+            h = sgd_steps(n, epoch, batch) + offset // batch + (above - offset < offset - below)
+        if h:
             groups[i + 1].append((cid, range(h)))
-            groups[i].append((cid, range(h, epochs * per_epoch)))
+        if h < steps or not steps:
+            groups[i].append((cid, range(h, steps)))
     return groups
 
 

@@ -72,10 +72,10 @@ def patch_client_update(monkeypatch, on_worker):
     """client_update that calls on_worker(client_id) when it runs in a helper."""
     real = federation.client_update
 
-    def patched(template, snapshot, train_set, cfg, round_idx, client_id):
+    def patched(template, snapshot, train_set, cfg, round_idx, client_id, steps=None, carry=None):
         if in_worker():
             return on_worker(client_id)
-        return real(template, snapshot, train_set, cfg, round_idx, client_id)
+        return real(template, snapshot, train_set, cfg, round_idx, client_id, steps, carry)
 
     monkeypatch.setattr(federation, "client_update", patched)
 
@@ -343,7 +343,7 @@ def test_killed_worker_raises_round_error(monkeypatch):
     patch_client_update(monkeypatch, kill_self)
     state, sets, cfg, eval_set = two_client_round()
     with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
-        with pytest.raises(RoundError, match=r"round 0: clients \[1\].*killed by signal 9"):
+        with pytest.raises(RoundError, match=r"round 0: clients \[\(1, range\(0, 3\)\)\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 0 and not state.history
 
@@ -369,7 +369,7 @@ def test_idle_helper_killed_between_rounds_raises_round_error():
     with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
         run_round(state, sets, cfg, eval_set, helpers)
         os.kill(helpers.procs[0][0], signal.SIGKILL)
-        with pytest.raises(RoundError, match=r"round 1: clients \[1\].*killed by signal 9"):
+        with pytest.raises(RoundError, match=r"round 1: clients \[\(1, range\(0, 3\)\)\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 1 and len(state.history) == 1
 
@@ -408,7 +408,7 @@ def test_unpicklable_result_raises_round_error_and_child_never_returns(monkeypat
     patch_client_update(monkeypatch, lambda cid: (lambda: cid, 0.0))
     marker = tmp_path / "pids"
     try:
-        with pytest.raises(RoundError, match=r"clients \[1\].*exit code 1"):
+        with pytest.raises(RoundError, match=r"clients \[\(1, range\(0, 3\)\)\].*exit code 1"):
             run_two_client_round()
     finally:  # a helper that returned into the caller would append its pid too
         with open(marker, "a", encoding="utf-8") as fh:
