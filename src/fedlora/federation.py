@@ -6,36 +6,27 @@ Determinism contract: every batch shuffle is derived from
 (snapshot, shard, seed, client id, round), and aggregation sums in
 client-id order, so a run is bit-reproducible on any number of cores.
 
-Parallelism: `run_federated` forks `process_count(max(clients, eval
-batches)) - 1` helper processes once (`Helpers`), after the shards are
-encoded and the template is built, so every helper inherits the template,
-the config and the encoded sets (each one id matrix, shared by the fork
-without copying). Both phases of a round go through `Helpers.map`. The eval
-batches (EVAL_ROWS token rows each; load: records) are split by `assign`,
-largest load first to the least-loaded process. The clients (load: E x
-training records) are split by `plan_training` into (client id, range of
-its SGD steps) pieces: a piece per client on `assign`'s groups, unless its
-largest is more than one batch over max(largest load, ceil(total /
-processes)); then McNaughton's wrap-around rule reaches that bound by
-cutting at most one client per pair of neighbouring processes at a step
-boundary. The cut client's head, its first steps, runs first on the later
-process and sends its carry (theta_k and the current epoch's losses so far)
-down that process's carry pipe to the earlier process, whose last piece is
-the tail: the remaining steps from that carry. The helpers are forked last
-first, each making its own carry pipe, so every process holds only the
-write end of its own pipe and the read end of the next one. Plain SGD keeps
-no state beyond theta_k, and each epoch's shuffle is derived from (seed,
-client, round, epoch), so the head and tail run the whole update's steps in
-its order, bit for bit.
+Parallelism: `run_federated` forks max(`training_processes`,
+`process_count(eval batches)`) - 1 helper processes once (`Helpers`), after
+the shards are encoded and the template is built, so every helper inherits
+the template, the config and the encoded sets (each one id matrix, shared
+by the fork without copying). Both phases of a round go through
+`Helpers.map`, which splits them by `assign`, largest load first to the
+least-loaded process: the clients (load: E x training records) over every
+process, and after FedAvg the eval batches (EVAL_ROWS token rows each;
+load: records) over `process_count(eval batches)`. Training takes
+`process_count(clients)` processes unless `assign`'s groups on that many
+leave one more than a batch over max(largest load, ceil(total /
+processes)); then it takes one process per client, at most two per usable
+core, and the kernel shares the cores among them.
 
 A helper is sent only data: the snapshot and the round, or the new
 trainable vector and the batch size, plus its group; it sends back its
 pickled result through a pipe. The run process answers the first group
 itself through the same `Helpers._answer`, so an eval set of one batch
-never leaves it. A `ClientError` on a helper, or in a head, skips that
-client; any other exception is raised again in the run process; a helper
-that dies (killed, nonzero exit, short read) raises `RoundError`, and so
-does the tail of a head whose process died. Every helper is reaped when
+never leaves it. A `ClientError` on a helper skips that client; any other
+exception is raised again in the run process; a helper that dies (killed,
+nonzero exit, short read) raises `RoundError`. Every helper is reaped when
 `run_federated` returns or raises.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
@@ -53,9 +44,7 @@ received it.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import functools
 import math
 import os
 import pickle
@@ -172,56 +161,33 @@ def fedavg(thetas, weights=None) -> np.ndarray:
     return (np.stack(thetas) * w[:, None]).sum(axis=0) / w.sum()
 
 
-def sgd_steps(n: int, epochs: int, batch: int) -> int:
-    """SGD steps in a client update on n records: E x ceil(n / B)."""
-    return epochs * -(-n // batch)
-
-
 def client_update(template: AdaptedModel, snapshot: np.ndarray, train_set: EncodedSet,
-                  cfg: FedConfig, round_idx: int, client_id: int,
-                  steps: range | None = None, carry: tuple | None = None):
+                  cfg: FedConfig, round_idx: int, client_id: int):
     """Local training: clone the model, load the snapshot, run E epochs of SGD.
 
     Returns (theta_k, mean loss over the last epoch). The snapshot is never
     mutated; the clone is private to this call. A non-finite last-epoch loss
     or theta_k raises ClientError, so a diverged client is skipped.
-
-    A piece of the update runs only `steps`, a range of the client's
-    `sgd_steps` in epoch order. A piece that starts after step 0 starts from
-    `carry`, (theta_k before its first step, the losses of that step's epoch
-    so far), not from the snapshot; a piece that ends before the last step
-    returns its own carry. Each epoch's shuffle is derived from
-    (seed, client, round, epoch), so the pieces run the same steps as the
-    whole update, bit for bit.
     """
     if len(train_set) == 0:
         raise ClientError(f"client {client_id} has an empty training set")
-    n, size = len(train_set), cfg.batch_size
-    total = sgd_steps(n, cfg.local_epochs, size)
-    per_epoch = total // cfg.local_epochs
-    steps = range(total) if steps is None else steps
-    theta, losses = (snapshot, []) if carry is None else (carry[0], list(carry[1]))
     am = template.clone()
-    load_trainable(am, theta)
+    load_trainable(am, snapshot)
     params = am.trainable_parameters()
-    for step in steps:
-        epoch, batch = divmod(step, per_epoch)
-        if batch == 0 or step == steps.start:
-            perm = rng.permutation(rng.derive(cfg.seed, "batch", client_id, round_idx, epoch), n)
-            if batch == 0:
-                losses = []
-        idx = perm[batch * size:(batch + 1) * size]
-        zero_grads(params)
-        with Graph() as g:
-            logits = forward(am, train_set.ids[idx])
-            loss = cross_entropy(logits, train_set.labels[idx])
-        g.backward(loss)
-        sgd_step(params, cfg.eta)
-        losses.append(float(loss.data[0, 0]))
-    theta = extract_trainable(am)
-    if steps.stop < total:
-        return theta, losses
-    mean_loss = float(np.mean(losses))
+    n, losses = len(train_set), []
+    for epoch in range(cfg.local_epochs):
+        perm = rng.permutation(rng.derive(cfg.seed, "batch", client_id, round_idx, epoch), n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            zero_grads(params)
+            with Graph() as g:
+                logits = forward(am, train_set.ids[idx])
+                loss = cross_entropy(logits, train_set.labels[idx])
+            g.backward(loss)
+            sgd_step(params, cfg.eta)
+            losses.append(float(loss.data[0, 0]))
+    theta, mean_loss = extract_trainable(am), float(np.mean(losses))
     if not (np.isfinite(mean_loss) and np.isfinite(theta).all()):
         raise ClientError(f"client {client_id} diverged: non-finite loss or update")
     return theta, mean_loss
@@ -252,21 +218,18 @@ class Helpers:
 
     A helper inherits the template, the client sets, the config and the eval
     set at the fork, so a request carries only data (see `_answer`). Zero
-    helpers is the in-process case and forks nothing. Process 0 is the run
-    process and process i the i-th helper; carry pipe i runs from process
-    i + 1 to process i, so that a client cut by `plan_training` can send its
-    head's carry down it to its tail. The helpers are forked last first, so
-    each one starts holding only its own carry ends (see `_fork`).
+    helpers is the in-process case and forks nothing. `run_federated` forks
+    as many as the busier phase needs; the training phase may run up to two
+    processes per usable core (`training_processes`), eval no more than one.
     """
 
     def __init__(self, n: int, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
                  eval_set: EncodedSet):
         self.template, self.client_sets, self.cfg, self.eval_set = template, client_sets, cfg, eval_set
         self.procs = []  # (pid, request pipe fd, reply pipe reader) per live helper
-        self.carry_in = self.carry_out = None  # this process's ends of its carry pipes
         try:
             for _ in range(n):
-                self.procs.insert(0, self._fork())
+                self.procs.append(self._fork())
         except BaseException:
             self.close()
             raise
@@ -284,26 +247,18 @@ class Helpers:
                 raise ProtocolError(f"the helpers were started with another {name}")
 
     def _fork(self):
-        """Fork the helper before those forked so far, with a new carry pipe:
-        the helper keeps its write end and the read end of the next helper's
-        pipe, which this process held; this process keeps the new read end."""
-        carry_r, carry_w = os.pipe()
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (carry_r, carry_w, request_r, request_w, reply_r, reply_w):
+            for fd in (request_r, request_w, reply_r, reply_w):
                 os.close(fd)
             raise
         if pid == 0:
-            self.carry_out = carry_w
-            self._serve(request_r, reply_w, request_w, reply_r, carry_r)
-        for fd in (request_r, reply_w, carry_w):  # so each reader sees EOF once the helper exits
-            os.close(fd)
-        if self.carry_in is not None:
-            self.carry_in.close()
-        self.carry_in = os.fdopen(carry_r, "rb")
+            self._serve(request_r, reply_w, request_w, reply_r)
+        os.close(request_r)
+        os.close(reply_w)  # so the reader sees EOF once the helper exits
         return pid, request_w, os.fdopen(reply_r, "rb")
 
     def _serve(self, request_fd: int, reply_fd: int, *run_fds: int):
@@ -311,9 +266,9 @@ class Helpers:
         then exit. Never returns; a reply it cannot send exits with code 1."""
         code = 1
         try:
-            # drop the run process's ends of this helper's pipes and every
-            # later helper's pipes, so each reader sees EOF as soon as the
-            # one process that writes to it ends
+            # drop the run process's ends of this helper's pipes and of every
+            # earlier helper's, so each helper sees EOF as soon as the run
+            # process closes its request end
             for fd in run_fds:
                 os.close(fd)
             procs, self.procs = self.procs, []
@@ -348,84 +303,32 @@ class Helpers:
         return {start: predict_labels(forward(self.template, ids[start:start + step]).data)
                 for start in starts}
 
-    def _train(self, snapshot, round_idx: int, group: list) -> dict:
-        """{client id: (theta_k, loss), or None if it raised ClientError} for
-        each piece in `group` (see `plan_training`), run in order, that ends
-        its client's update. A piece that starts later takes its carry from
-        the next process first; one that stops short sends its result, or the
-        exception it raised, down this process's carry pipe instead. An
-        exception other than ClientError is also raised here; the carry is
-        taken even when an earlier piece raised, so none is left for the next
-        round.
-        """
+    def _train(self, snapshot, round_idx: int, cids: list) -> dict:
+        """{client id: (theta_k, loss), or None if it raised ClientError},
+        each client of `cids` trained in order by `client_update`."""
         out = {}
-        waiting = group[-1][0] if group and group[-1][1].start else None  # a carry to take
-        try:
-            for cid, steps in group:
-                train_set = self.client_sets[cid]
-                sends = steps.stop < sgd_steps(len(train_set), self.cfg.local_epochs,
-                                               self.cfg.batch_size)
-                try:
-                    carry = None
-                    if steps.start:
-                        waiting = None  # taken here; the finally must not wait again
-                        carry = self._take_carry(round_idx, cid)
-                    ok, value = True, client_update(self.template, snapshot, train_set, self.cfg,
-                                                    round_idx, cid, steps, carry)
-                except Exception as exc:
-                    ok, value = False, exc
-                if sends:
-                    self._send_carry(round_idx, cid, (ok, value))
-                if not ok and not isinstance(value, ClientError):
-                    raise value
-                if not sends:
-                    out[cid] = value if ok else None
-        finally:
-            if waiting is not None:
-                with contextlib.suppress(Exception):
-                    self._take_carry(round_idx, waiting)
+        for cid in cids:
+            try:
+                out[cid] = client_update(self.template, snapshot, self.client_sets[cid], self.cfg,
+                                         round_idx, cid)
+            except ClientError:
+                out[cid] = None
         return out
 
-    def _send_carry(self, round_idx: int, cid, carry: tuple):
-        """Send (True, carry) or (False, exception) of cid's first steps to
-        the preceding process."""
-        try:
-            data = pickle.dumps(carry)
-        except Exception as exc:  # the tail must hear something, or it waits for good
-            data = pickle.dumps((False, RoundError(
-                f"round {round_idx}: client {cid}: its first steps' result cannot be sent: {exc}")))
-        with contextlib.suppress(BrokenPipeError):  # the tail's process is gone; map says so
-            _write_all(self.carry_out, data)
-
-    def _take_carry(self, round_idx: int, cid):
-        """The carry of cid's head from the next process; raises what the
-        head raised, or RoundError if that process ended without sending."""
-        try:
-            ok, value = pickle.load(self.carry_in)
-        except (EOFError, pickle.UnpicklingError):
-            raise RoundError(f"round {round_idx}: client {cid}: the process running its "
-                             f"first steps ended without passing them on") from None
-        if not ok:
-            raise value
-        return value
-
-    def map(self, label: str, kind: str, args: tuple, loads: dict, plan=None) -> dict:
+    def map(self, label: str, kind: str, args: tuple, loads: dict, n_proc: int) -> dict:
         """{item: result} over every item of `loads` ({item: load}).
 
-        `plan(loads, n_proc)`, `assign` by default, splits the items over
-        n_proc = min(len(loads), helpers + 1) processes, at least 1;
-        `plan_training` makes each group a list of (client id, steps)
-        pieces. The i-th helper answers (kind, *args, group i) while the run
-        process answers group 0 through the same `_answer`; their dicts are
-        merged. A client that `plan_training` cut has its head in group i + 1
-        and its tail in group i, so its result comes from group i, trained on
-        from the carry that group i + 1 sends down their carry pipe. Every
+        `assign` splits the items over min(len(loads), n_proc, helpers + 1)
+        processes, at least 1: `run_round` asks for every process,
+        `evaluate` for one per eval batch up to the usable cores. The i-th
+        helper answers (kind, *args, group i) while the run process answers
+        group 0 through the same `_answer`; their dicts are merged. Every
         reply is received even if group 0 raises. An exception a helper
         raised is raised again here; a helper that dies before it replies (a
         signal, a nonzero exit, a short read) is reaped and raises
         RoundError naming `label` and its group.
         """
-        groups = (plan or assign)(loads, max(1, min(len(loads), len(self.procs) + 1)))
+        groups = assign(loads, max(1, min(len(loads), n_proc, len(self.procs) + 1)))
         procs = self.procs[:len(groups) - 1]
         payloads = [pickle.dumps((kind, *args, group)) for group in groups[1:]]
         for (_, fd, _), payload in zip(procs, payloads):
@@ -467,9 +370,6 @@ class Helpers:
             with replies:
                 replies.read()
             os.waitpid(pid, 0)
-        if self.carry_in is not None:
-            self.carry_in.close()
-            self.carry_in = None
 
 
 def assign(loads: dict, n_proc: int) -> list[list]:
@@ -484,49 +384,17 @@ def assign(loads: dict, n_proc: int) -> list[list]:
     return groups
 
 
-def plan_training(sizes: dict, n_proc: int, epochs: int, batch: int) -> list[list]:
-    """The training phase's groups for n_proc processes, given
-    {client id: training records}: lists of (client id, range of its
-    `sgd_steps`) pieces.
-
-    A client's load is epochs x its records. `assign`'s groups, one whole
-    piece (id, range(steps)) per client, stand unless the largest is more
-    than one batch over the bound C = max(largest load, ceil(total /
-    n_proc)); then McNaughton's wrap-around rule (Management Science 6(1),
-    1959) reaches C: the clients are laid end to end in id order and the
-    line is cut every C. A client that straddles the cut after group i is
-    split at the step boundary nearest to where the cut falls in its load:
-    its head, (id, range(0, h)), runs first in group i + 1, and its tail,
-    (id, range(h, steps)), last in group i. An empty piece is dropped, but
-    an empty client keeps its one piece, so that its ClientError is still
-    reported. Since no load exceeds C, the head is due to end before the
-    tail starts; each cut moves by at most half a batch, so no group ends
-    more than one batch over C.
-    """
-    loads = {cid: epochs * n for cid, n in sizes.items()}
-    groups = assign(loads, n_proc)
+def training_processes(loads: dict, batch: int) -> int:
+    """Processes for the training phase, given {client id: E x training
+    records}: `process_count(clients)`, unless `assign`'s groups on that
+    many leave one more than a batch over max(largest load, ceil(total /
+    processes)); then one per client up to two per usable core, so that the
+    kernel, not a fixed split, balances uneven loads over the cores."""
+    n_proc = process_count(len(loads))
     bound = max(max(loads.values(), default=0), -(-sum(loads.values()) // n_proc))
-    if max(sum(loads[cid] for cid in group) for group in groups) <= bound + batch:
-        return [[(cid, range(sgd_steps(sizes[cid], epochs, batch))) for cid in group]
-                for group in groups]
-    groups = [[] for _ in range(n_proc)]
-    start = 0
-    for cid in sorted(loads):
-        i = min(start // bound, n_proc - 1)
-        start += loads[cid]
-        n, h = sizes[cid], 0
-        steps = sgd_steps(n, epochs, batch)
-        past_cut = start - (i + 1) * bound  # the load due in group i + 1
-        if past_cut > 0:
-            epoch, offset = divmod(past_cut, n)  # the head ends `offset` records into `epoch`
-            below = offset // batch * batch  # the step boundaries on either side of it
-            above = min(below + batch, n)
-            h = sgd_steps(n, epoch, batch) + offset // batch + (above - offset < offset - below)
-        if h:
-            groups[i + 1].append((cid, range(h)))
-        if h < steps or not steps:
-            groups[i].append((cid, range(h, steps)))
-    return groups
+    if max(sum(loads[cid] for cid in group) for group in assign(loads, n_proc)) > bound + batch:
+        return min(len(loads), 2 * usable_cores())
+    return n_proc
 
 
 def eval_batches(eval_set: EncodedSet) -> range:
@@ -548,7 +416,8 @@ def evaluate(theta: np.ndarray, helpers: Helpers) -> tuple[float, float]:
     eval_set = helpers.eval_set
     starts = eval_batches(eval_set)
     labels = helpers.map("eval batches at records", "eval", (theta, starts.step),
-                         {start: min(starts.step, len(eval_set) - start) for start in starts})
+                         {start: min(starts.step, len(eval_set) - start) for start in starts},
+                         process_count(len(starts)))
     m = confusion([p for start in starts for p in labels[start]], eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
 
@@ -559,17 +428,17 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     `evaluate` of the new theta, which also loads it into state.model.
 
     `helpers` must have been started with state.model, client_sets, cfg and
-    global_eval; `Helpers.map` spreads the clients by `plan_training`.
-    Clients train on clones, so state.theta is only read.
+    global_eval; `Helpers.map` spreads the clients over every process it
+    has, each weighted by E x its training set size. Clients train on
+    clones, so state.theta is only read.
     """
     t0 = time.perf_counter()
     helpers.check(template=state.model, client_sets=client_sets, cfg=cfg, eval_set=global_eval)
     round_idx = state.round_idx
 
     updates = helpers.map(f"round {round_idx}: clients", "train", (state.theta, round_idx),
-                          {cid: len(s) for cid, s in client_sets.items()},
-                          functools.partial(plan_training, epochs=cfg.local_epochs,
-                                            batch=cfg.batch_size))
+                          {cid: cfg.local_epochs * len(s) for cid, s in client_sets.items()},
+                          len(helpers.procs) + 1)
     results = {cid: u[0] for cid, u in updates.items() if u is not None}
     losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
     if not results:
@@ -628,7 +497,9 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
     }
     global_eval = encode_records(global_eval_records, vocab, model_cfg.max_seq_len)
 
-    processes = process_count(max(len(client_sets), len(eval_batches(global_eval))))
+    processes = max(training_processes({cid: fed_cfg.local_epochs * len(s)
+                                        for cid, s in client_sets.items()}, fed_cfg.batch_size),
+                    process_count(len(eval_batches(global_eval))))
     state = GlobalState(theta=theta, model=am, vocab=vocab, processes=processes)
     with Helpers(processes - 1, am, client_sets, fed_cfg, global_eval) as helpers:
         for _ in range(fed_cfg.rounds):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from fedlora import autodiff as ad
+from fedlora import federation, rng
 from fedlora.autodiff import Graph, Tensor
-from fedlora.data import PartitionSpec, Record, synth_corpus
+from fedlora.data import PartitionSpec, Record, make_shards, split_train_eval, synth_corpus
 from fedlora.errors import ClientError, ConfigError, ProtocolError, RoundError
 from fedlora.federation import (EncodedSet, FedConfig, GlobalState, Helpers, client_update,
                                 comm_cost, encode_records, fedavg,
                                 run_centralized, run_federated, run_round, sgd_step)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
-from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model, tokenize, word_tokens
+from fedlora.model import (PAD_ID, ModelConfig, build_vocab, forward, init_model, tokenize,
+                           word_tokens)
 
 from test_model import small_cfg
 
@@ -154,6 +156,26 @@ def test_fedconfig_rejects_zero_epochs_and_eta():
         FedConfig(eta=0.0).validate()
 
 
+@pytest.mark.parametrize("batch,epochs,steps", [(8, 1, 3), (5, 2, 10), (24, 3, 3), (100, 1, 1)])
+def test_client_update_runs_e_times_ceil_n_over_b_steps(monkeypatch, batch, epochs, steps):
+    am, train = training_fixture()  # 24 records
+    seen = []  # (batch records, loss) per step
+    real = federation.cross_entropy
+
+    def spy(logits, labels):
+        out = real(logits, labels)
+        seen.append((len(labels), float(out.data[0, 0])))
+        return out
+
+    monkeypatch.setattr(federation, "cross_entropy", spy)
+    cfg = FedConfig(n_clients=1, local_epochs=epochs, eta=0.3, batch_size=batch, seed=1)
+    _, loss = client_update(am, extract_trainable(am), train, cfg, round_idx=0, client_id=0)
+    assert len(seen) == steps
+    last_epoch = seen[-(steps // epochs):]
+    assert sum(n for n, _ in last_epoch) == len(train)  # a short last batch, not a dropped one
+    assert loss == float(np.mean([value for _, value in last_epoch]))
+
+
 def test_client_update_deterministic():
     am, train = training_fixture()
     snapshot = extract_trainable(am)
@@ -269,6 +291,37 @@ def test_centralized_equivalence(epochs):
                               PartitionSpec(n_clients=1, strategy="iid", seed=9))
     central = run_centralized(model_cfg, lora_cfg, fed_cfg, records)
     assert np.abs(federated.theta - central.theta).max() < 1e-9
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_one_client_run_equals_a_direct_sgd_loop_bit_for_bit(monkeypatch, cores):
+    # the same split, shard hold-out, encoding and per-(round, epoch)
+    # shuffles as run_federated, trained by hand on one model: no helpers,
+    # no client_update and no fedavg; 100 eval records make two eval
+    # batches, so on 2 cores a helper is forked
+    records = synth_corpus(500, seed=17)
+    model_cfg, lora_cfg = ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5)
+    fed = FedConfig(n_clients=1, rounds=3, local_epochs=2, eta=0.3, batch_size=16, seed=9)
+    spec = PartitionSpec(n_clients=1, strategy="iid", seed=9)
+    pool, _ = split_train_eval(records, 0.2, rng.derive(fed.seed, "global_eval"))
+    vocab = build_vocab([r.text for r in pool], model_cfg.vocab_size)
+    train = encode_records(make_shards(pool, spec, 0.2)[0].train, vocab, model_cfg.max_seq_len)
+    am = attach_adapters(init_model(model_cfg), lora_cfg)
+    params = am.trainable_parameters()
+    for round_idx in range(fed.rounds):
+        for epoch in range(fed.local_epochs):
+            perm = rng.permutation(rng.derive(fed.seed, "batch", 0, round_idx, epoch), len(train))
+            for start in range(0, len(train), fed.batch_size):
+                idx = perm[start:start + fed.batch_size]
+                ad.zero_grads(params)
+                with Graph() as g:
+                    loss = ad.cross_entropy(forward(am, train.ids[idx]), train.labels[idx])
+                g.backward(loss)
+                sgd_step(params, fed.eta)
+    monkeypatch.setattr(federation, "usable_cores", lambda: cores)
+    state = run_federated(model_cfg, lora_cfg, fed, records, spec, eval_frac=0.2)
+    assert state.processes == cores
+    assert state.theta.tobytes() == extract_trainable(am).tobytes()
 
 
 def test_centralized_loss_decreases():

@@ -49,7 +49,8 @@ def count_forks(monkeypatch):
 
 
 def count_groups(monkeypatch):
-    """Record the process count of every split `Helpers.map` makes."""
+    """Record the process count of every split `assign` makes: the one
+    `training_processes` tries, then each phase of each round."""
     seen = []
     real = federation.assign
 
@@ -72,10 +73,10 @@ def patch_client_update(monkeypatch, on_worker):
     """client_update that calls on_worker(client_id) when it runs in a helper."""
     real = federation.client_update
 
-    def patched(template, snapshot, train_set, cfg, round_idx, client_id, steps=None, carry=None):
+    def patched(template, snapshot, train_set, cfg, round_idx, client_id):
         if in_worker():
             return on_worker(client_id)
-        return real(template, snapshot, train_set, cfg, round_idx, client_id, steps, carry)
+        return real(template, snapshot, train_set, cfg, round_idx, client_id)
 
     monkeypatch.setattr(federation, "client_update", patched)
 
@@ -140,13 +141,14 @@ def test_parallel_run_equals_sequential_bit_for_bit(monkeypatch, strategy, aggre
         return state.theta, reports, list(seen), len(forks)
 
     theta1, reports1, groups1, forks1 = run(1)
-    assert groups1 == [1, 1] * 2 and forks1 == 0
+    assert groups1 == [1] + [1, 1] * 2 and forks1 == 0
     for cores in (2, 8):
         theta, reports, groups, n_forks = run(cores)
-        # training takes one process per client up to the cores; eval runs
-        # its three batches (250 records of width 11, 93 to a batch) on
+        # training takes one process per client up to the cores (the clients
+        # are even enough that the rule for uneven loads does not fire); eval
+        # runs its three batches (250 records of width 11, 93 to a batch) on
         # min(3, cores); the helpers are forked once for both
-        assert groups == [cores, min(3, cores)] * 2
+        assert groups == [cores] + [cores, min(3, cores)] * 2
         assert n_forks == cores - 1
         assert np.array_equal(theta, theta1)
         assert reports == reports1
@@ -157,15 +159,17 @@ def test_helpers_fork_once_per_run_not_per_round(monkeypatch):
     fed = FedConfig(n_clients=4, rounds=3, local_epochs=1, eta=0.3, batch_size=8, seed=4)
     spec = PartitionSpec(n_clients=4, strategy="iid", seed=6)
     forks = count_forks(monkeypatch)
-    for cores in (1, 2, 3):
+    # 4 clients of 19 records and one 24-record eval batch: a process per
+    # core, except that 3 cores would give one process 38 records against a
+    # bound of 26, so training takes a process per client
+    for cores, processes in ((1, 1), (2, 2), (3, 4)):
         force_cores(monkeypatch, cores)
         forks.clear()
         state = run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5), fed,
                               records, spec)
         assert state.round_idx == 3
-        # 4 clients and one 24-record eval batch: process_count(4) - 1 helpers
-        assert forks == [TEST_PID] * (federation.process_count(4) - 1) == [TEST_PID] * (cores - 1)
-        assert state.processes == cores
+        assert forks == [TEST_PID] * (processes - 1)
+        assert state.processes == processes
 
 
 def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
@@ -186,7 +190,7 @@ def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
         # a single client and a single eval batch need no helper; with three
         # clients one helper trains, and eval still sends it nothing
         assert len(forks) == n_forks
-        assert seen == [min(k, 2), 1] * 2
+        assert seen == [min(k, 2)] + [min(k, 2), 1] * 2
 
 
 def test_clients_go_largest_first_to_the_least_loaded_process():
@@ -343,7 +347,7 @@ def test_killed_worker_raises_round_error(monkeypatch):
     patch_client_update(monkeypatch, kill_self)
     state, sets, cfg, eval_set = two_client_round()
     with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
-        with pytest.raises(RoundError, match=r"round 0: clients \[\(1, range\(0, 3\)\)\].*killed by signal 9"):
+        with pytest.raises(RoundError, match=r"round 0: clients \[1\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 0 and not state.history
 
@@ -369,7 +373,7 @@ def test_idle_helper_killed_between_rounds_raises_round_error():
     with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
         run_round(state, sets, cfg, eval_set, helpers)
         os.kill(helpers.procs[0][0], signal.SIGKILL)
-        with pytest.raises(RoundError, match=r"round 1: clients \[\(1, range\(0, 3\)\)\].*killed by signal 9"):
+        with pytest.raises(RoundError, match=r"round 1: clients \[1\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 1 and len(state.history) == 1
 
@@ -408,7 +412,7 @@ def test_unpicklable_result_raises_round_error_and_child_never_returns(monkeypat
     patch_client_update(monkeypatch, lambda cid: (lambda: cid, 0.0))
     marker = tmp_path / "pids"
     try:
-        with pytest.raises(RoundError, match=r"clients \[\(1, range\(0, 3\)\)\].*exit code 1"):
+        with pytest.raises(RoundError, match=r"clients \[1\].*exit code 1"):
             run_two_client_round()
     finally:  # a helper that returned into the caller would append its pid too
         with open(marker, "a", encoding="utf-8") as fh:
