@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import resource
 import sys
 import time
 
@@ -27,8 +28,28 @@ from .lora import trainable_param_count
 RUN_FILES = ("rounds.jsonl", "summary.json", "adapters.bin", "base_model.bin", "vocab.txt")
 
 
-def _write_run_artifacts(out_dir: str, state, wall_time: float):
-    """Write RUN_FILES into out_dir, all or none of them."""
+def _usage():
+    """getrusage of this process and of its reaped children (the helpers)."""
+    return resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
+
+
+def _cost(started) -> dict:
+    """The run's own cost since `started`, a `_usage()`: CPU seconds (user plus
+    system) and minor page faults of this process and its reaped helpers,
+    and the peak RSS of this process and of its largest reaped child."""
+    now = _usage()
+
+    def spent(*names):
+        return sum(getattr(end, name) - getattr(start, name)
+                   for end, start in zip(now, started) for name in names)
+
+    return {"cpu_s": spent("ru_utime", "ru_stime"), "minflt": spent("ru_minflt"),
+            "peak_rss_mb": now[0].ru_maxrss / 1024, "helper_peak_rss_mb": now[1].ru_maxrss / 1024}
+
+
+def _write_run_artifacts(out_dir: str, state, wall_time: float, started):
+    """Write RUN_FILES into out_dir, all or none of them; summary.json's cost
+    fields count from `started`, the `_usage()` taken when `main` began."""
     last = state.history[-1]  # run_* return only after all fed.rounds >= 1 rounds report
     n_trainable, breakdown = trainable_param_count(state.model)
     total_params = state.model.base.param_count()
@@ -44,6 +65,7 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float):
         "total_params": total_params,
         "trainable_ratio": n_trainable / total_params,
         "wall_time_s": wall_time,
+        **_cost(started),
     }
     os.makedirs(out_dir, exist_ok=True)
     with checkpoint.write_atomically(*(os.path.join(out_dir, name) for name in RUN_FILES)) as (
@@ -95,7 +117,7 @@ def cmd_train(args) -> int:
     else:
         state = run_federated(exp.model, exp.lora, exp.fed, records, exp.data.partition,
                               eval_frac=exp.data.eval_frac)
-    summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0)
+    summary = _write_run_artifacts(out_dir, state, time.perf_counter() - t0, args.started)
     print(f"{kind} run complete: {state.round_idx} rounds, "
           f"accuracy {summary['final_eval_accuracy']:.4f}, "
           f"F1 {summary['final_eval_f1']:.4f} -> {out_dir}")
@@ -241,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = _usage()
     args = build_parser().parse_args(argv)
+    args.started = started
     try:
         return args.func(args)
     except (ConfigError, SchemaError) as exc:

@@ -9,6 +9,7 @@ atomically, through `save_csv`.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -226,6 +227,29 @@ def _word_draws(bitgen, count: int) -> tuple[np.ndarray, np.ndarray] | None:
     return coin.ravel(), (m >> np.uint64(32)).astype(np.intp).ravel()
 
 
+def _loop_draws(bitgen, count: int) -> np.ndarray:
+    """(coin, pick) rows for `count` words as per-word Generator calls draw them from
+    `bitgen`: `random()` reads one raw draw, and `integers(k)` runs Lemire's
+    method on 32-bit halves, the low half of a raw draw first, its high half
+    kept for the next call. Raws are read 2 * count at a time."""
+    raws = (raw for _ in itertools.count() for raw in bitgen.random_raw(2 * count).tolist())
+    draws, high = np.zeros((2, count), dtype=np.intp), None
+    for t in range(count):
+        draws[0, t] = k12 = (next(raws) >> 11) * 2.0 ** -53 < 0.6
+        k = 12 if k12 else 16
+        while True:
+            if high is None:
+                raw = next(raws)
+                half, high = raw & 0xFFFFFFFF, raw >> 32
+            else:
+                half, high = high, None
+            m = half * k
+            if m & 0xFFFFFFFF >= (2 ** 32 - k) % k:
+                break
+        draws[1, t] = m >> 32
+    return draws
+
+
 def synth_corpus(n: int, seed: int = 0) -> list[Record]:
     """Balanced two-class keyword corpus, deterministic per seed.
 
@@ -234,19 +258,17 @@ def synth_corpus(n: int, seed: int = 0) -> list[Record]:
     without any pool word is rare (0.4^10 ~ 1e-4) and Bayes accuracy is
     well above 0.95 by construction. Record i has label i % 2, and its words
     are the ones a word-by-word loop of `random()` and `integers()` calls on
-    one PCG64 generator picks: `_word_draws` reads them from one block, and
-    if it holds a rejected half, that loop runs on a fresh generator.
+    one NumPy PCG64 generator picks, drawn from `rng.PCG64`, the same
+    stream computed in-house: `_word_draws` reads them from one block, and
+    if it holds a rejected half, `_loop_draws` replays that loop on a fresh
+    copy of the stream.
     """
     if n < 2:
         raise DataError(f"synthetic corpus needs n >= 2, got {n}")
-    gen = rng.np_generator(rng.derive(seed, "synth"))
-    draws = _word_draws(gen.bit_generator, 10 * n)
+    stream = rng.derive(seed, "synth")
+    draws = _word_draws(rng.PCG64(stream), 10 * n)
     if draws is None:  # a rejected half, 3 seeds in 100,000 at n=2000: draw word by word
-        gen = rng.np_generator(rng.derive(seed, "synth"))
-        draws = np.zeros((2, 10 * n), dtype=np.intp)
-        for t in range(10 * n):
-            draws[0, t] = gen.random() < 0.6
-            draws[1, t] = gen.integers(12 if draws[0, t] else 16)
+        draws = _loop_draws(rng.PCG64(stream), 10 * n)
     coin, pick = draws
     label = np.arange(10 * n) // 10 % 2
     # _WORDS holds the calm pool, the stress pool, then the filler

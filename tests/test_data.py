@@ -6,7 +6,7 @@ import pytest
 
 from fedlora import rng
 from fedlora.data import (_CALM_WORDS, _FILLER_WORDS, _STRESS_WORDS, PartitionSpec, Record,
-                          _largest_remainder, _word_draws, load_corpus, make_shards,
+                          _largest_remainder, _loop_draws, _word_draws, load_corpus, make_shards,
                           partition_clients, save_corpus, split_train_eval, synth_corpus)
 from fedlora.errors import ConfigError, DataError, SchemaError
 from fedlora.model import build_vocab, word_tokens
@@ -304,16 +304,22 @@ def test_word_draws_take_one_block_of_three_draws_per_two_words(n):
     assert counting.sizes == [15 * n]
 
 
+def no_np_generator(seed):
+    raise AssertionError("the synthetic corpus draws from rng.PCG64 only")
+
+
 @pytest.mark.parametrize("seed", [54719, 89361, 92993])
 def test_synth_corpus_equals_the_loop_past_a_rejected_half(seed, monkeypatch):
     # Lemire's method rejects one 32-bit half in each of these corpora, which
     # shifts every later draw by a half
-    assert _word_draws(rng.np_generator(rng.derive(seed, "synth")).bit_generator, 20000) is None
-    made, np_generator = [], rng.np_generator
-    monkeypatch.setattr(rng, "np_generator", lambda s: made.append(s) or np_generator(s))
+    expected = scalar_synth_corpus(2000, seed)
+    assert _word_draws(rng.PCG64(rng.derive(seed, "synth")), 20000) is None
+    made, PCG64 = [], rng.PCG64
+    monkeypatch.setattr(rng, "PCG64", lambda s: made.append(s) or PCG64(s))
+    monkeypatch.setattr(rng, "np_generator", no_np_generator)
     records = synth_corpus(2000, seed)
-    assert made == [rng.derive(seed, "synth")] * 2  # the block, then the fresh generator it replays on
-    assert records == scalar_synth_corpus(2000, seed)
+    assert made == [rng.derive(seed, "synth")] * 2  # the block, then the fresh stream it replays on
+    assert records == expected
 
 
 class ScriptedBitGen:
@@ -383,6 +389,16 @@ def test_word_draws_equal_the_loop_next_to_the_rejected_halves(word, coin, half)
     assert draws is not None
     assert draws[0].tolist() == coins and draws[1].tolist() == picks
     assert coins[word] == (coin == K12_COIN)
+
+
+def test_loop_draws_read_past_their_first_block_of_raws():
+    # word 0's k=12 draw rejects the six halves of raws 1-3 and takes raw 4's
+    # low half; word 1's integers(16) takes raw 4's high half
+    raws = [K12_COIN, 0, 0, 0, 2 ** 31 + 1 | 7 << 32, K16_COIN, 11, 12]
+    bitgen = ScriptedBitGen(raws)
+    draws = _loop_draws(bitgen, 2)
+    assert bitgen.pos == 8  # two blocks of 2 * count raws
+    assert (draws[0].tolist(), draws[1].tolist()) == loop_draws(raws, 2) == ([True, False], [6, 0])
 
 
 def test_unigram_count_classifier_oracle():

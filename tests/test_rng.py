@@ -32,3 +32,32 @@ def test_uniform_array_matches_its_whole_array_form_bit_for_bit(n, seed, low, hi
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == want.tobytes()
 
+
+# PCG64 ----------------------------------------------------------------------
+
+PCG64_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, rng.derive(3, "synth")]
+
+
+@pytest.mark.parametrize("seed", PCG64_SEEDS)
+def test_seed_sequence_state_is_numpys(seed):
+    want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    assert rng._seed_sequence_state(seed) == want.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 30000])
+@pytest.mark.parametrize("seed", PCG64_SEEDS)
+def test_pcg64_raw_is_numpys_pcg64_bit_for_bit(seed, n):
+    got = rng.pcg64_raw(seed, n)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    assert got.tobytes() == np.random.PCG64(seed).random_raw(n).tobytes()
+
+
+def test_pcg64_stream_goes_on_where_its_last_draw_stopped():
+    ours, numpys = rng.PCG64(7), np.random.PCG64(7)
+    for n in (3, 0, 1, rng._BLOCK + 2, 1000):
+        assert ours.random_raw(n).tobytes() == numpys.random_raw(n).tobytes()
+
+
+def test_pcg64_raw_refuses_a_count_too_large_to_hold_before_drawing():
+    with pytest.raises(MemoryError):
+        rng.pcg64_raw(0, 2 ** 50)  # 8 PiB

@@ -10,8 +10,10 @@ them. Either way a run writes the same files as on one core.
 import contextlib
 import importlib.util
 import json
+import math
 import os
 import random
+import resource
 import signal
 from pathlib import Path
 
@@ -180,9 +182,12 @@ def test_helpers_close_every_pipe_end_they_made():
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 
+COST_KEYS = ("cpu_s", "peak_rss_mb", "helper_peak_rss_mb", "minflt")
+
+
 def run_files(monkeypatch, cores, argv):
-    """The files `main(argv)` writes on `cores` cores, wall times and the
-    process count zeroed, and that process count."""
+    """The files `main(argv)` writes on `cores` cores, wall times, the cost
+    record and the process count zeroed, and that process count."""
     force_cores(monkeypatch, cores)
     with deadline():
         assert main(argv) == 0
@@ -191,7 +196,7 @@ def run_files(monkeypatch, cores, argv):
     files["rounds.jsonl"] = [{**json.loads(line), "wall_time": 0}
                              for line in files["rounds.jsonl"].splitlines()]
     summary = json.loads(files["summary.json"])
-    files["summary.json"] = {**summary, "wall_time_s": 0, "processes": 0}
+    files["summary.json"] = {**summary, "wall_time_s": 0, "processes": 0, **dict.fromkeys(COST_KEYS, 0)}
     return files, summary["processes"]
 
 
@@ -221,3 +226,39 @@ def test_desk_with_six_clients_on_four_cores_writes_the_files_of_one(monkeypatch
     one, processes1 = run_files(monkeypatch, 1, argv + [str(tmp_path / "cores1")])
     assert (processes4, processes1) == (6, 1)
     assert four == one
+
+
+# each shipped config, shrunk to about a second, as --set can shrink it
+SHIPPED_CONFIGS = {
+    "quantity_skew": ["--set", "fed.rounds=2"],
+    "minilm_like": ["--set", "fed.rounds=1", "--set", 'data.source={"synthetic": 600}'],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_writes_the_files_of_one_core_on_two_and_four(name, monkeypatch, tmp_path):
+    argv = ["train-federated", str(REPO / "configs" / f"{name}.json"), *SHIPPED_CONFIGS[name],
+            "--output-dir"]
+    one, processes1 = run_files(monkeypatch, 1, argv + [str(tmp_path / "cores1")])
+    assert processes1 == 1
+    for cores in (2, 4):
+        files, processes = run_files(monkeypatch, cores, argv + [str(tmp_path / f"cores{cores}")])
+        assert processes > 1 and files == one
+
+
+def test_summary_records_the_cost_of_a_run_and_its_helpers(monkeypatch, tmp_path):
+    forks = count_forks(monkeypatch)
+    force_cores(monkeypatch, 2)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with deadline():
+        assert main(["train-federated", str(REPO / "configs" / "quantity_skew.json"),
+                     "--set", "fed.rounds=1", "--output-dir", str(tmp_path)]) == 0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert forks
+    for key in COST_KEYS:
+        assert math.isfinite(summary[key]) and summary[key] > 0, key
+    # the helpers were reaped inside main, so all of their CPU time is in cpu_s
+    helpers_cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert summary["cpu_s"] >= helpers_cpu > 0
+    assert summary["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
