@@ -9,7 +9,6 @@ atomically, through `save_csv`.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -153,14 +152,17 @@ def partition_clients(records, spec: PartitionSpec) -> list[list[Record]]:
         perm = rng.permutation(rng.derive(spec.seed, "quantity"), n)
         return [[records[i] for i in part] for part in _cut(perm, spec.ratios)]
 
-    # label_skew: per-label Dirichlet(alpha) proportions across clients
-    gen = rng.np_generator(rng.derive(spec.seed, "label_skew"))
+    # label_skew: each label's records are cut across the clients by one row of
+    # Dirichlet(alpha) proportions, the labels in sorted order. `rng.dirichlet`
+    # draws all the rows at once, as per-label draws on one NumPy generator
+    # would, and computes them in-house at 0.1 <= alpha < 1
+    labels = sorted({r.label for r in records})
+    props = rng.dirichlet(rng.derive(spec.seed, "label_skew"), spec.alpha, spec.n_clients, len(labels))
     groups = [[] for _ in range(spec.n_clients)]
-    for label in sorted({r.label for r in records}):
+    for label, row in zip(labels, props):
         members = [r for r in records if r.label == label]
         perm = rng.permutation(rng.derive(spec.seed, "label_skew", label), len(members))
-        props = gen.dirichlet(np.full(spec.n_clients, spec.alpha))
-        for group, part in zip(groups, _cut(perm, props)):
+        for group, part in zip(groups, _cut(perm, row)):
             group.extend(members[i] for i in part)
     return groups
 
@@ -232,7 +234,7 @@ def _loop_draws(bitgen, count: int) -> np.ndarray:
     `bitgen`: `random()` reads one raw draw, and `integers(k)` runs Lemire's
     method on 32-bit halves, the low half of a raw draw first, its high half
     kept for the next call. Raws are read 2 * count at a time."""
-    raws = (raw for _ in itertools.count() for raw in bitgen.random_raw(2 * count).tolist())
+    raws = rng.raw_draws(bitgen, 2 * count)
     draws, high = np.zeros((2, count), dtype=np.intp), None
     for t in range(count):
         draws[0, t] = k12 = (next(raws) >> 11) * 2.0 ** -53 < 0.6

@@ -6,15 +6,21 @@ arrays are generated vectorized and bit-reproducibly, independent of call
 order or platform.
 
 Every shuffle, split and partition order is `permutation`, an argsort of
-that SplitMix64 stream. The synthetic corpus's words come from `pcg64_raw`:
-NumPy's PCG64 stream (SeedSequence seeding, a 128-bit LCG, XSL-RR output)
-computed in-house, bit-equal to NumPy's own. So a run imports NumPy's random
-module only for the label-skew Dirichlet proportions, which a NumPy
-`Generator` (`np_generator`) draws from a derived sub-seed; the import costs
-the run process about 5.4 MB of peak RSS.
+that SplitMix64 stream. The synthetic corpus's words and the label-skew
+Dirichlet proportions come from `PCG64`: NumPy's PCG64 stream (SeedSequence
+seeding, a 128-bit LCG, XSL-RR output) computed in-house, bit-equal to
+NumPy's own. `dirichlet` draws NumPy's Dirichlet from it at
+0.1 <= alpha < 1 (the exponential ziggurat feeding NumPy's gamma rejection
+loop), equal to NumPy's on every seed tested. So a run imports NumPy's
+random module only for a label skew with alpha outside that range, which a
+NumPy `Generator` (`np_generator`) draws; the import adds about 6 MB to the
+run process's peak RSS (README, "Memory").
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -132,22 +138,21 @@ def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x1 * y1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32)
 
 
-def pcg64_raw(seed: int, n: int) -> np.ndarray:
-    """NumPy's `PCG64(seed).random_raw(n)`, bit for bit, 0 <= seed < 2**64.
+def _pcg64_draws(state: int, inc: int, n: int) -> tuple[np.ndarray, int]:
+    """The next n draws of the PCG64 LCG s -> s * MULT + inc from `state`, and
+    its state after the last of them; draw j is the XSL-RR output of s_(j+1).
 
-    SeedSequence(seed) gives (state, increment) words, and PCG64 seeds its
-    128-bit LCG s -> s * MULT + inc with them; draw i is the XSL-RR output of
-    s_(i+1). The LCG runs by jump-ahead (Brown, "Random Number Generation
-    with Arbitrary Strides", 1994): with A_j = MULT**j and C_j the matching
-    sum of increments, s_(bL+j) = A_j * s_(bL) + C_j. A_j and C_j for one
-    block of L offsets, and each block's first state, are Python ints; every
-    state is then one vectorized 128-bit multiply-add, so no draw makes a
-    Python object.
+    The LCG runs by jump-ahead (Brown, "Random Number Generation with
+    Arbitrary Strides", 1994): with A_j = MULT**j and C_j the matching sum of
+    increments, s_(bL+j) = A_j * s_(bL) + C_j. A_j and C_j for one block of
+    L offsets, and each block's first state, are Python ints; every state is
+    then one vectorized 128-bit multiply-add, so no draw makes a Python
+    object.
     """
     raws = np.empty(n, dtype=np.uint64)  # first, so that an n too large to hold fails at once
-    s0, s1, i0, i1 = _seed_sequence_state(seed)
-    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-    starts = [((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128]
+    if n == 0:
+        return raws, state
+    starts = [state]
     mults, adds, a, c = [], [], 1, 0
     for _ in range(min(n, _BLOCK)):
         a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + inc) & _M128
@@ -163,26 +168,132 @@ def pcg64_raw(seed: int, n: int) -> np.ndarray:
     low += c_low
     high += c_high + (low < c_low)
     high, low = high.ravel()[:n], low.ravel()[:n]
+    state = int(high[-1]) << 64 | int(low[-1])
     low ^= high  # XSL: high ^ low, rotated right by the state's top 6 bits
     rot = high >> 58
     np.right_shift(low, rot, out=raws)
     raws |= low << (64 - rot & 63)
-    return raws
+    return raws, state
 
 
 class PCG64:
-    """The stream of NumPy's `PCG64(seed)`, from `pcg64_raw`: `random_raw(n)`
-    returns its next n draws, as that bit generator's method does. Each call
-    computes the stream again from its first draw."""
+    """NumPy's `PCG64(seed)` bit generator, 0 <= seed < 2**64: SeedSequence(seed)
+    gives (state, increment) words, PCG64 seeds its 128-bit LCG with them,
+    and `random_raw(n)` returns the stream's next n draws bit for bit, as that
+    bit generator's method does. Each call goes on from the LCG state after
+    the last draw, so a stream read in pieces costs what one read of it does."""
 
     def __init__(self, seed: int):
-        self.seed, self.drawn = seed & _M64, 0
+        s0, s1, i0, i1 = _seed_sequence_state(seed & _M64)
+        self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
 
     def random_raw(self, n: int) -> np.ndarray:
-        self.drawn += n
-        return pcg64_raw(self.seed, self.drawn)[self.drawn - n:]
+        raws, self.state = _pcg64_draws(self.state, self.inc, n)
+        return raws
+
+
+def pcg64_raw(seed: int, n: int) -> np.ndarray:
+    """NumPy's `PCG64(seed).random_raw(n)`, bit for bit, 0 <= seed < 2**64."""
+    return PCG64(seed).random_raw(n)
+
+
+# NumPy's Dirichlet at 0.1 <= alpha < 1, from the exponential ziggurat
+_ZIGGURAT_R, _ZIGGURAT_V = 7.69711747013104972, 3.949659822581572e-3
+
+
+@functools.cache
+def _ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """The (ke, we, fe) tables of NumPy's 256-layer exponential ziggurat on
+    53-bit integers, built in double as Marsaglia and Tsang's zigset builds
+    them (J. Stat. Softw. 5(8), 2000) from the base layer's right edge r and
+    area v. They are not NumPy's compiled tables bit for bit: ke is off by up
+    to 2221 units, we by up to 7.4e-13 relative. Below shape 1, where
+    `dirichlet` uses them, an exponential enters only comparisons."""
+    r, v, scale = _ZIGGURAT_R, _ZIGGURAT_V, 2.0 ** 53
+    q = v / math.exp(-r)
+    ke, we, fe = [0] * 256, [0.0] * 256, [0.0] * 256
+    ke[0], we[0], fe[0] = int(r / q * scale), q / scale, 1.0
+    we[255], fe[255] = r / scale, math.exp(-r)
+    x = r
+    for i in range(254, 0, -1):
+        inner = -math.log(v / x + math.exp(-x))
+        ke[i + 1] = int(inner / x * scale)
+        x = inner
+        fe[i], we[i] = math.exp(-x), x / scale
+    return tuple(ke), tuple(we), tuple(fe)
+
+
+def _double(raw: int) -> float:
+    """NumPy's `next_double`: the top 53 bits of a raw draw, in [0, 1)."""
+    return (raw >> 11) * 2.0 ** -53
+
+
+def _exponential(draw) -> float:
+    """NumPy's `random_standard_exponential`, from `draw()`'s raw draws."""
+    ke, we, fe = _ziggurat()
+    ri = draw() >> 3
+    idx, ri = ri & 0xFF, ri >> 8
+    x = ri * we[idx]
+    if ri < ke[idx]:
+        return x  # fast accept, 97.8% of draws (the mean of ke / 2**53)
+    if idx == 0:
+        return _ZIGGURAT_R - math.log1p(-_double(draw()))  # idx-0 tail
+    if (fe[idx - 1] - fe[idx]) * _double(draw()) + fe[idx] < math.exp(-x):
+        return x  # wedge accept
+    return _exponential(draw)  # wedge reject: start again
+
+
+def _gamma_below_one(draw, shape: float) -> float:
+    """NumPy's `random_standard_gamma` at 0 < shape < 1: draw U, then an
+    exponential V, until a proposal X from U passes its test against V."""
+    while True:
+        u, v = _double(draw()), _exponential(draw)
+        if u <= 1.0 - shape:
+            x = u ** (1.0 / shape)  # U <= 1 - shape
+            if x <= v:
+                return x
+        else:
+            y = -math.log((1.0 - u) / shape)  # U > 1 - shape
+            x = (1.0 - shape + shape * y) ** (1.0 / shape)
+            if x <= v + y:
+                return x
+
+
+def raw_draws(stream, n: int):
+    """The draws of `stream` (a `random_raw(n)` bit generator) one by one as
+    Python ints, read from it n at a time."""
+    while True:
+        yield from stream.random_raw(n).tolist()
+
+
+def dirichlet(seed: int, alpha: float, k: int, rows: int) -> np.ndarray:
+    """`np_generator(seed).dirichlet(np.full(k, alpha), size=rows)`: rows of k
+    symmetric Dirichlet(alpha) proportions.
+
+    At 0.1 <= alpha < 1 they are computed from `PCG64(seed)` as NumPy
+    computes them, every raw draw taken in NumPy's order: a row is k
+    gamma(alpha) variates, each multiplied by 1 / their sum. Equal to NumPy's
+    on every seed tested (README, "Determinism"). Outside that range NumPy
+    draws them: below 0.1 it breaks a stick with beta variates instead, and
+    from 1 on a gamma's value is built from the exponential's own, whose last
+    bits would need NumPy's compiled ziggurat tables.
+    """
+    if not 0.1 <= alpha < 1:
+        return np_generator(seed).dirichlet(np.full(k, alpha), size=rows)
+    draw = raw_draws(PCG64(seed), 4 * k * rows).__next__
+    out = np.empty((rows, k))
+    for row in out:
+        gammas = [_gamma_below_one(draw, alpha) for _ in range(k)]
+        total = 0.0
+        for g in gammas:  # in order, as NumPy sums them
+            total += g
+        inverse = 1.0 / total if total else math.inf  # NumPy's 1/0: a row of nan
+        row[:] = [g * inverse for g in gammas]
+    return out
 
 
 def np_generator(seed: int) -> np.random.Generator:
-    """The label-skew Dirichlet's generator; the one use of numpy.random."""
+    """NumPy's `Generator(PCG64(seed))`: the Dirichlet outside `dirichlet`'s
+    in-house range, and the one use of numpy.random."""
     return np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))

@@ -225,6 +225,15 @@ def test_partition_soundness_randomized():
             assert [[r.id for r in g] for g in groups] == [[r.id for r in g] for g in oracle]
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.99, 1.0, 2.0])  # in-house from 0.1 to below 1
+def test_label_skew_equals_its_per_label_numpy_draws(alpha):
+    recs = [Record(id=i, text=f"t{i}", label=i % 3) for i in range(90)]
+    for seed in range(5):
+        spec = PartitionSpec(n_clients=4, strategy="label_skew", alpha=alpha, seed=seed)
+        groups, oracle = partition_clients(recs, spec), partition_by_loops(recs, spec)
+        assert [[r.id for r in g] for g in groups] == [[r.id for r in g] for g in oracle]
+
+
 def test_make_shards_splits_each_client():
     shards = make_shards(records_n(30), PartitionSpec(n_clients=3, strategy="iid", seed=0), 0.2)
     for s in shards:

@@ -1,9 +1,12 @@
 """`rng.np_generator` is the one code in `src/fedlora` that names NumPy's
-random module, and only the label-skew Dirichlet calls it: the synthetic
-corpus reads `rng.pcg64_raw`, so a set-up with an iid or quantity-skew
-partition never imports `numpy.random`."""
+random module, and only a label-skew Dirichlet outside `rng.dirichlet`'s
+in-house range (0.1 <= alpha < 1) calls it: the synthetic corpus and the
+in-house Dirichlet read `rng.PCG64`, so a set-up with an iid or
+quantity-skew partition, or a label skew with alpha in that range, never
+imports `numpy.random`."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -39,11 +42,20 @@ print("numpy.random" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("config, imports", [
-    ("desk_federated", False), ("centralized_baseline", False), ("quantity_skew", False),
-    ("minilm_like", False), ("ablation_skew", True)])  # only ablation_skew is label skew
-def test_only_a_label_skew_set_up_imports_numpy_random(config, imports):
-    proc = subprocess.run([sys.executable, "-c", SET_UP, str(CONFIGS / f"{config}.json")],
+@pytest.mark.parametrize("config, alpha, imports", [
+    ("desk_federated", None, False), ("centralized_baseline", None, False),
+    ("quantity_skew", None, False), ("minilm_like", None, False),
+    ("ablation_skew", None, False),  # label skew at alpha 0.5
+    ("ablation_skew", 0.05, True), ("ablation_skew", 0.1, False),
+    ("ablation_skew", 0.99, False), ("ablation_skew", 1.0, True)])
+def test_only_a_label_skew_set_up_imports_numpy_random(config, alpha, imports, tmp_path):
+    path = CONFIGS / f"{config}.json"
+    if alpha is not None:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cfg["data"]["partition"]["alpha"] = alpha
+        path = tmp_path / f"{config}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", SET_UP, str(path)],
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
