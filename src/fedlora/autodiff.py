@@ -297,10 +297,7 @@ def _layer_norm(s: np.ndarray, inputs: tuple, gamma: Tensor, beta: Tensor, eps: 
     xhat = np.subtract(s, _row_mean(s), out=s)
     inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
     xhat *= inv
-    if _active() is None or not any(t.requires_grad for t in (*inputs, gamma, beta)):
-        out = np.multiply(xhat, gamma.data, out=xhat)  # off the tape no backward reads xhat
-    else:
-        out = xhat * gamma.data
+    out = xhat * gamma.data  # not in place: on the tape the backward reads xhat
     out += beta.data
 
     def backward(g, grad_out):

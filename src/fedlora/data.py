@@ -237,7 +237,7 @@ def _loop_draws(bitgen, count: int) -> np.ndarray:
     raws = rng.raw_draws(bitgen, 2 * count)
     draws, high = np.zeros((2, count), dtype=np.intp), None
     for t in range(count):
-        draws[0, t] = k12 = (next(raws) >> 11) * 2.0 ** -53 < 0.6
+        draws[0, t] = k12 = rng.next_double(next(raws)) < 0.6
         k = 12 if k12 else 16
         while True:
             if high is None:

@@ -59,7 +59,7 @@ from .data import PartitionSpec, make_shards, split_train_eval
 from .errors import ClientError, ConfigError, ProtocolError, RoundError
 from .lora import AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable
 from .metrics import accuracy, confusion, f1_binary, predict_labels
-from .model import PAD_ID, ModelConfig, Vocab, build_vocab, forward, init_model, tokenize
+from .model import PAD_ID, ModelConfig, Vocab, build_vocab, forward, init_model, real_width, tokenize
 
 WIRE_BYTES_PER_PARAM = 4  # simulated single-precision payload
 EVAL_ROWS = 1024  # token rows per forward-only eval batch
@@ -104,8 +104,9 @@ class RoundReport:
 
 @dataclass
 class EncodedSet:
-    """Pre-tokenized records: an (N, max_len) intp matrix of PAD-filled id
-    rows (see `tokenize`), and N labels. A batch is a selection of rows."""
+    """Pre-tokenized records: an (N, max_len) intp matrix of `tokenize` rows
+    (CLS, at most max_len - 1 word ids, PAD), and N labels. A batch is a
+    selection of rows, which `forward` cuts to their `real_width`."""
     ids: np.ndarray
     labels: np.ndarray
 
@@ -399,10 +400,8 @@ def training_processes(loads: dict, batch: int) -> int:
 
 def eval_batches(eval_set: EncodedSet) -> range:
     """Start offsets of the forward-only eval batches; the step is the batch
-    size, EVAL_ROWS token rows at the width of the set's longest real row."""
-    real = np.flatnonzero((eval_set.ids != PAD_ID).any(axis=0))
-    width = int(real[-1]) + 1 if real.size else 1
-    return range(0, len(eval_set), max(1, EVAL_ROWS // width))
+    size, EVAL_ROWS token rows at the set's `real_width` (at least one row)."""
+    return range(0, len(eval_set), max(1, EVAL_ROWS // real_width(eval_set.ids != PAD_ID)))
 
 
 def evaluate(theta: np.ndarray, helpers: Helpers) -> tuple[float, float]:

@@ -41,12 +41,12 @@ LAYER_MATRIX_NAMES = ("wq", "wk", "wv", "wo", "ff1", "ff2")
 
 
 class Vocab:
-    def __init__(self, id_to_token: list):
-        self.id_to_token = id_to_token  # token i has id N_RESERVED + i, after PAD, UNK and CLS
-        self.token_to_id = {tok: N_RESERVED + i for i, tok in enumerate(id_to_token)}
+    """Word ids: token i of `id_to_token` has id N_RESERVED + i, after PAD, UNK
+    and CLS. `tokenize` reads `token_to_id`, and any other word is UNK_ID."""
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+    def __init__(self, id_to_token: list):
+        self.id_to_token = id_to_token
+        self.token_to_id = {tok: N_RESERVED + i for i, tok in enumerate(id_to_token)}
 
 
 def word_tokens(text: str) -> list[str]:
@@ -65,8 +65,9 @@ def build_vocab(texts: list[str], max_size: int) -> Vocab:
 
 
 def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:
-    """[CLS] + word ids (never PAD_ID), truncated to max_len, right-padded with PAD_ID."""
-    ids = ([CLS_ID] + [vocab.lookup(t) for t in word_tokens(text)])[:max_len]
+    """[CLS] + the ids of the first max_len - 1 words (UNK_ID outside the vocabulary;
+    later words are not looked up), right-padded with PAD_ID to max_len >= 1."""
+    ids = [CLS_ID] + [vocab.token_to_id.get(t, UNK_ID) for t in word_tokens(text)[:max_len - 1]]
     return ids + [PAD_ID] * (max_len - len(ids))
 
 
@@ -172,9 +173,15 @@ def init_model(cfg: ModelConfig) -> EncoderModel:
     return build_model(cfg, init)
 
 
+def real_width(mask: np.ndarray) -> int:
+    """1 + the last column of a PAD mask `ids != PAD_ID` where some row holds a
+    real token, or 1 when none does (an empty set)."""
+    real = np.flatnonzero(mask.any(axis=0))
+    return int(real[-1]) + 1 if real.size else 1
+
+
 def _pack_batch(ids_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T) id array and its mask `ids != PAD_ID`, cut after the last column
-    holding a real token in any row.
+    """(B, T) id array and its mask `ids != PAD_ID`, cut to the batch's `real_width`.
 
     Raises DataError for an empty or ragged batch, rows wider than
     max_seq_len, and rows whose column 0, the pooled position, is not CLS_ID
@@ -193,7 +200,7 @@ def _pack_batch(ids_batch, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
         row = int(bad[0])
         raise DataError(f"row {row} of the batch starts with id {ids[row, 0]}, not CLS_ID {CLS_ID}")
     mask = ids != PAD_ID
-    keep = int(np.nonzero(mask.any(axis=0))[0][-1]) + 1
+    keep = real_width(mask)
     return ids[:, :keep], mask[:, :keep]
 
 

@@ -193,11 +193,6 @@ class PCG64:
         return raws
 
 
-def pcg64_raw(seed: int, n: int) -> np.ndarray:
-    """NumPy's `PCG64(seed).random_raw(n)`, bit for bit, 0 <= seed < 2**64."""
-    return PCG64(seed).random_raw(n)
-
-
 # NumPy's Dirichlet at 0.1 <= alpha < 1, from the exponential ziggurat
 _ZIGGURAT_R, _ZIGGURAT_V = 7.69711747013104972, 3.949659822581572e-3
 
@@ -224,7 +219,7 @@ def _ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
     return tuple(ke), tuple(we), tuple(fe)
 
 
-def _double(raw: int) -> float:
+def next_double(raw: int) -> float:
     """NumPy's `next_double`: the top 53 bits of a raw draw, in [0, 1)."""
     return (raw >> 11) * 2.0 ** -53
 
@@ -238,8 +233,8 @@ def _exponential(draw) -> float:
     if ri < ke[idx]:
         return x  # fast accept, 97.8% of draws (the mean of ke / 2**53)
     if idx == 0:
-        return _ZIGGURAT_R - math.log1p(-_double(draw()))  # idx-0 tail
-    if (fe[idx - 1] - fe[idx]) * _double(draw()) + fe[idx] < math.exp(-x):
+        return _ZIGGURAT_R - math.log1p(-next_double(draw()))  # idx-0 tail
+    if (fe[idx - 1] - fe[idx]) * next_double(draw()) + fe[idx] < math.exp(-x):
         return x  # wedge accept
     return _exponential(draw)  # wedge reject: start again
 
@@ -248,7 +243,7 @@ def _gamma_below_one(draw, shape: float) -> float:
     """NumPy's `random_standard_gamma` at 0 < shape < 1: draw U, then an
     exponential V, until a proposal X from U passes its test against V."""
     while True:
-        u, v = _double(draw()), _exponential(draw)
+        u, v = next_double(draw()), _exponential(draw)
         if u <= 1.0 - shape:
             x = u ** (1.0 / shape)  # U <= 1 - shape
             if x <= v:

@@ -23,8 +23,8 @@ def small_cfg(**overrides):
 def test_build_vocab_frequency_order():
     v = build_vocab(["a b", "a"], max_size=5)
     assert v.id_to_token == ["a", "b"]
-    assert v.lookup("a") == 3
-    assert v.lookup("b") == 4
+    assert v.token_to_id["a"] == 3
+    assert v.token_to_id["b"] == 4
 
 
 def test_build_vocab_tie_breaks_lexicographically():
@@ -54,7 +54,7 @@ def test_tokenize_empty_text():
 
 def test_tokenize_known_tokens():
     v = build_vocab(["a b"], max_size=5)
-    assert tokenize("a b", v, max_len=4) == [M.CLS_ID, v.lookup("a"), v.lookup("b"), M.PAD_ID]
+    assert tokenize("a b", v, max_len=4) == [M.CLS_ID, v.token_to_id["a"], v.token_to_id["b"], M.PAD_ID]
 
 
 def test_tokenize_unknown_maps_to_unk():
@@ -66,7 +66,60 @@ def test_tokenize_unknown_maps_to_unk():
 def test_tokenize_truncates_to_max_len():
     v = build_vocab(["a b c d e"], max_size=10)
     ids = tokenize("a b c d e", v, max_len=3)
-    assert ids == [M.CLS_ID, v.lookup("a"), v.lookup("b")]
+    assert ids == [M.CLS_ID, v.token_to_id["a"], v.token_to_id["b"]]
+
+
+def _tokenize_oracle(text, vocab, max_len):
+    """tokenize as first written: look up every word, then cut to max_len."""
+    ids = ([M.CLS_ID] + [vocab.token_to_id.get(t, M.UNK_ID) for t in M.word_tokens(text)])[:max_len]
+    return ids + [M.PAD_ID] * (max_len - len(ids))
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 5, 8, 40])
+@pytest.mark.parametrize("text", [
+    "", "a", "a b c d e f g h i j",  # more words than most cuts keep
+    "a b zzz qqq",  # unknown words before and past the cut
+    "A b, c'd ... e 'f g zzz h! i", "zzz " * 30])
+def test_tokenize_equals_looking_up_every_word_then_cutting(text, max_len):
+    v = build_vocab(["a b c d e f", "a b c", "c'd"], max_size=7)
+    ids = tokenize(text, v, max_len)
+    assert ids == _tokenize_oracle(text, v, max_len)
+    assert len(ids) == max_len and ids[0] == M.CLS_ID
+
+
+def test_tokenize_looks_up_only_the_words_a_row_keeps():
+    class Spy(dict):
+        def get(self, key, default=None):
+            seen.append(key)
+            return super().get(key, default)
+
+    seen = []
+    v = build_vocab(["a b c"], max_size=10)
+    v.token_to_id = Spy(v.token_to_id)
+    ids = tokenize("a b c zzz a b", v, max_len=4)
+    assert seen == ["a", "b", "c"]
+    assert ids == _tokenize_oracle("a b c zzz a b", v, 4)
+    seen.clear()
+    assert tokenize("a b", v, max_len=1) == [M.CLS_ID] and seen == []
+
+
+def test_real_width_is_one_past_the_last_real_column():
+    ids = np.full((3, 8), M.PAD_ID, dtype=np.intp)
+    ids[:, 0] = M.CLS_ID
+    ids[1, 1:4] = 5  # PAD tail columns 4..7 in every row
+    assert M.real_width(ids != M.PAD_ID) == 4
+    assert M.real_width(ids[:1] != M.PAD_ID) == 1  # only CLS
+    assert M.real_width(np.ones((2, 8), dtype=bool)) == 8  # the widest row fills max_len
+    assert M.real_width(np.zeros((0, 8), dtype=bool)) == 1  # the empty set
+    assert M.real_width(np.zeros((4, 8), dtype=bool)) == 1
+
+
+def test_real_width_of_a_set_narrower_than_max_len():
+    v = build_vocab(["a b c d"], max_size=10)
+    ids = np.array([tokenize(t, v, max_len=12) for t in ("a b", "a b c d zzz", "c")])
+    assert M.real_width(ids != M.PAD_ID) == 6
+    ids_cut, mask = M._pack_batch(ids, max_seq_len=12)
+    assert ids_cut.shape == mask.shape == (3, 6) and np.array_equal(ids_cut, ids[:, :6])
 
 
 # init ----------------------------------------------------------------------

@@ -50,8 +50,8 @@ def test_seed_sequence_state_is_numpys(seed):
 
 @pytest.mark.parametrize("n", [0, 1, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 30000])
 @pytest.mark.parametrize("seed", PCG64_SEEDS)
-def test_pcg64_raw_is_numpys_pcg64_bit_for_bit(seed, n):
-    got = rng.pcg64_raw(seed, n)
+def test_pcg64_random_raw_is_numpys_bit_for_bit(seed, n):
+    got = rng.PCG64(seed).random_raw(n)
     assert got.dtype == np.uint64 and got.shape == (n,)
     assert got.tobytes() == np.random.PCG64(seed).random_raw(n).tobytes()
 
@@ -62,14 +62,14 @@ def test_pcg64_stream_goes_on_where_its_last_draw_stopped():
         assert ours.random_raw(n).tobytes() == numpys.random_raw(n).tobytes()
 
 
-def test_pcg64_raw_refuses_a_count_too_large_to_hold_before_drawing():
+def test_pcg64_random_raw_refuses_a_count_too_large_to_hold_before_drawing():
     with pytest.raises(MemoryError):
-        rng.pcg64_raw(0, 2 ** 50)  # 8 PiB
+        rng.PCG64(0).random_raw(2 ** 50)  # 8 PiB
 
 
 def test_pcg64_stream_read_in_pieces_computes_only_the_draws_it_returns(monkeypatch):
     pieces = [1, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 1000]
-    whole = rng.pcg64_raw(11, sum(pieces))
+    whole = rng.PCG64(11).random_raw(sum(pieces))
     computed, draws = [], rng._pcg64_draws
     monkeypatch.setattr(rng, "_pcg64_draws", lambda state, inc, n: computed.append(n) or draws(state, inc, n))
     stream = rng.PCG64(11)

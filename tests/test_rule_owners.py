@@ -1,0 +1,35 @@
+"""Each rule on the path from a post to its logits is computed in one place in
+`src/fedlora`: only `model.tokenize` reads `Vocab.token_to_id` (which
+`Vocab` builds), and only `model.real_width` takes the last real column of a
+PAD mask, the `.any(axis=0)` reduction over a set's or a batch's columns."""
+
+import inspect
+from pathlib import Path
+
+from fedlora import model
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedlora"
+
+
+def readers(word, *owners):
+    """'module: word' for each module of the package that spells `word` outside
+    the source of `owners`."""
+    skip = [inspect.getsource(owner) for owner in owners]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for source in skip:
+            text = text.replace(source, "")
+        if word in text:
+            found.append(f"{path.name}: {word}")
+    return found
+
+
+def test_only_tokenize_reads_token_to_id():
+    assert readers("token_to_id", model.Vocab, model.tokenize) == []
+    assert "token_to_id" in inspect.getsource(model.tokenize)
+
+
+def test_only_real_width_takes_the_last_real_column():
+    assert readers(".any(axis=0)", model.real_width) == []
+    assert ".any(axis=0)" in inspect.getsource(model.real_width)

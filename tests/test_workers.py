@@ -25,7 +25,7 @@ from fedlora.federation import (EVAL_ROWS, EncodedSet, FedConfig, GlobalState, H
                                 comm_cost, encode_records, eval_batches, evaluate,
                                 run_federated, run_round)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
-from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model
+from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model, real_width
 
 from test_cli import write_config
 from test_federation import DESK_MODEL, empty_set, run_round_in_process, training_fixture
@@ -216,6 +216,13 @@ def test_eval_batch_holds_eval_rows_at_the_longest_real_row():
     wide = np.full((3, 2000), 2, dtype=np.intp)  # wider than EVAL_ROWS: one record a batch
     assert eval_batches(EncodedSet(ids=wide, labels=np.zeros(3, dtype=int))) == range(0, 3, 1)
     assert len(eval_batches(empty_set())) == 0
+
+
+@pytest.mark.parametrize("n_records", [2, 7, 400])
+def test_eval_batch_size_is_eval_rows_over_the_real_width(n_records):
+    _, eval_set = eval_fixture(n_records)
+    for s in (eval_set, empty_set()):
+        assert eval_batches(s).step == EVAL_ROWS // real_width(s.ids != PAD_ID)
 
 
 def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
