@@ -60,6 +60,8 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float, started):
         "total_uplink_bytes": sum(r.uplink_bytes for r in state.history),
         "total_downlink_bytes": sum(r.downlink_bytes for r in state.history),
         "processes": state.processes,
+        "train_processes": state.train_processes,
+        "eval_processes": state.eval_processes,
         "trainable_params": n_trainable,
         "trainable_breakdown": breakdown,
         "total_params": total_params,

@@ -6,19 +6,12 @@ Determinism contract: every batch shuffle is derived from
 (snapshot, shard, seed, client id, round), and aggregation sums in
 client-id order, so a run is bit-reproducible on any number of cores.
 
-Parallelism: `run_federated` forks max(`training_processes`,
-`process_count(eval batches)`) - 1 helper processes once (`Helpers`), after
-the shards are encoded and the template is built, so every helper inherits
-the template, the config and the encoded sets (each one id matrix, shared
-by the fork without copying). Both phases of a round go through
-`Helpers.map`, which splits them by `assign`, largest load first to the
-least-loaded process: the clients (load: E x training records) over every
-process, and after FedAvg the eval batches (EVAL_ROWS token rows each;
-load: records) over `process_count(eval batches)`. Training takes
-`process_count(clients)` processes unless `assign`'s groups on that many
-leave one more than a batch over max(largest load, ceil(total /
-processes)); then it takes one process per client, at most two per usable
-core, and the kernel shares the cores among them.
+Parallelism: `Helpers.map` spreads each phase of a round, the clients and
+after FedAvg the eval batches, over as many processes as `phase_processes`
+decides. `run_federated` forks one fewer helper process (`Helpers`) than
+the busier phase takes, once, after the shards are encoded and the template
+is built, so every helper inherits the template, the config and the encoded
+sets (each one id matrix, shared by the fork without copying).
 
 A helper is sent only data: the snapshot and the round, or the new
 trainable vector and the batch size, plus its group; it sends back its
@@ -126,7 +119,12 @@ class GlobalState:
     history: list = field(default_factory=list)
     model: AdaptedModel | None = None
     vocab: Vocab | None = None
-    processes: int = 1  # the run process and its helpers
+    train_processes: int = 1  # `phase_processes` of each phase, the run process included
+    eval_processes: int = 1
+
+    @property
+    def processes(self) -> int:  # the run process and its helpers
+        return max(self.train_processes, self.eval_processes)
 
     @property
     def round_idx(self) -> int:  # rounds completed: a failed round appends no report
@@ -199,11 +197,6 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def process_count(n_groups: int) -> int:
-    """min(n_groups, usable cores), and at least 1 so an empty input still runs."""
-    return max(1, min(n_groups, usable_cores()))
-
-
 def _write_all(fd: int, data: bytes):
     """os.write until all of data is out: a signal can cut a pipe write short."""
     view = memoryview(data)
@@ -219,9 +212,7 @@ class Helpers:
 
     A helper inherits the template, the client sets, the config and the eval
     set at the fork, so a request carries only data (see `_answer`). Zero
-    helpers is the in-process case and forks nothing. `run_federated` forks
-    as many as the busier phase needs; the training phase may run up to two
-    processes per usable core (`training_processes`), eval no more than one.
+    helpers is the in-process case and forks nothing.
     """
 
     def __init__(self, n: int, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
@@ -316,20 +307,20 @@ class Helpers:
                 out[cid] = None
         return out
 
-    def map(self, label: str, kind: str, args: tuple, loads: dict, n_proc: int) -> dict:
+    def map(self, label: str, kind: str, args: tuple, loads: dict, unit: int) -> dict:
         """{item: result} over every item of `loads` ({item: load}).
 
-        `assign` splits the items over min(len(loads), n_proc, helpers + 1)
-        processes, at least 1: `run_round` asks for every process,
-        `evaluate` for one per eval batch up to the usable cores. The i-th
-        helper answers (kind, *args, group i) while the run process answers
-        group 0 through the same `_answer`; their dicts are merged. Every
-        reply is received even if group 0 raises. An exception a helper
-        raised is raised again here; a helper that dies before it replies (a
-        signal, a nonzero exit, a short read) is reaped and raises
-        RoundError naming `label` and its group.
+        `assign` splits the items over as many processes as
+        `phase_processes` gives for `loads` and `unit`, or over the run
+        process and every helper if there are fewer. The i-th helper answers
+        (kind, *args, group i) while the run process answers group 0 through
+        the same `_answer`; their dicts are merged. Every reply is received
+        even if group 0 raises. An exception a helper raised is raised again
+        here; a helper that dies before it replies (a signal, a nonzero exit,
+        a short read) is reaped and raises RoundError naming `label` and its
+        group.
         """
-        groups = assign(loads, max(1, min(len(loads), n_proc, len(self.procs) + 1)))
+        groups = assign(loads, min(phase_processes(loads, unit), len(self.procs) + 1))
         procs = self.procs[:len(groups) - 1]
         payloads = [pickle.dumps((kind, *args, group)) for group in groups[1:]]
         for (_, fd, _), payload in zip(procs, payloads):
@@ -385,39 +376,48 @@ def assign(loads: dict, n_proc: int) -> list[list]:
     return groups
 
 
-def training_processes(loads: dict, batch: int) -> int:
-    """Processes for the training phase, given {client id: E x training
-    records}: `process_count(clients)`, unless `assign`'s groups on that
-    many leave one more than a batch over max(largest load, ceil(total /
-    processes)); then one per client up to two per usable core, so that the
-    kernel, not a fixed split, balances uneven loads over the cores."""
-    n_proc = process_count(len(loads))
+def phase_processes(loads: dict, unit: int) -> int:
+    """Processes for one phase of a round, given {item: load} and the
+    phase's unit (`train_phase`, `eval_phase`): min(items, usable cores), at
+    least 1, unless `assign`'s groups on that many leave one more than a
+    unit over max(largest load, ceil(total / processes)); then one per item
+    up to two per usable core, so that the kernel, not a fixed split,
+    balances uneven loads over the cores. `assign` leaves no group more than
+    one item over that bound, so no eval batch, never larger than the unit,
+    sets off the fallback: eval takes min(batches, usable cores)."""
+    n_proc = max(1, min(len(loads), usable_cores()))
     bound = max(max(loads.values(), default=0), -(-sum(loads.values()) // n_proc))
-    if max(sum(loads[cid] for cid in group) for group in assign(loads, n_proc)) > bound + batch:
+    if max(sum(loads[key] for key in group) for group in assign(loads, n_proc)) > bound + unit:
         return min(len(loads), 2 * usable_cores())
     return n_proc
 
 
-def eval_batches(eval_set: EncodedSet) -> range:
-    """Start offsets of the forward-only eval batches; the step is the batch
-    size, EVAL_ROWS token rows at the set's `real_width` (at least one row)."""
-    return range(0, len(eval_set), max(1, EVAL_ROWS // real_width(eval_set.ids != PAD_ID)))
+def train_phase(client_sets: dict, cfg: FedConfig) -> tuple[dict, int]:
+    """(loads, unit) of the training phase: {client id: E x its training
+    records}, and the batch size."""
+    return {cid: cfg.local_epochs * len(s) for cid, s in client_sets.items()}, cfg.batch_size
+
+
+def eval_phase(eval_set: EncodedSet) -> tuple[dict, int]:
+    """(loads, unit) of the eval phase: {start offset: records} of each
+    forward-only eval batch, and the batch size, EVAL_ROWS token rows at
+    the set's `real_width` (at least one row)."""
+    step = max(1, EVAL_ROWS // real_width(eval_set.ids != PAD_ID))
+    return {start: min(step, len(eval_set) - start) for start in range(0, len(eval_set), step)}, step
 
 
 def evaluate(theta: np.ndarray, helpers: Helpers) -> tuple[float, float]:
     """(accuracy, F1) of trainable vector theta on the helpers' eval set.
 
-    The batches (`eval_batches`; forward trims padding columns per batch)
-    are spread by `Helpers.map`, each weighted by its record count; each
-    process that answers, the run process always, first loads theta into
-    its template, and the labels are put back in batch order.
+    The batches (`eval_phase`; forward trims padding columns per batch)
+    are spread by `Helpers.map`; each process that answers, the run process
+    always, first loads theta into its template, and the labels are put
+    back in batch order.
     """
     eval_set = helpers.eval_set
-    starts = eval_batches(eval_set)
-    labels = helpers.map("eval batches at records", "eval", (theta, starts.step),
-                         {start: min(starts.step, len(eval_set) - start) for start in starts},
-                         process_count(len(starts)))
-    m = confusion([p for start in starts for p in labels[start]], eval_set.labels.tolist())
+    loads, step = eval_phase(eval_set)
+    labels = helpers.map("eval batches at records", "eval", (theta, step), loads, step)
+    m = confusion([p for start in loads for p in labels[start]], eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
 
 
@@ -427,17 +427,15 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     `evaluate` of the new theta, which also loads it into state.model.
 
     `helpers` must have been started with state.model, client_sets, cfg and
-    global_eval; `Helpers.map` spreads the clients over every process it
-    has, each weighted by E x its training set size. Clients train on
-    clones, so state.theta is only read.
+    global_eval; `Helpers.map` spreads the clients. Clients train on clones,
+    so state.theta is only read.
     """
     t0 = time.perf_counter()
     helpers.check(template=state.model, client_sets=client_sets, cfg=cfg, eval_set=global_eval)
     round_idx = state.round_idx
 
     updates = helpers.map(f"round {round_idx}: clients", "train", (state.theta, round_idx),
-                          {cid: cfg.local_epochs * len(s) for cid, s in client_sets.items()},
-                          len(helpers.procs) + 1)
+                          *train_phase(client_sets, cfg))
     results = {cid: u[0] for cid, u in updates.items() if u is not None}
     losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
     if not results:
@@ -496,11 +494,10 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
     }
     global_eval = encode_records(global_eval_records, vocab, model_cfg.max_seq_len)
 
-    processes = max(training_processes({cid: fed_cfg.local_epochs * len(s)
-                                        for cid, s in client_sets.items()}, fed_cfg.batch_size),
-                    process_count(len(eval_batches(global_eval))))
-    state = GlobalState(theta=theta, model=am, vocab=vocab, processes=processes)
-    with Helpers(processes - 1, am, client_sets, fed_cfg, global_eval) as helpers:
+    state = GlobalState(theta=theta, model=am, vocab=vocab,
+                        train_processes=phase_processes(*train_phase(client_sets, fed_cfg)),
+                        eval_processes=phase_processes(*eval_phase(global_eval)))
+    with Helpers(state.processes - 1, am, client_sets, fed_cfg, global_eval) as helpers:
         for _ in range(fed_cfg.rounds):
             run_round(state, client_sets, fed_cfg, global_eval, helpers)
     return state

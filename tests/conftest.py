@@ -1,5 +1,8 @@
 import os
 
+# before any test module imports NumPy, so that the loaded BLAS starts with
+# the one thread per process that `import fedlora` asks for, as in a CLI run
+import fedlora  # noqa: F401
 import pytest
 
 

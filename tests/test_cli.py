@@ -609,6 +609,8 @@ def test_summary_follows_the_round_log(tmp_path, monkeypatch):
     assert summary["final_eval_accuracy"] == reports[-1]["eval_accuracy"]
     assert summary["final_eval_f1"] == reports[-1]["eval_f1"]
     assert summary["processes"] == states[0].processes
+    assert summary["train_processes"] == states[0].train_processes
+    assert summary["eval_processes"] == states[0].eval_processes
 
 
 def test_ablate_empty_grid_exits_2(tmp_path):

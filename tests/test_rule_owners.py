@@ -1,12 +1,15 @@
-"""Each rule on the path from a post to its logits is computed in one place in
+"""Each rule on the path from a post to its logits, and the rule for how many
+processes a phase of a round takes, is computed in one place in
 `src/fedlora`: only `model.tokenize` reads `Vocab.token_to_id` (which
 `Vocab` builds), and only `model.real_width` takes the last real column of a
-PAD mask, the `.any(axis=0)` reduction over a set's or a batch's columns."""
+PAD mask, the `.any(axis=0)` reduction over a set's or a batch's columns.
+Only `federation.phase_processes` reads the usable cores, and only
+`Helpers.map` and `run_federated` (which sizes the helpers) apply it."""
 
 import inspect
 from pathlib import Path
 
-from fedlora import model
+from fedlora import federation, model
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedlora"
 
@@ -33,3 +36,15 @@ def test_only_tokenize_reads_token_to_id():
 def test_only_real_width_takes_the_last_real_column():
     assert readers(".any(axis=0)", model.real_width) == []
     assert ".any(axis=0)" in inspect.getsource(model.real_width)
+
+
+def test_only_phase_processes_reads_the_usable_cores():
+    assert readers("usable_cores()", federation.usable_cores, federation.phase_processes) == []
+    assert "usable_cores()" in inspect.getsource(federation.phase_processes)
+
+
+def test_only_map_and_run_federated_apply_phase_processes():
+    owners = (federation.Helpers.map, federation.run_federated)
+    assert readers("phase_processes(", federation.phase_processes, *owners) == []
+    for owner in owners:
+        assert "phase_processes(" in inspect.getsource(owner)

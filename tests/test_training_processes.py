@@ -1,10 +1,11 @@
-"""How many processes the training phase takes: `training_processes`.
+"""How many processes each phase of a round takes: `phase_processes`.
 
-A round's clients go to `process_count(clients)` processes by `assign`,
-unless that leaves one process more than a batch over the bound
-max(largest load, ceil(total / processes)); then each client gets its own
-process, up to two per usable core, and the kernel shares the cores among
-them. Either way a run writes the same files as on one core.
+A phase's items (clients, or eval batches) go to min(items, usable cores)
+processes by `assign`, unless that leaves one process more than a unit (a
+batch) over the bound max(largest load, ceil(total / processes)); then each
+item gets its own process, up to two per usable core, and the kernel
+shares the cores among them. Either way a run writes the same files as on
+one core.
 """
 
 import contextlib
@@ -22,8 +23,8 @@ import pytest
 from fedlora import federation
 from fedlora.cli import RUN_FILES, main
 from fedlora.config import load_experiment
-from fedlora.federation import (EncodedSet, FedConfig, GlobalState, Helpers, run_federated,
-                                run_round, training_processes)
+from fedlora.federation import (EncodedSet, FedConfig, GlobalState, Helpers, phase_processes,
+                                run_federated, run_round)
 from fedlora.data import PartitionSpec, synth_corpus
 from fedlora.lora import LoraConfig, extract_trainable
 from fedlora.model import ModelConfig
@@ -41,22 +42,35 @@ def test_uneven_groups_take_a_process_per_client_on_two_cores(monkeypatch):
     force_cores(monkeypatch, 2)
     # desk_federated: 427/426/426 training records, E=2, B=16; assign's
     # [[0], [1, 2]] puts 1704 on one process against a bound of 1279
-    assert training_processes({0: 854, 1: 852, 2: 852}, 16) == 3
+    assert phase_processes({0: 854, 1: 852, 2: 852}, 16) == 3
     # ablation_skew's K=3 cell: 38/104/112 records, E=10; 1420 against 1270
-    assert training_processes({0: 380, 1: 1040, 2: 1120}, 16) == 3
+    assert phase_processes({0: 380, 1: 1040, 2: 1120}, 16) == 3
     # skew_long_csv corpus 0, E=1: 120 against a bound of 120, so one per core
-    assert training_processes(dict(enumerate([24, 41, 75, 2, 14, 2, 75, 6])), 16) == 2
-    assert training_processes({0: 500}, 16) == 1
-    assert training_processes({}, 16) == 1
+    assert phase_processes(dict(enumerate([24, 41, 75, 2, 14, 2, 75, 6])), 16) == 2
+    assert phase_processes({0: 500}, 16) == 1
+    assert phase_processes({}, 16) == 1
 
 
 def test_groups_at_most_one_batch_over_the_bound_keep_one_process_per_core(monkeypatch):
     force_cores(monkeypatch, 2)
-    assert training_processes({0: 40, 1: 40, 2: 40, 3: 40}, 8) == 2
+    assert phase_processes({0: 40, 1: 40, 2: 40, 3: 40}, 8) == 2
     # assign's [[0, 2], [1]]: 20 record-epochs against a bound of 15, so
     # exactly one batch of 5 over, or more than one batch of 4 over
-    assert training_processes({0: 10, 1: 10, 2: 10}, 5) == 2
-    assert training_processes({0: 10, 1: 10, 2: 10}, 4) == 3
+    assert phase_processes({0: 10, 1: 10, 2: 10}, 5) == 2
+    assert phase_processes({0: 10, 1: 10, 2: 10}, 4) == 3
+
+
+@pytest.mark.parametrize("cores", range(1, 9))
+def test_items_no_larger_than_the_unit_take_one_process_each_up_to_the_cores(monkeypatch, cores):
+    # `assign` leaves no group more than one item over the bound, so loads
+    # no larger than the unit, as eval batches are, never take the fallback
+    force_cores(monkeypatch, cores)
+    rand = random.Random(cores)
+    for _ in range(300):
+        unit = rand.randint(1, 100)
+        loads = {item: rand.choice([1, unit, rand.randint(1, unit)])
+                 for item in range(rand.randint(1, 40))}
+        assert phase_processes(loads, unit) == min(len(loads), cores), (loads, unit)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -68,47 +82,53 @@ def test_many_uneven_clients_take_at_most_two_processes_per_core(monkeypatch, co
     # one more large client than cores: on more than one core, two of them
     # share a process, far over the bound
     loads.update({cid: 10**6 for cid in range(cores + 1)})
-    n = training_processes(loads, 16)
+    n = phase_processes(loads, 16)
     assert n <= 2 * cores
     assert n == (1 if cores == 1 else 2 * cores)
     assert forks == []
 
 
-def run_until_training(monkeypatch, path, *overrides):
-    """training_processes' answer for the config at `path` on 2 cores; the
-    run stops there, before any helper is forked."""
+def run_until_helpers(monkeypatch, path, *overrides):
+    """phase_processes' answers (training, eval) for the config at `path` on
+    2 cores; the run stops there, before any helper is forked."""
     seen = []
 
     class Counted(Exception):
         pass
 
     def spy(*args):
-        seen.append(training_processes(*args))
-        raise Counted
+        seen.append(phase_processes(*args))
+        if len(seen) == 2:
+            raise Counted
+        return seen[-1]
 
-    monkeypatch.setattr(federation, "training_processes", spy)
+    monkeypatch.setattr(federation, "phase_processes", spy)
     force_cores(monkeypatch, 2)
     exp = load_experiment(path, list(overrides))
     with pytest.raises(Counted):
         federation.run_federated(exp.model, exp.lora, exp.fed, exp.data.load_records(),
                                  exp.data.partition, eval_frac=exp.data.eval_frac)
-    return seen[0]
+    return tuple(seen)
 
 
 def test_real_configs_take_a_process_per_client_on_desk_and_ablation_k3_not_skew(
         monkeypatch, tmp_path):
     configs = REPO / "configs"
-    assert run_until_training(monkeypatch, configs / "desk_federated.json") == 3
-    assert run_until_training(monkeypatch, configs / "ablation_skew.json") == 3
-    assert run_until_training(monkeypatch, configs / "ablation_skew.json", "fed.n_clients=1") == 1
+    # desk and the centralized baseline evaluate 400 records in 5 batches,
+    # ablation_skew 80 in one
+    assert run_until_helpers(monkeypatch, configs / "desk_federated.json") == (3, 2)
+    assert run_until_helpers(monkeypatch, configs / "centralized_baseline.json") == (1, 2)
+    assert run_until_helpers(monkeypatch, configs / "ablation_skew.json") == (3, 1)
+    assert run_until_helpers(monkeypatch, configs / "ablation_skew.json",
+                             "fed.n_clients=1") == (1, 1)
     spec = importlib.util.spec_from_file_location("corpus", REPO / "perfbench" / "corpus.py")
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     csv_path = tmp_path / "skew0.csv"
     corpus.write_csv(csv_path, corpus.generate(0))
     source = json.dumps({"csv": str(csv_path)})
-    assert run_until_training(monkeypatch, REPO / "perfbench" / "skew_long_csv.json",
-                              f"data.source={source}") == 2
+    assert run_until_helpers(monkeypatch, REPO / "perfbench" / "skew_long_csv.json",
+                             f"data.source={source}") == (2, 2)
 
 
 # runs on more processes than cores ------------------------------------------
@@ -144,7 +164,9 @@ def client_round(sizes):
     pytest.param((24, 24, 24, 16, 8), 4, id="uneven-5-on-5"),
     pytest.param((24, 8, 16), 5, id="more-helpers-than-clients"),
 ])
-def test_a_round_on_every_process_equals_the_in_process_round_bit_for_bit(sizes, n_helpers):
+def test_a_round_on_every_process_equals_the_in_process_round_bit_for_bit(
+        monkeypatch, sizes, n_helpers):
+    force_cores(monkeypatch, n_helpers + 1)  # so training takes min(clients, processes)
     state, sets, cfg, eval_set = client_round(sizes)
     ref = GlobalState(theta=state.theta.copy(), model=state.model.clone())
     for _ in range(2):
@@ -159,8 +181,8 @@ def test_a_round_on_every_process_equals_the_in_process_round_bit_for_bit(sizes,
 
 def test_training_takes_a_process_per_client_and_eval_one_per_core(monkeypatch):
     # clients of 107/106/106 records (E=1, B=8) on 2 cores: 212 on one
-    # process against a bound of 160, so training takes 3; eval's two
-    # batches (100 records, 93 to a batch) take 2
+    # process against a bound of 160, so training tries 2 and takes 3;
+    # eval's two batches (100 records, 93 to a batch) take 2
     seen = count_groups(monkeypatch)
     forks = count_forks(monkeypatch)
     force_cores(monkeypatch, 2)
@@ -168,7 +190,7 @@ def test_training_takes_a_process_per_client_and_eval_one_per_core(monkeypatch):
     state = run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5), fed,
                           synth_corpus(500, seed=21), PartitionSpec(n_clients=3, seed=6),
                           eval_frac=0.2)
-    assert seen == [2] + [3, 2] * 2
+    assert seen == [2, 2] + [2, 3, 2, 2] * 2
     assert len(forks) == 2 and state.processes == 3
 
 
@@ -183,11 +205,12 @@ def test_helpers_close_every_pipe_end_they_made():
 
 
 COST_KEYS = ("cpu_s", "peak_rss_mb", "helper_peak_rss_mb", "minflt")
+PROCESS_KEYS = ("processes", "train_processes", "eval_processes")
 
 
 def run_files(monkeypatch, cores, argv):
     """The files `main(argv)` writes on `cores` cores, wall times, the cost
-    record and the process count zeroed, and that process count."""
+    record and the process counts zeroed, and the run's process count."""
     force_cores(monkeypatch, cores)
     with deadline():
         assert main(argv) == 0
@@ -196,7 +219,8 @@ def run_files(monkeypatch, cores, argv):
     files["rounds.jsonl"] = [{**json.loads(line), "wall_time": 0}
                              for line in files["rounds.jsonl"].splitlines()]
     summary = json.loads(files["summary.json"])
-    files["summary.json"] = {**summary, "wall_time_s": 0, "processes": 0, **dict.fromkeys(COST_KEYS, 0)}
+    files["summary.json"] = {**summary, "wall_time_s": 0,
+                             **dict.fromkeys(COST_KEYS + PROCESS_KEYS, 0)}
     return files, summary["processes"]
 
 

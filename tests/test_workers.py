@@ -22,7 +22,7 @@ from fedlora.config import load_experiment
 from fedlora.data import PartitionSpec, synth_corpus
 from fedlora.errors import ClientError, DataError, ProtocolError, RoundError
 from fedlora.federation import (EVAL_ROWS, EncodedSet, FedConfig, GlobalState, Helpers,
-                                comm_cost, encode_records, eval_batches, evaluate,
+                                comm_cost, encode_records, eval_phase, evaluate,
                                 run_federated, run_round)
 from fedlora.lora import LoraConfig, attach_adapters, extract_trainable
 from fedlora.model import PAD_ID, ModelConfig, build_vocab, init_model, real_width
@@ -33,6 +33,13 @@ from test_federation import DESK_MODEL, empty_set, run_round_in_process, trainin
 
 def force_cores(monkeypatch, n):
     monkeypatch.setattr(federation, "usable_cores", lambda: n)
+
+
+@pytest.fixture(autouse=True)
+def two_cores(monkeypatch):
+    """Two usable cores unless a test forces another count, so that a phase
+    of two items sends one to a helper on any machine."""
+    force_cores(monkeypatch, 2)
 
 
 def count_forks(monkeypatch):
@@ -49,8 +56,10 @@ def count_forks(monkeypatch):
 
 
 def count_groups(monkeypatch):
-    """Record the process count of every split `assign` makes: the one
-    `training_processes` tries, then each phase of each round."""
+    """Record the process count of every split `assign` makes: the split
+    `phase_processes` tries for each phase as `run_federated` sizes the
+    helpers, then in each phase of each round the split it tries and the one
+    `Helpers.map` takes."""
     seen = []
     real = federation.assign
 
@@ -141,14 +150,15 @@ def test_parallel_run_equals_sequential_bit_for_bit(monkeypatch, strategy, aggre
         return state.theta, reports, list(seen), len(forks)
 
     theta1, reports1, groups1, forks1 = run(1)
-    assert groups1 == [1] + [1, 1] * 2 and forks1 == 0
+    assert groups1 == [1] * 10 and forks1 == 0
     for cores in (2, 8):
         theta, reports, groups, n_forks = run(cores)
         # training takes one process per client up to the cores (the clients
         # are even enough that the rule for uneven loads does not fire); eval
         # runs its three batches (250 records of width 11, 93 to a batch) on
         # min(3, cores); the helpers are forked once for both
-        assert groups == [cores] + [cores, min(3, cores)] * 2
+        evals = min(3, cores)
+        assert groups == [cores, evals] + [cores, cores, evals, evals] * 2
         assert n_forks == cores - 1
         assert np.array_equal(theta, theta1)
         assert reports == reports1
@@ -178,7 +188,6 @@ def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
     exp = load_experiment(os.path.join(os.path.dirname(__file__), "..", "configs",
                                        "ablation_skew.json"))
     records = exp.data.load_records()
-    force_cores(monkeypatch, 2)
     seen = count_groups(monkeypatch)
     forks = count_forks(monkeypatch)
     for k, n_forks in ((1, 0), (3, 1)):
@@ -190,7 +199,8 @@ def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
         # a single client and a single eval batch need no helper; with three
         # clients one helper trains, and eval still sends it nothing
         assert len(forks) == n_forks
-        assert seen == [min(k, 2)] + [min(k, 2), 1] * 2
+        train = min(k, 2)
+        assert seen == [train, 1] + [train, train, 1, 1] * 2
 
 
 def test_clients_go_largest_first_to_the_least_loaded_process():
@@ -210,26 +220,26 @@ def test_eval_batch_holds_eval_rows_at_the_longest_real_row():
     ids[:, 0] = 2
     ids[:, 1:3] = 7  # width 3 everywhere ...
     ids[321, 1:5] = 9  # ... but one row of width 5
-    starts = eval_batches(EncodedSet(ids=ids, labels=np.zeros(500, dtype=int)))
-    assert starts.step == EVAL_ROWS // 5
-    assert list(starts) == list(range(0, 500, EVAL_ROWS // 5))
+    loads, step = eval_phase(EncodedSet(ids=ids, labels=np.zeros(500, dtype=int)))
+    assert step == EVAL_ROWS // 5
+    assert list(loads) == list(range(0, 500, EVAL_ROWS // 5))
+    assert set(list(loads.values())[:-1]) == {step} and sum(loads.values()) == 500
     wide = np.full((3, 2000), 2, dtype=np.intp)  # wider than EVAL_ROWS: one record a batch
-    assert eval_batches(EncodedSet(ids=wide, labels=np.zeros(3, dtype=int))) == range(0, 3, 1)
-    assert len(eval_batches(empty_set())) == 0
+    assert eval_phase(EncodedSet(ids=wide, labels=np.zeros(3, dtype=int))) == ({0: 1, 1: 1, 2: 1}, 1)
+    assert eval_phase(empty_set())[0] == {}
 
 
 @pytest.mark.parametrize("n_records", [2, 7, 400])
 def test_eval_batch_size_is_eval_rows_over_the_real_width(n_records):
     _, eval_set = eval_fixture(n_records)
     for s in (eval_set, empty_set()):
-        assert eval_batches(s).step == EVAL_ROWS // real_width(s.ids != PAD_ID)
+        assert eval_phase(s)[1] == EVAL_ROWS // real_width(s.ids != PAD_ID)
 
 
 def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
     am, eval_set = eval_fixture(400)
-    starts = eval_batches(eval_set)
-    size = starts.step
-    assert size == EVAL_ROWS // 11 and len(starts) == 5  # the last batch is short
+    loads, size = eval_phase(eval_set)
+    assert size == EVAL_ROWS // 11 and len(loads) == 5  # the last batch is short
     empty = empty_set()
     preds_seen = []
     real_confusion = federation.confusion
@@ -303,6 +313,7 @@ def test_other_exception_in_worker_is_raised_in_parent(monkeypatch):
         assert state.round_idx == 0 and not state.history
         # the helper survives its exception and serves the next request
         monkeypatch.undo()
+        force_cores(monkeypatch, 2)
         with pytest.raises(ValueError, match="^client 1 hit a bug$"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 0 and not state.history
@@ -324,6 +335,7 @@ def test_parent_group_exception_still_reaps_children(monkeypatch):
         # the helper's reply was received, so the next round starts clean: a
         # reply left over from the failed round would not match a new snapshot
         monkeypatch.undo()
+        force_cores(monkeypatch, 2)
         state.theta = state.theta * 0.5
         ref = GlobalState(theta=state.theta.copy(), model=state.model.clone())
         run_round_in_process(ref, sets, cfg, eval_set)
@@ -333,8 +345,6 @@ def test_parent_group_exception_still_reaps_children(monkeypatch):
 
 
 def test_run_federated_reaps_helpers_when_its_own_group_fails(monkeypatch):
-    force_cores(monkeypatch, 2)
-
     def fail(*args):
         raise ValueError("bug in every process")
 
@@ -369,8 +379,7 @@ def test_killed_eval_worker_raises_round_error(monkeypatch):
 
     monkeypatch.setattr(federation, "forward", patched)
     am, eval_set = eval_fixture(100)
-    starts = eval_batches(eval_set)
-    assert list(starts) == [0, 93]
+    assert list(eval_phase(eval_set)[0]) == [0, 93]
     with pytest.raises(RoundError, match=r"eval batches at records \[93\].*signal 9"):
         evaluate_on(1, am, eval_set)
 
@@ -407,7 +416,6 @@ def test_a_helper_exits_once_its_own_request_pipe_closes():
 
 
 def test_killed_worker_cli_exits_1_and_writes_nothing(monkeypatch, tmp_path, capsys):
-    force_cores(monkeypatch, 2)
     patch_client_update(monkeypatch, kill_self)
     cfg, out = write_config(tmp_path)
     assert main(["train-federated", cfg]) == 1
