@@ -62,6 +62,7 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float, started):
         "processes": state.processes,
         "train_processes": state.train_processes,
         "eval_processes": state.eval_processes,
+        "usable_cores": state.usable_cores,
         "trainable_params": n_trainable,
         "trainable_breakdown": breakdown,
         "total_params": total_params,

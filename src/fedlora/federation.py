@@ -6,21 +6,23 @@ Determinism contract: every batch shuffle is derived from
 (snapshot, shard, seed, client id, round), and aggregation sums in
 client-id order, so a run is bit-reproducible on any number of cores.
 
-Parallelism: `Helpers.map` spreads each phase of a round, the clients and
-after FedAvg the eval batches, over as many processes as `phase_processes`
-decides. `run_federated` forks one fewer helper process (`Helpers`) than
-the busier phase takes, once, after the shards are encoded and the template
-is built, so every helper inherits the template, the config and the encoded
-sets (each one id matrix, shared by the fork without copying).
+Parallelism: `run_federated` starts the helper processes (`Helpers`) once
+per run, after the shards are encoded and the template is built, so every
+helper inherits the template, the config and the encoded sets (each one id
+matrix, shared by the fork without copying). `Helpers` reads the usable
+cores once and splits each phase of a round, the clients and after FedAvg
+the eval batches, once, over as many processes as `phase_processes`
+decides; it forks one fewer helper than the busier phase takes, and
+`Helpers.map` runs a phase on its stored split in every round.
 
 A helper is sent only data: the snapshot and the round, or the new
-trainable vector and the batch size, plus its group; it sends back its
-pickled result through a pipe. The run process answers the first group
-itself through the same `Helpers._answer`, so an eval set of one batch
-never leaves it. A `ClientError` on a helper skips that client; any other
-exception is raised again in the run process; a helper that dies (killed,
-nonzero exit, short read) raises `RoundError`. Every helper is reaped when
-`run_federated` returns or raises.
+trainable vector, plus its group; it sends back its pickled result through
+a pipe. The run process answers the first group itself through the same
+`Helpers._answer`, so an eval set of one batch never leaves it. A
+`ClientError` on a helper skips that client; any other exception is raised
+again in the run process; a helper that dies (killed, nonzero exit, short
+read) raises `RoundError`, and so does every later phase on the same
+helpers. Every helper is reaped when `run_federated` returns or raises.
 
 The corpus is partitioned into `partition.n_clients` shards (the client
 population); the federation trains on the first `fed.n_clients` of them, so
@@ -121,6 +123,7 @@ class GlobalState:
     vocab: Vocab | None = None
     train_processes: int = 1  # `phase_processes` of each phase, the run process included
     eval_processes: int = 1
+    usable_cores: int = 1  # as `Helpers` read them
 
     @property
     def processes(self) -> int:  # the run process and its helpers
@@ -205,22 +208,33 @@ def _write_all(fd: int, data: bytes):
 
 
 class Helpers:
-    """`n` processes forked from this one, each serving its requests until
+    """Processes forked from this one, each serving its requests until
     `close` (or the end of a `with` block); `run_federated` starts them once
-    per run. `map` spreads one phase of a round over them and the run
-    process.
+    per run. `map` runs one phase of a round over them and the run process.
+
+    The usable cores are read once, here, and each phase is split once:
+    `splits` holds `assign`'s groups of `train_phase` and of `eval_phase`
+    over `phase_processes` of the phase on those cores. One fewer helper is
+    forked than the larger split has groups; one group in both is the
+    in-process case and forks nothing. A change of CPU affinity later in the
+    run does not re-split a phase.
 
     A helper inherits the template, the client sets, the config and the eval
-    set at the fork, so a request carries only data (see `_answer`). Zero
-    helpers is the in-process case and forks nothing.
+    set at the fork, so a request carries only data (see `_answer`).
     """
 
-    def __init__(self, n: int, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
+    def __init__(self, template: AdaptedModel, client_sets: dict, cfg: FedConfig,
                  eval_set: EncodedSet):
         self.template, self.client_sets, self.cfg, self.eval_set = template, client_sets, cfg, eval_set
+        self.cores = usable_cores()
+        phases = {"train": train_phase(client_sets, cfg), "eval": eval_phase(eval_set)}
+        self.eval_step = phases["eval"][1]
+        self.splits = {kind: assign(loads, phase_processes(loads, unit, self.cores))
+                       for kind, (loads, unit) in phases.items()}
+        self.n_helpers = max(map(len, self.splits.values())) - 1
         self.procs = []  # (pid, request pipe fd, reply pipe reader) per live helper
         try:
-            for _ in range(n):
+            for _ in range(self.n_helpers):
                 self.procs.append(self._fork())
         except BaseException:
             self.close()
@@ -285,13 +299,13 @@ class Helpers:
     def _answer(self, kind, *args) -> dict:
         """One group's results, the same in a helper and in the run process:
         ("train", snapshot, round, group) gives `_train`'s dict; ("eval",
-        theta, batch size, batch starts) loads theta and gives {start: the
-        batch's labels}."""
+        theta, batch starts) loads theta and gives {start: the labels of the
+        batch of `eval_step` records from start}."""
         if kind == "train":
             return self._train(*args)
-        theta, step, starts = args
+        theta, starts = args
         load_trainable(self.template, theta)
-        ids = self.eval_set.ids
+        ids, step = self.eval_set.ids, self.eval_step
         return {start: predict_labels(forward(self.template, ids[start:start + step]).data)
                 for start in starts}
 
@@ -307,20 +321,22 @@ class Helpers:
                 out[cid] = None
         return out
 
-    def map(self, label: str, kind: str, args: tuple, loads: dict, unit: int) -> dict:
-        """{item: result} over every item of `loads` ({item: load}).
+    def map(self, label: str, kind: str, args: tuple) -> dict:
+        """{item: result} over every item of phase `kind`, on its split.
 
-        `assign` splits the items over as many processes as
-        `phase_processes` gives for `loads` and `unit`, or over the run
-        process and every helper if there are fewer. The i-th helper answers
-        (kind, *args, group i) while the run process answers group 0 through
-        the same `_answer`; their dicts are merged. Every reply is received
-        even if group 0 raises. An exception a helper raised is raised again
-        here; a helper that dies before it replies (a signal, a nonzero exit,
-        a short read) is reaped and raises RoundError naming `label` and its
-        group.
+        The i-th helper answers (kind, *args, group i) of `splits[kind]`
+        while the run process answers group 0 through the same `_answer`;
+        their dicts are merged. Every reply is received even if group 0
+        raises. An exception a helper raised is raised again here; a helper
+        that dies before it replies (a signal, a nonzero exit, a short read)
+        is reaped and raises RoundError naming `label` and its group, and
+        every later call raises RoundError naming its `label` before it
+        sends any request.
         """
-        groups = assign(loads, min(phase_processes(loads, unit), len(self.procs) + 1))
+        if len(self.procs) < self.n_helpers:
+            raise RoundError(f"{label}: {self.n_helpers - len(self.procs)} helper(s) of this run "
+                             f"ended in an earlier phase")
+        groups = self.splits[kind]
         procs = self.procs[:len(groups) - 1]
         payloads = [pickle.dumps((kind, *args, group)) for group in groups[1:]]
         for (_, fd, _), payload in zip(procs, payloads):
@@ -376,19 +392,20 @@ def assign(loads: dict, n_proc: int) -> list[list]:
     return groups
 
 
-def phase_processes(loads: dict, unit: int) -> int:
-    """Processes for one phase of a round, given {item: load} and the
-    phase's unit (`train_phase`, `eval_phase`): min(items, usable cores), at
-    least 1, unless `assign`'s groups on that many leave one more than a
-    unit over max(largest load, ceil(total / processes)); then one per item
-    up to two per usable core, so that the kernel, not a fixed split,
+def phase_processes(loads: dict, unit: int, cores: int) -> int:
+    """Processes for one phase of a round, given {item: load}, the phase's
+    unit (`train_phase`, `eval_phase`) and the usable cores: min(items,
+    cores), at least 1, unless `assign`'s groups on that many leave one more
+    than a unit over max(largest load, ceil(total / processes)); then one
+    per item up to two per core, so that the kernel, not a fixed split,
     balances uneven loads over the cores. `assign` leaves no group more than
     one item over that bound, so no eval batch, never larger than the unit,
-    sets off the fallback: eval takes min(batches, usable cores)."""
-    n_proc = max(1, min(len(loads), usable_cores()))
+    sets off the fallback: eval takes min(batches, cores). `Helpers` applies
+    it once per phase and run."""
+    n_proc = max(1, min(len(loads), cores))
     bound = max(max(loads.values(), default=0), -(-sum(loads.values()) // n_proc))
     if max(sum(loads[key] for key in group) for group in assign(loads, n_proc)) > bound + unit:
-        return min(len(loads), 2 * usable_cores())
+        return min(len(loads), 2 * cores)
     return n_proc
 
 
@@ -410,14 +427,12 @@ def evaluate(theta: np.ndarray, helpers: Helpers) -> tuple[float, float]:
     """(accuracy, F1) of trainable vector theta on the helpers' eval set.
 
     The batches (`eval_phase`; forward trims padding columns per batch)
-    are spread by `Helpers.map`; each process that answers, the run process
-    always, first loads theta into its template, and the labels are put
-    back in batch order.
+    are spread by `Helpers.map` on the eval split; each process that
+    answers, the run process always, first loads theta into its template,
+    and the labels are put back in batch order.
     """
-    eval_set = helpers.eval_set
-    loads, step = eval_phase(eval_set)
-    labels = helpers.map("eval batches at records", "eval", (theta, step), loads, step)
-    m = confusion([p for start in loads for p in labels[start]], eval_set.labels.tolist())
+    labels = helpers.map("eval batches at records", "eval", (theta,))
+    m = confusion([p for s in sorted(labels) for p in labels[s]], helpers.eval_set.labels.tolist())
     return accuracy(m), f1_binary(m)
 
 
@@ -427,15 +442,14 @@ def run_round(state: GlobalState, client_sets: dict, cfg: FedConfig,
     `evaluate` of the new theta, which also loads it into state.model.
 
     `helpers` must have been started with state.model, client_sets, cfg and
-    global_eval; `Helpers.map` spreads the clients. Clients train on clones,
-    so state.theta is only read.
+    global_eval; `Helpers.map` runs the clients on the training split.
+    Clients train on clones, so state.theta is only read.
     """
     t0 = time.perf_counter()
     helpers.check(template=state.model, client_sets=client_sets, cfg=cfg, eval_set=global_eval)
     round_idx = state.round_idx
 
-    updates = helpers.map(f"round {round_idx}: clients", "train", (state.theta, round_idx),
-                          *train_phase(client_sets, cfg))
+    updates = helpers.map(f"round {round_idx}: clients", "train", (state.theta, round_idx))
     results = {cid: u[0] for cid, u in updates.items() if u is not None}
     losses = {cid: None if u is None else u[1] for cid, u in sorted(updates.items())}
     if not results:
@@ -482,22 +496,19 @@ def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConf
         records, eval_frac, rng.derive(fed_cfg.seed, "global_eval"))
     vocab = build_vocab([r.text for r in train_pool], model_cfg.vocab_size)
     shards = make_shards(train_pool, partition, eval_frac)
-    participating = shards[: fed_cfg.n_clients]
-
-    base = init_model(model_cfg)
-    am = attach_adapters(base, lora_cfg)
+    am = attach_adapters(init_model(model_cfg), lora_cfg)
     theta = extract_trainable(am)
 
     client_sets = {
         s.client_id: encode_records(s.train, vocab, model_cfg.max_seq_len)
-        for s in participating
+        for s in shards[: fed_cfg.n_clients]
     }
     global_eval = encode_records(global_eval_records, vocab, model_cfg.max_seq_len)
 
-    state = GlobalState(theta=theta, model=am, vocab=vocab,
-                        train_processes=phase_processes(*train_phase(client_sets, fed_cfg)),
-                        eval_processes=phase_processes(*eval_phase(global_eval)))
-    with Helpers(state.processes - 1, am, client_sets, fed_cfg, global_eval) as helpers:
+    with Helpers(am, client_sets, fed_cfg, global_eval) as helpers:
+        state = GlobalState(theta=theta, model=am, vocab=vocab, usable_cores=helpers.cores,
+                            train_processes=len(helpers.splits["train"]),
+                            eval_processes=len(helpers.splits["eval"]))
         for _ in range(fed_cfg.rounds):
             run_round(state, client_sets, fed_cfg, global_eval, helpers)
     return state

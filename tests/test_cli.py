@@ -13,7 +13,7 @@ from fedlora.cli import RUN_FILES, main, parse_grid
 from fedlora.config import load_experiment
 from fedlora.data import load_corpus, save_corpus, synth_corpus
 from fedlora.errors import ConfigError
-from fedlora.federation import run_federated
+from fedlora.federation import run_federated, usable_cores
 
 TINY_DOC = {
     "model": {"vocab_size": 200, "d_model": 8, "n_heads": 2, "n_layers": 1,
@@ -611,6 +611,7 @@ def test_summary_follows_the_round_log(tmp_path, monkeypatch):
     assert summary["processes"] == states[0].processes
     assert summary["train_processes"] == states[0].train_processes
     assert summary["eval_processes"] == states[0].eval_processes
+    assert summary["usable_cores"] == states[0].usable_cores == usable_cores()
 
 
 def test_ablate_empty_grid_exits_2(tmp_path):

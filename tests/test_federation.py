@@ -110,8 +110,13 @@ def empty_set():
 
 
 def run_round_in_process(state, client_sets, cfg, global_eval):
-    """run_round with zero helpers: everything runs in this process."""
-    with Helpers(0, state.model, client_sets, cfg, global_eval) as helpers:
+    """run_round on helpers started on one usable core: every phase is one
+    group, so nothing is forked and everything runs in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "usable_cores", lambda: 1)
+        helpers = Helpers(state.model, client_sets, cfg, global_eval)
+    with helpers:
+        assert not helpers.procs
         return run_round(state, client_sets, cfg, global_eval, helpers)
 
 

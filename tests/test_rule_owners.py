@@ -3,8 +3,8 @@ processes a phase of a round takes, is computed in one place in
 `src/fedlora`: only `model.tokenize` reads `Vocab.token_to_id` (which
 `Vocab` builds), and only `model.real_width` takes the last real column of a
 PAD mask, the `.any(axis=0)` reduction over a set's or a batch's columns.
-Only `federation.phase_processes` reads the usable cores, and only
-`Helpers.map` and `run_federated` (which sizes the helpers) apply it."""
+Only `Helpers.__init__` reads the usable cores and applies
+`federation.phase_processes`, once per phase and run."""
 
 import inspect
 from pathlib import Path
@@ -38,13 +38,13 @@ def test_only_real_width_takes_the_last_real_column():
     assert ".any(axis=0)" in inspect.getsource(model.real_width)
 
 
-def test_only_phase_processes_reads_the_usable_cores():
-    assert readers("usable_cores()", federation.usable_cores, federation.phase_processes) == []
-    assert "usable_cores()" in inspect.getsource(federation.phase_processes)
+def test_only_helpers_init_reads_the_usable_cores():
+    owner = federation.Helpers.__init__
+    assert readers("usable_cores()", federation.usable_cores, owner) == []
+    assert "usable_cores()" in inspect.getsource(owner)
 
 
-def test_only_map_and_run_federated_apply_phase_processes():
-    owners = (federation.Helpers.map, federation.run_federated)
-    assert readers("phase_processes(", federation.phase_processes, *owners) == []
-    for owner in owners:
-        assert "phase_processes(" in inspect.getsource(owner)
+def test_only_helpers_init_applies_phase_processes():
+    owner = federation.Helpers.__init__
+    assert readers("phase_processes(", federation.phase_processes, owner) == []
+    assert "phase_processes(" in inspect.getsource(owner)

@@ -4,8 +4,9 @@ A phase's items (clients, or eval batches) go to min(items, usable cores)
 processes by `assign`, unless that leaves one process more than a unit (a
 batch) over the bound max(largest load, ceil(total / processes)); then each
 item gets its own process, up to two per usable core, and the kernel
-shares the cores among them. Either way a run writes the same files as on
-one core.
+shares the cores among them. `Helpers` reads the usable cores and splits
+each phase once, when it forks the helpers. Either way a run writes the
+same files as on one core.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import resource
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedlora import federation
@@ -26,63 +28,59 @@ from fedlora.config import load_experiment
 from fedlora.federation import (EncodedSet, FedConfig, GlobalState, Helpers, phase_processes,
                                 run_federated, run_round)
 from fedlora.data import PartitionSpec, synth_corpus
-from fedlora.lora import LoraConfig, extract_trainable
+from fedlora.lora import LoraConfig
 from fedlora.model import ModelConfig
 
 from test_cli import write_config
-from test_federation import DESK_MODEL, run_round_in_process, training_fixture
-from test_workers import count_forks, count_groups, force_cores, two_client_round
+from test_federation import DESK_MODEL, run_round_in_process
+from test_workers import client_round, count_forks, count_groups, force_cores
 
 REPO = Path(__file__).resolve().parents[1]
 
 
 # the rule ------------------------------------------------------------------
 
-def test_uneven_groups_take_a_process_per_client_on_two_cores(monkeypatch):
-    force_cores(monkeypatch, 2)
+def test_uneven_groups_take_a_process_per_client_on_two_cores():
     # desk_federated: 427/426/426 training records, E=2, B=16; assign's
     # [[0], [1, 2]] puts 1704 on one process against a bound of 1279
-    assert phase_processes({0: 854, 1: 852, 2: 852}, 16) == 3
+    assert phase_processes({0: 854, 1: 852, 2: 852}, 16, 2) == 3
     # ablation_skew's K=3 cell: 38/104/112 records, E=10; 1420 against 1270
-    assert phase_processes({0: 380, 1: 1040, 2: 1120}, 16) == 3
+    assert phase_processes({0: 380, 1: 1040, 2: 1120}, 16, 2) == 3
     # skew_long_csv corpus 0, E=1: 120 against a bound of 120, so one per core
-    assert phase_processes(dict(enumerate([24, 41, 75, 2, 14, 2, 75, 6])), 16) == 2
-    assert phase_processes({0: 500}, 16) == 1
-    assert phase_processes({}, 16) == 1
+    assert phase_processes(dict(enumerate([24, 41, 75, 2, 14, 2, 75, 6])), 16, 2) == 2
+    assert phase_processes({0: 500}, 16, 2) == 1
+    assert phase_processes({}, 16, 2) == 1
 
 
-def test_groups_at_most_one_batch_over_the_bound_keep_one_process_per_core(monkeypatch):
-    force_cores(monkeypatch, 2)
-    assert phase_processes({0: 40, 1: 40, 2: 40, 3: 40}, 8) == 2
+def test_groups_at_most_one_batch_over_the_bound_keep_one_process_per_core():
+    assert phase_processes({0: 40, 1: 40, 2: 40, 3: 40}, 8, 2) == 2
     # assign's [[0, 2], [1]]: 20 record-epochs against a bound of 15, so
     # exactly one batch of 5 over, or more than one batch of 4 over
-    assert phase_processes({0: 10, 1: 10, 2: 10}, 5) == 2
-    assert phase_processes({0: 10, 1: 10, 2: 10}, 4) == 3
+    assert phase_processes({0: 10, 1: 10, 2: 10}, 5, 2) == 2
+    assert phase_processes({0: 10, 1: 10, 2: 10}, 4, 2) == 3
 
 
 @pytest.mark.parametrize("cores", range(1, 9))
-def test_items_no_larger_than_the_unit_take_one_process_each_up_to_the_cores(monkeypatch, cores):
+def test_items_no_larger_than_the_unit_take_one_process_each_up_to_the_cores(cores):
     # `assign` leaves no group more than one item over the bound, so loads
     # no larger than the unit, as eval batches are, never take the fallback
-    force_cores(monkeypatch, cores)
     rand = random.Random(cores)
     for _ in range(300):
         unit = rand.randint(1, 100)
         loads = {item: rand.choice([1, unit, rand.randint(1, unit)])
                  for item in range(rand.randint(1, 40))}
-        assert phase_processes(loads, unit) == min(len(loads), cores), (loads, unit)
+        assert phase_processes(loads, unit, cores) == min(len(loads), cores), (loads, unit)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
 def test_many_uneven_clients_take_at_most_two_processes_per_core(monkeypatch, cores):
-    force_cores(monkeypatch, cores)
     forks = count_forks(monkeypatch)
     rand = random.Random(cores)
     loads = {cid: rand.randint(1, 50) for cid in range(10_000)}
     # one more large client than cores: on more than one core, two of them
     # share a process, far over the bound
     loads.update({cid: 10**6 for cid in range(cores + 1)})
-    n = phase_processes(loads, 16)
+    n = phase_processes(loads, 16, cores)
     assert n <= 2 * cores
     assert n == (1 if cores == 1 else 2 * cores)
     assert forks == []
@@ -149,29 +147,25 @@ def deadline(seconds=60):
         signal.signal(signal.SIGALRM, previous)
 
 
-def client_round(sizes):
-    """Clients holding the first `sizes[cid]` of 24 records, E=1, B=8."""
-    am, train = training_fixture()
-    cfg = FedConfig(n_clients=len(sizes), rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
-    sets = {cid: EncodedSet(ids=train.ids[:n], labels=train.labels[:n])
-            for cid, n in enumerate(sizes)}
-    return GlobalState(theta=extract_trainable(am), model=am.clone()), sets, cfg, train
-
-
-@pytest.mark.parametrize("sizes,n_helpers", [
-    pytest.param((24,) * 3, 2, id="3-on-3"),
-    pytest.param((24,) * 4, 3, id="4-on-4"),
-    pytest.param((24, 24, 24, 16, 8), 4, id="uneven-5-on-5"),
-    pytest.param((24, 8, 16), 5, id="more-helpers-than-clients"),
+@pytest.mark.parametrize("sizes,eval_copies,n_helpers", [
+    pytest.param((24,) * 3, 1, 2, id="3-on-3"),
+    pytest.param((24,) * 4, 1, 3, id="4-on-4"),
+    pytest.param((24, 24, 24, 16, 8), 1, 4, id="uneven-5-on-5"),
+    # 21 copies of the 24 records make six eval batches (93 to a batch), so
+    # six processes evaluate and two of the five helpers train nothing
+    pytest.param((24, 8, 16), 21, 5, id="more-helpers-than-clients"),
 ])
 def test_a_round_on_every_process_equals_the_in_process_round_bit_for_bit(
-        monkeypatch, sizes, n_helpers):
-    force_cores(monkeypatch, n_helpers + 1)  # so training takes min(clients, processes)
-    state, sets, cfg, eval_set = client_round(sizes)
+        monkeypatch, sizes, eval_copies, n_helpers):
+    force_cores(monkeypatch, n_helpers + 1)  # so the busier phase takes every process
+    state, sets, cfg, train = client_round(sizes)
+    eval_set = EncodedSet(ids=np.tile(train.ids, (eval_copies, 1)),
+                          labels=np.tile(train.labels, eval_copies))
     ref = GlobalState(theta=state.theta.copy(), model=state.model.clone())
     for _ in range(2):
         run_round_in_process(ref, sets, cfg, eval_set)
-    with deadline(), Helpers(n_helpers, state.model, sets, cfg, eval_set) as helpers:
+    with deadline(), Helpers(state.model, sets, cfg, eval_set) as helpers:
+        assert len(helpers.procs) == n_helpers
         for _ in range(2):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.theta.tobytes() == ref.theta.tobytes()
@@ -179,25 +173,40 @@ def test_a_round_on_every_process_equals_the_in_process_round_bit_for_bit(
         [r.to_dict() | {"wall_time": 0} for r in ref.history]
 
 
-def test_training_takes_a_process_per_client_and_eval_one_per_core(monkeypatch):
+@pytest.mark.parametrize("cores,train,evals", [
+    (1, [1, 1], [1, 1]), (2, [2, 3], [2, 2]), (3, [3, 3], [2, 2]), (4, [3, 3], [2, 2])])
+def test_training_takes_a_process_per_client_and_eval_one_per_core(
+        monkeypatch, cores, train, evals):
     # clients of 107/106/106 records (E=1, B=8) on 2 cores: 212 on one
     # process against a bound of 160, so training tries 2 and takes 3;
-    # eval's two batches (100 records, 93 to a batch) take 2
+    # eval's two batches (100 records, 93 to a batch) take min(2, cores).
+    # The cores are read and each phase is split once, before the first
+    # round: `assign` runs for the rule's trial split and the split kept
+    force_cores(monkeypatch, cores)
     seen = count_groups(monkeypatch)
+    for name in ("usable_cores", "phase_processes", "run_round"):
+        def mark(*args, _name=name, _real=getattr(federation, name)):
+            seen.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(federation, name, mark)
     forks = count_forks(monkeypatch)
-    force_cores(monkeypatch, 2)
     fed = FedConfig(n_clients=3, rounds=2, local_epochs=1, eta=0.3, batch_size=8, seed=4)
     state = run_federated(ModelConfig(**DESK_MODEL), LoraConfig(rank=2, seed=5), fed,
                           synth_corpus(500, seed=21), PartitionSpec(n_clients=3, seed=6),
                           eval_frac=0.2)
-    assert seen == [2, 2] + [2, 3, 2, 2] * 2
-    assert len(forks) == 2 and state.processes == 3
+    assert seen == ["usable_cores", "phase_processes", *train, "phase_processes", *evals,
+                    "run_round", "run_round"]
+    assert (state.train_processes, state.eval_processes, state.usable_cores) == \
+        (train[-1], evals[-1], cores)
+    assert len(forks) == max(train[-1], evals[-1]) - 1
 
 
-def test_helpers_close_every_pipe_end_they_made():
-    state, sets, cfg, eval_set = two_client_round()
+def test_helpers_close_every_pipe_end_they_made(monkeypatch):
+    force_cores(monkeypatch, 4)  # four clients on four cores: three helpers
+    state, sets, cfg, eval_set = client_round((24,) * 4)
     before = sorted(os.listdir("/proc/self/fd"))
-    with deadline(), Helpers(3, state.model, sets, cfg, eval_set) as helpers:
+    with deadline(), Helpers(state.model, sets, cfg, eval_set) as helpers:
         run_round(state, sets, cfg, eval_set, helpers)
         # a request end and a reply end per helper, and nothing else
         assert len(os.listdir("/proc/self/fd")) == len(before) + 3 * 2
@@ -205,12 +214,13 @@ def test_helpers_close_every_pipe_end_they_made():
 
 
 COST_KEYS = ("cpu_s", "peak_rss_mb", "helper_peak_rss_mb", "minflt")
-PROCESS_KEYS = ("processes", "train_processes", "eval_processes")
+PROCESS_KEYS = ("processes", "train_processes", "eval_processes", "usable_cores")
 
 
 def run_files(monkeypatch, cores, argv):
     """The files `main(argv)` writes on `cores` cores, wall times, the cost
-    record and the process counts zeroed, and the run's process count."""
+    record and the process and core counts zeroed, and the run's process
+    count."""
     force_cores(monkeypatch, cores)
     with deadline():
         assert main(argv) == 0
@@ -219,6 +229,7 @@ def run_files(monkeypatch, cores, argv):
     files["rounds.jsonl"] = [{**json.loads(line), "wall_time": 0}
                              for line in files["rounds.jsonl"].splitlines()]
     summary = json.loads(files["summary.json"])
+    assert summary["usable_cores"] == cores
     files["summary.json"] = {**summary, "wall_time_s": 0,
                              **dict.fromkeys(COST_KEYS + PROCESS_KEYS, 0)}
     return files, summary["processes"]

@@ -56,10 +56,9 @@ def count_forks(monkeypatch):
 
 
 def count_groups(monkeypatch):
-    """Record the process count of every split `assign` makes: the split
-    `phase_processes` tries for each phase as `run_federated` sizes the
-    helpers, then in each phase of each round the split it tries and the one
-    `Helpers.map` takes."""
+    """Record the process count of every split `assign` makes: for each
+    phase, training then eval, the split `phase_processes` tries and the one
+    `Helpers` keeps, all made once, before the helpers are forked."""
     seen = []
     real = federation.assign
 
@@ -90,18 +89,26 @@ def patch_client_update(monkeypatch, on_worker):
     monkeypatch.setattr(federation, "client_update", patched)
 
 
-def two_client_round():
-    """Two equal shards: client 0 trains in this process, client 1 on a helper."""
+def client_round(sizes):
+    """Clients holding the first `sizes[cid]` of 24 records, E=1, B=8; the
+    eval set is the 24 records."""
     am, train = training_fixture()
-    cfg = FedConfig(n_clients=2, rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
-    state = GlobalState(theta=extract_trainable(am), model=am.clone())
-    return state, {0: train, 1: train}, cfg, train
+    cfg = FedConfig(n_clients=len(sizes), rounds=1, local_epochs=1, eta=0.3, batch_size=8, seed=1)
+    sets = {cid: EncodedSet(ids=train.ids[:n], labels=train.labels[:n])
+            for cid, n in enumerate(sizes)}
+    return GlobalState(theta=extract_trainable(am), model=am.clone()), sets, cfg, train
+
+
+def two_client_round():
+    """Two equal shards: on two cores client 0 trains in this process, client
+    1 on a helper."""
+    return client_round((24, 24))
 
 
 def run_two_client_round():
     """One round of two_client_round on one helper, forked after the caller's patches."""
     state, sets, cfg, eval_set = two_client_round()
-    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
         run_round(state, sets, cfg, eval_set, helpers)
     return state
 
@@ -118,8 +125,10 @@ def eval_fixture(n_records):
     return am, encode_records(records, vocab, cfg.max_seq_len)
 
 
-def evaluate_on(n_helpers, model, eval_set):
-    with Helpers(n_helpers, model, {}, FedConfig(), eval_set) as helpers:
+def evaluate_on(model, eval_set):
+    """evaluate on helpers started with no clients: they are forked for the
+    eval split alone."""
+    with Helpers(model, {}, FedConfig(), eval_set) as helpers:
         return evaluate(extract_trainable(model), helpers)
 
 
@@ -150,15 +159,15 @@ def test_parallel_run_equals_sequential_bit_for_bit(monkeypatch, strategy, aggre
         return state.theta, reports, list(seen), len(forks)
 
     theta1, reports1, groups1, forks1 = run(1)
-    assert groups1 == [1] * 10 and forks1 == 0
+    assert groups1 == [1] * 4 and forks1 == 0
     for cores in (2, 8):
         theta, reports, groups, n_forks = run(cores)
         # training takes one process per client up to the cores (the clients
         # are even enough that the rule for uneven loads does not fire); eval
         # runs its three batches (250 records of width 11, 93 to a batch) on
-        # min(3, cores); the helpers are forked once for both
+        # min(3, cores); each phase is split once, when the helpers are forked
         evals = min(3, cores)
-        assert groups == [cores, evals] + [cores, cores, evals, evals] * 2
+        assert groups == [cores, cores, evals, evals]
         assert n_forks == cores - 1
         assert np.array_equal(theta, theta1)
         assert reports == reports1
@@ -200,7 +209,7 @@ def test_one_batch_eval_stays_in_the_run_process(monkeypatch):
         # clients one helper trains, and eval still sends it nothing
         assert len(forks) == n_forks
         train = min(k, 2)
-        assert seen == [train, 1] + [train, train, 1, 1] * 2
+        assert seen == [train, train, 1, 1]
 
 
 def test_clients_go_largest_first_to_the_least_loaded_process():
@@ -237,9 +246,10 @@ def test_eval_batch_size_is_eval_rows_over_the_real_width(n_records):
 
 
 def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
-    am, eval_set = eval_fixture(400)
+    am, eval_set = eval_fixture(700)
     loads, size = eval_phase(eval_set)
-    assert size == EVAL_ROWS // 11 and len(loads) == 5  # the last batch is short
+    assert size == EVAL_ROWS // 11 and len(loads) == 8  # the last batch is short
+    assert list(loads.values())[-1] == 49
     empty = empty_set()
     preds_seen = []
     real_confusion = federation.confusion
@@ -255,25 +265,31 @@ def test_evaluate_keeps_batch_boundaries_on_any_core_count(monkeypatch):
         logits[0, 1] = 1.0
         return Tensor(logits)
 
+    forks = count_forks(monkeypatch)
     results = []
-    for n_helpers in (0, 1, 7):
-        results.append(evaluate_on(n_helpers, am, eval_set))
+    for cores in (1, 2, 8):  # one process, two, and one per batch
+        force_cores(monkeypatch, cores)
+        forks.clear()
+        results.append(evaluate_on(am, eval_set))
+        assert len(forks) == cores - 1
         with pytest.raises(DataError, match="empty confusion matrix"):
-            evaluate_on(n_helpers, am, empty)
+            evaluate_on(am, empty)
     assert results[0] == results[1] == results[2]
     assert 0.0 < results[0][0] < 1.0
     assert preds_seen[0] == preds_seen[2] == preds_seen[4]
 
     monkeypatch.setattr(federation, "forward", first_row_positive)
     preds_seen.clear()
-    for n_helpers in (0, 1, 7):
-        evaluate_on(n_helpers, am, eval_set)
+    for cores in (1, 2, 8):
+        force_cores(monkeypatch, cores)
+        evaluate_on(am, eval_set)
         assert preds_seen.pop() == [int(i % size == 0) for i in range(len(eval_set))]
 
 
-def test_helpers_refuse_another_model_or_data():
+def test_helpers_refuse_another_model_or_data(monkeypatch):
+    force_cores(monkeypatch, 1)
     state, sets, cfg, eval_set = two_client_round()
-    with Helpers(0, state.model, sets, cfg, eval_set) as helpers:
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
         with pytest.raises(ProtocolError, match="another client_sets"):
             run_round(state, dict(sets), cfg, eval_set, helpers)
         with pytest.raises(ProtocolError, match="another template"):
@@ -307,13 +323,13 @@ def test_other_exception_in_worker_is_raised_in_parent(monkeypatch):
 
     patch_client_update(monkeypatch, fail)
     state, sets, cfg, eval_set = two_client_round()
-    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
         with pytest.raises(ValueError, match="^client 1 hit a bug$"):
             run_round(state, sets, cfg, eval_set, helpers)
         assert state.round_idx == 0 and not state.history
-        # the helper survives its exception and serves the next request
+        # the helper survives its exception and serves the next request; the
+        # split was made at the fork, so the next round reads no cores
         monkeypatch.undo()
-        force_cores(monkeypatch, 2)
         with pytest.raises(ValueError, match="^client 1 hit a bug$"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 0 and not state.history
@@ -329,13 +345,12 @@ def test_parent_group_exception_still_reaps_children(monkeypatch):
 
     monkeypatch.setattr(federation, "client_update", patched)
     state, sets, cfg, eval_set = two_client_round()
-    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
         with pytest.raises(ValueError, match="run process failed"):
             run_round(state, sets, cfg, eval_set, helpers)
         # the helper's reply was received, so the next round starts clean: a
         # reply left over from the failed round would not match a new snapshot
         monkeypatch.undo()
-        force_cores(monkeypatch, 2)
         state.theta = state.theta * 0.5
         ref = GlobalState(theta=state.theta.copy(), model=state.model.clone())
         run_round_in_process(ref, sets, cfg, eval_set)
@@ -363,7 +378,7 @@ def kill_self(cid):
 def test_killed_worker_raises_round_error(monkeypatch):
     patch_client_update(monkeypatch, kill_self)
     state, sets, cfg, eval_set = two_client_round()
-    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
         with pytest.raises(RoundError, match=r"round 0: clients \[1\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
     assert state.round_idx == 0 and not state.history
@@ -381,12 +396,12 @@ def test_killed_eval_worker_raises_round_error(monkeypatch):
     am, eval_set = eval_fixture(100)
     assert list(eval_phase(eval_set)[0]) == [0, 93]
     with pytest.raises(RoundError, match=r"eval batches at records \[93\].*signal 9"):
-        evaluate_on(1, am, eval_set)
+        evaluate_on(am, eval_set)
 
 
 def test_idle_helper_killed_between_rounds_raises_round_error():
     state, sets, cfg, eval_set = two_client_round()
-    with Helpers(1, state.model, sets, cfg, eval_set) as helpers:
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
         run_round(state, sets, cfg, eval_set, helpers)
         os.kill(helpers.procs[0][0], signal.SIGKILL)
         with pytest.raises(RoundError, match=r"round 1: clients \[1\].*killed by signal 9"):
@@ -394,10 +409,46 @@ def test_idle_helper_killed_between_rounds_raises_round_error():
     assert state.round_idx == 1 and len(state.history) == 1
 
 
-def test_a_helper_exits_once_its_own_request_pipe_closes():
-    # no later helper may hold the run process's end of an earlier helper's pipe
-    state, sets, cfg, eval_set = two_client_round()
-    with Helpers(3, state.model, sets, cfg, eval_set) as helpers:
+def test_a_round_after_a_helper_died_raises_round_error_before_any_request(monkeypatch):
+    # three clients on three cores: the helper for client 2 dies in round 1.
+    # Its group stays in the split, so a later round must refuse to run
+    # rather than drop that client or re-split over the helper left
+    force_cores(monkeypatch, 3)
+    real = federation.client_update
+
+    def patched(template, snapshot, train_set, cfg, round_idx, client_id):
+        if in_worker() and (round_idx, client_id) == (1, 2):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(template, snapshot, train_set, cfg, round_idx, client_id)
+
+    monkeypatch.setattr(federation, "client_update", patched)
+    state, sets, cfg, eval_set = client_round((24, 24, 24))
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
+        assert helpers.splits["train"] == [[0], [1], [2]] and len(helpers.procs) == 2
+        run_round(state, sets, cfg, eval_set, helpers)
+        with pytest.raises(RoundError, match=r"round 1: clients \[2\].*killed by signal 9"):
+            run_round(state, sets, cfg, eval_set, helpers)
+        writes = []
+        real_write = federation._write_all
+
+        def write(fd, data):
+            writes.append(fd)
+            real_write(fd, data)
+
+        monkeypatch.setattr(federation, "_write_all", write)
+        with pytest.raises(RoundError, match=r"^round 1: clients: 1 helper"):
+            run_round(state, sets, cfg, eval_set, helpers)
+        assert writes == []
+    assert state.round_idx == 1 and len(state.history) == 1
+
+
+def test_a_helper_exits_once_its_own_request_pipe_closes(monkeypatch):
+    # no later helper may hold the run process's end of an earlier helper's
+    # pipe; four clients on four cores fork three helpers
+    force_cores(monkeypatch, 4)
+    state, sets, cfg, eval_set = client_round((24,) * 4)
+    with Helpers(state.model, sets, cfg, eval_set) as helpers:
+        assert len(helpers.procs) == 3
         pid, fd, replies = helpers.procs.pop(0)
         os.close(fd)
         try:
