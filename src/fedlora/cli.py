@@ -9,6 +9,7 @@ and errors" table.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -23,6 +24,7 @@ from .data import save_csv
 from .errors import ConfigError, FedLoraError, SchemaError
 from .federation import check_population, run_centralized, run_federated
 from .lora import trainable_param_count
+from .model import init_model
 
 
 RUN_FILES = ("rounds.jsonl", "summary.json", "adapters.bin", "base_model.bin", "vocab.txt")
@@ -47,6 +49,29 @@ def _cost(started) -> dict:
             "peak_rss_mb": now[0].ru_maxrss / 1024, "helper_peak_rss_mb": now[1].ru_maxrss / 1024}
 
 
+OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads")
+
+
+def loaded_openblas_threads():
+    """The thread count of the OpenBLAS loaded in this process, read back
+    through its get-threads entry point; None if no loaded object (by
+    /proc/self/maps) has one, or if the read fails."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in OPENBLAS_GET_THREADS:
+                if hasattr(lib, name):
+                    get_threads = getattr(lib, name)
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    return get_threads()
+    except (OSError, ValueError):  # ValueError: a path in the maps that is not UTF-8
+        pass
+    return None
+
+
 def _write_run_artifacts(out_dir: str, state, wall_time: float, started):
     """Write RUN_FILES into out_dir, all or none of them; summary.json's cost
     fields count from `started`, the `_usage()` taken when `main` began."""
@@ -63,6 +88,7 @@ def _write_run_artifacts(out_dir: str, state, wall_time: float, started):
         "train_processes": state.train_processes,
         "eval_processes": state.eval_processes,
         "usable_cores": state.usable_cores,
+        "blas_threads": loaded_openblas_threads(),
         "trainable_params": n_trainable,
         "trainable_breakdown": breakdown,
         "total_params": total_params,
@@ -144,14 +170,15 @@ def parse_grid(text: str):
     return cells
 
 
-def _ablation_row(exp, records, k: int, e: int, r: int) -> tuple:
+def _ablation_row(exp, records, base, k: int, e: int, r: int) -> tuple:
     """One ablation.csv row: the (K, E, R) cell's final accuracy and F1, or its
-    error. The cell's state is dropped on return, so the next cell's set-up
-    does not run beside this cell's model."""
+    error. Every cell adapts the grid's one frozen `base`, which it only
+    reads; the cell's adapters, head and the rest of its state are dropped
+    on return, so the next cell's set-up does not run beside them."""
     fed = dataclasses.replace(exp.fed, n_clients=k, local_epochs=e, rounds=r)
     try:
         state = run_federated(exp.model, exp.lora, fed, records, exp.data.partition,
-                              eval_frac=exp.data.eval_frac)
+                              eval_frac=exp.data.eval_frac, base=base)
     except FedLoraError as exc:
         return (k, e, r, "", "", str(exc))
     last = state.history[-1]
@@ -163,7 +190,8 @@ def cmd_ablate(args) -> int:
     exp = load_experiment(args.config, args.set)
     out_dir = _output_dir(args, exp, ("ablation.csv",))
     records = exp.data.load_records()  # every cell trains on the same records
-    rows = [_ablation_row(exp, records, *cell) for cell in grid]
+    base = init_model(exp.model)  # and adapts the same frozen encoder
+    rows = [_ablation_row(exp, records, base, *cell) for cell in grid]
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")

@@ -11,8 +11,8 @@ per run, after the shards are encoded and the template is built, so every
 helper inherits the template, the config and the encoded sets (each one id
 matrix, shared by the fork without copying). `Helpers` reads the usable
 cores once and splits each phase of a round, the clients and after FedAvg
-the eval batches, once, over as many processes as `phase_processes`
-decides; it forks one fewer helper than the busier phase takes, and
+the eval batches, once, into the groups `phase_processes` keeps; it
+forks one fewer helper than the busier phase takes, and
 `Helpers.map` runs a phase on its stored split in every round.
 
 A helper is sent only data: the snapshot and the round, or the new
@@ -54,7 +54,8 @@ from .data import PartitionSpec, make_shards, split_train_eval
 from .errors import ClientError, ConfigError, ProtocolError, RoundError
 from .lora import AdaptedModel, LoraConfig, attach_adapters, extract_trainable, load_trainable
 from .metrics import accuracy, confusion, f1_binary, predict_labels
-from .model import PAD_ID, ModelConfig, Vocab, build_vocab, forward, init_model, real_width, tokenize
+from .model import (PAD_ID, EncoderModel, ModelConfig, Vocab, build_vocab, forward, init_model,
+                    real_width, tokenize)
 
 WIRE_BYTES_PER_PARAM = 4  # simulated single-precision payload
 EVAL_ROWS = 1024  # token rows per forward-only eval batch
@@ -213,8 +214,8 @@ class Helpers:
     per run. `map` runs one phase of a round over them and the run process.
 
     The usable cores are read once, here, and each phase is split once:
-    `splits` holds `assign`'s groups of `train_phase` and of `eval_phase`
-    over `phase_processes` of the phase on those cores. One fewer helper is
+    `splits` holds the groups `phase_processes` keeps for `train_phase` and
+    for `eval_phase` on those cores. One fewer helper is
     forked than the larger split has groups; one group in both is the
     in-process case and forks nothing. A change of CPU affinity later in the
     run does not re-split a phase.
@@ -229,7 +230,7 @@ class Helpers:
         self.cores = usable_cores()
         phases = {"train": train_phase(client_sets, cfg), "eval": eval_phase(eval_set)}
         self.eval_step = phases["eval"][1]
-        self.splits = {kind: assign(loads, phase_processes(loads, unit, self.cores))
+        self.splits = {kind: phase_processes(loads, unit, self.cores)
                        for kind, (loads, unit) in phases.items()}
         self.n_helpers = max(map(len, self.splits.values())) - 1
         self.procs = []  # (pid, request pipe fd, reply pipe reader) per live helper
@@ -392,21 +393,22 @@ def assign(loads: dict, n_proc: int) -> list[list]:
     return groups
 
 
-def phase_processes(loads: dict, unit: int, cores: int) -> int:
-    """Processes for one phase of a round, given {item: load}, the phase's
-    unit (`train_phase`, `eval_phase`) and the usable cores: min(items,
-    cores), at least 1, unless `assign`'s groups on that many leave one more
-    than a unit over max(largest load, ceil(total / processes)); then one
-    per item up to two per core, so that the kernel, not a fixed split,
-    balances uneven loads over the cores. `assign` leaves no group more than
-    one item over that bound, so no eval batch, never larger than the unit,
-    sets off the fallback: eval takes min(batches, cores). `Helpers` applies
-    it once per phase and run."""
+def phase_processes(loads: dict, unit: int, cores: int) -> list[list]:
+    """The processes for one phase of a round, as `assign`'s groups of its
+    items, given {item: load}, the phase's unit (`train_phase`,
+    `eval_phase`) and the usable cores: min(items, cores) groups, at least
+    1, unless that split leaves one group more than a unit over max(largest
+    load, ceil(total / groups)); then one per item up to two per core, so
+    that the kernel, not a fixed split, balances uneven loads over the
+    cores. `assign` leaves no group more than one item over that bound, so
+    no eval batch, never larger than the unit, sets off the fallback: eval
+    takes min(batches, cores). `Helpers` applies it once per phase and run."""
     n_proc = max(1, min(len(loads), cores))
     bound = max(max(loads.values(), default=0), -(-sum(loads.values()) // n_proc))
-    if max(sum(loads[key] for key in group) for group in assign(loads, n_proc)) > bound + unit:
-        return min(len(loads), 2 * cores)
-    return n_proc
+    groups = assign(loads, n_proc)
+    if max(sum(loads[key] for key in group) for group in groups) > bound + unit:
+        return assign(loads, min(len(loads), 2 * cores))
+    return groups
 
 
 def train_phase(client_sets: dict, cfg: FedConfig) -> tuple[dict, int]:
@@ -486,17 +488,27 @@ def check_population(fed_cfg: FedConfig, partition: PartitionSpec):
 
 
 def run_federated(model_cfg: ModelConfig, lora_cfg: LoraConfig, fed_cfg: FedConfig,
-                  records, partition: PartitionSpec, eval_frac: float = 0.2) -> GlobalState:
-    """Full pipeline: carve global eval, partition, initialize, run R rounds."""
+                  records, partition: PartitionSpec, eval_frac: float = 0.2, *,
+                  base: EncoderModel | None = None) -> GlobalState:
+    """Full pipeline: carve global eval, partition, initialize, run R rounds.
+
+    `base` is the frozen encoder to adapt, `init_model(model_cfg)` when it
+    is None. The run only reads it: `attach_adapters` gives the run its own
+    adapters and head, so runs that share one base (the cells of `fedlora
+    ablate`) share only its frozen arrays. A base built for another
+    ModelConfig raises ProtocolError before any split or fork.
+    """
     fed_cfg.validate()
     partition.validate()
     check_population(fed_cfg, partition)
+    if base is not None and base.cfg != model_cfg:
+        raise ProtocolError("the base model was built for another model config")
 
     train_pool, global_eval_records = split_train_eval(
         records, eval_frac, rng.derive(fed_cfg.seed, "global_eval"))
     vocab = build_vocab([r.text for r in train_pool], model_cfg.vocab_size)
     shards = make_shards(train_pool, partition, eval_frac)
-    am = attach_adapters(init_model(model_cfg), lora_cfg)
+    am = attach_adapters(init_model(model_cfg) if base is None else base, lora_cfg)
     theta = extract_trainable(am)
 
     client_sets = {

@@ -614,6 +614,27 @@ def test_summary_follows_the_round_log(tmp_path, monkeypatch):
     assert summary["usable_cores"] == states[0].usable_cores == usable_cores()
 
 
+def test_summary_records_the_blas_threads_of_the_run_process(tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["train-federated", cfg]) == 0
+    assert read_summary(out)["blas_threads"] == cli.loaded_openblas_threads()
+
+
+def fail_to_load(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("target,value", [
+    pytest.param("fedlora.cli.OPENBLAS_GET_THREADS", ("no_such_entry_point",), id="no-entry-point"),
+    pytest.param("ctypes.CDLL", fail_to_load, id="load-fails")])
+def test_blas_threads_is_null_when_the_blas_cannot_be_read(tmp_path, monkeypatch, target, value):
+    monkeypatch.setattr(target, value)
+    assert cli.loaded_openblas_threads() is None
+    cfg, out = write_config(tmp_path)
+    assert main(["train-federated", cfg]) == 0
+    assert read_summary(out)["blas_threads"] is None
+
+
 def test_ablate_empty_grid_exits_2(tmp_path):
     cfg, _ = write_config(tmp_path)
     assert main(["ablate", cfg, "--grid", ";"]) == 2

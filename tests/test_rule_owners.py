@@ -4,7 +4,8 @@ processes a phase of a round takes, is computed in one place in
 `Vocab` builds), and only `model.real_width` takes the last real column of a
 PAD mask, the `.any(axis=0)` reduction over a set's or a batch's columns.
 Only `Helpers.__init__` reads the usable cores and applies
-`federation.phase_processes`, once per phase and run."""
+`federation.phase_processes`, once per phase and run, and only
+`phase_processes` splits a phase with `federation.assign`."""
 
 import inspect
 from pathlib import Path
@@ -48,3 +49,9 @@ def test_only_helpers_init_applies_phase_processes():
     owner = federation.Helpers.__init__
     assert readers("phase_processes(", federation.phase_processes, owner) == []
     assert "phase_processes(" in inspect.getsource(owner)
+
+
+def test_only_phase_processes_splits_a_phase():
+    owner = federation.phase_processes
+    assert readers("assign(", federation.assign, owner) == []
+    assert "assign(" in inspect.getsource(owner)

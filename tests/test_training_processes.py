@@ -43,21 +43,21 @@ REPO = Path(__file__).resolve().parents[1]
 def test_uneven_groups_take_a_process_per_client_on_two_cores():
     # desk_federated: 427/426/426 training records, E=2, B=16; assign's
     # [[0], [1, 2]] puts 1704 on one process against a bound of 1279
-    assert phase_processes({0: 854, 1: 852, 2: 852}, 16, 2) == 3
+    assert phase_processes({0: 854, 1: 852, 2: 852}, 16, 2) == [[0], [1], [2]]
     # ablation_skew's K=3 cell: 38/104/112 records, E=10; 1420 against 1270
-    assert phase_processes({0: 380, 1: 1040, 2: 1120}, 16, 2) == 3
+    assert len(phase_processes({0: 380, 1: 1040, 2: 1120}, 16, 2)) == 3
     # skew_long_csv corpus 0, E=1: 120 against a bound of 120, so one per core
-    assert phase_processes(dict(enumerate([24, 41, 75, 2, 14, 2, 75, 6])), 16, 2) == 2
-    assert phase_processes({0: 500}, 16, 2) == 1
-    assert phase_processes({}, 16, 2) == 1
+    assert len(phase_processes(dict(enumerate([24, 41, 75, 2, 14, 2, 75, 6])), 16, 2)) == 2
+    assert len(phase_processes({0: 500}, 16, 2)) == 1
+    assert len(phase_processes({}, 16, 2)) == 1
 
 
 def test_groups_at_most_one_batch_over_the_bound_keep_one_process_per_core():
-    assert phase_processes({0: 40, 1: 40, 2: 40, 3: 40}, 8, 2) == 2
+    assert phase_processes({0: 40, 1: 40, 2: 40, 3: 40}, 8, 2) == [[0, 2], [1, 3]]
     # assign's [[0, 2], [1]]: 20 record-epochs against a bound of 15, so
     # exactly one batch of 5 over, or more than one batch of 4 over
-    assert phase_processes({0: 10, 1: 10, 2: 10}, 5, 2) == 2
-    assert phase_processes({0: 10, 1: 10, 2: 10}, 4, 2) == 3
+    assert len(phase_processes({0: 10, 1: 10, 2: 10}, 5, 2)) == 2
+    assert len(phase_processes({0: 10, 1: 10, 2: 10}, 4, 2)) == 3
 
 
 @pytest.mark.parametrize("cores", range(1, 9))
@@ -69,7 +69,7 @@ def test_items_no_larger_than_the_unit_take_one_process_each_up_to_the_cores(cor
         unit = rand.randint(1, 100)
         loads = {item: rand.choice([1, unit, rand.randint(1, unit)])
                  for item in range(rand.randint(1, 40))}
-        assert phase_processes(loads, unit, cores) == min(len(loads), cores), (loads, unit)
+        assert len(phase_processes(loads, unit, cores)) == min(len(loads), cores), (loads, unit)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -80,25 +80,26 @@ def test_many_uneven_clients_take_at_most_two_processes_per_core(monkeypatch, co
     # one more large client than cores: on more than one core, two of them
     # share a process, far over the bound
     loads.update({cid: 10**6 for cid in range(cores + 1)})
-    n = phase_processes(loads, 16, cores)
+    n = len(phase_processes(loads, 16, cores))
     assert n <= 2 * cores
     assert n == (1 if cores == 1 else 2 * cores)
     assert forks == []
 
 
 def run_until_helpers(monkeypatch, path, *overrides):
-    """phase_processes' answers (training, eval) for the config at `path` on
-    2 cores; the run stops there, before any helper is forked."""
+    """How many groups phase_processes keeps (training, eval) for the config at
+    `path` on 2 cores; the run stops there, before any helper is forked."""
     seen = []
 
     class Counted(Exception):
         pass
 
     def spy(*args):
-        seen.append(phase_processes(*args))
+        groups = phase_processes(*args)
+        seen.append(len(groups))
         if len(seen) == 2:
             raise Counted
-        return seen[-1]
+        return groups
 
     monkeypatch.setattr(federation, "phase_processes", spy)
     force_cores(monkeypatch, 2)
@@ -174,14 +175,15 @@ def test_a_round_on_every_process_equals_the_in_process_round_bit_for_bit(
 
 
 @pytest.mark.parametrize("cores,train,evals", [
-    (1, [1, 1], [1, 1]), (2, [2, 3], [2, 2]), (3, [3, 3], [2, 2]), (4, [3, 3], [2, 2])])
+    (1, [1], [1]), (2, [2, 3], [2]), (3, [3], [2]), (4, [3], [2])])
 def test_training_takes_a_process_per_client_and_eval_one_per_core(
         monkeypatch, cores, train, evals):
     # clients of 107/106/106 records (E=1, B=8) on 2 cores: 212 on one
     # process against a bound of 160, so training tries 2 and takes 3;
     # eval's two batches (100 records, 93 to a batch) take min(2, cores).
     # The cores are read and each phase is split once, before the first
-    # round: `assign` runs for the rule's trial split and the split kept
+    # round: `assign` runs for the rule's trial split, and again only for
+    # a phase whose trial split is over the bound
     force_cores(monkeypatch, cores)
     seen = count_groups(monkeypatch)
     for name in ("usable_cores", "phase_processes", "run_round"):
