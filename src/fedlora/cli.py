@@ -231,6 +231,21 @@ def _read_rounds(path) -> list[dict]:
     return reports
 
 
+def _read_summary(path) -> dict:
+    """A run's summary.json, {} if there is none; SchemaError naming it if it
+    is not a UTF-8 JSON object."""
+    if not os.path.exists(path):
+        return {}
+    with checkpoint.read_text(path, "run summary", SchemaError) as fh:
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(summary, dict):
+        raise SchemaError(f"{path} is not a run summary: it must hold a JSON object")
+    return summary
+
+
 def cmd_report(args) -> int:
     rounds_path = os.path.join(args.run_dir, "rounds.jsonl")
     if not os.path.exists(rounds_path):
@@ -244,7 +259,12 @@ def cmd_report(args) -> int:
     if args.plot_csv and os.path.realpath(args.plot_csv) in {
             os.path.realpath(os.path.join(args.run_dir, name)) for name in RUN_FILES}:
         raise ConfigError(f"--plot-csv {args.plot_csv} is one of the run's files")
+    summary = _read_summary(os.path.join(args.run_dir, "summary.json"))
     reports = _read_rounds(rounds_path)
+    threads, processes = summary.get("blas_threads"), summary.get("processes")
+    if all(type(n) is int and n > 1 for n in (threads, processes)):
+        print(f"warning: the run took {processes} processes at {threads} BLAS threads each, "
+              f"so their threads competed for the cores", file=sys.stderr)
 
     print(f"{'round':>5}  {'accuracy':>8}  {'F1':>8}  {'uplink B':>10}  {'downlink B':>10}")
     cum_up = cum_down = 0

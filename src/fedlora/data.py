@@ -4,6 +4,9 @@ CSV input needs at least `text` and `label` columns (RFC-4180 quoting, so
 embedded commas/newlines in post text are fine); extra columns, such as the
 Dreaddit subreddit field, are ignored. `save_corpus` writes id,text,label
 atomically, through `save_csv`.
+
+Every random draw here is `rng`'s: shuffles and splits `rng.permutation`,
+label-skew proportions `rng.dirichlet`, synthetic words `rng.coin_then_pick`.
 """
 
 from __future__ import annotations
@@ -201,55 +204,7 @@ _FILLER_WORDS = [
     "the", "a", "my", "today", "really", "about", "week", "people", "time",
     "things", "just", "feel", "day", "life", "work", "home",
 ]
-
-
 _WORDS = _CALM_WORDS + _STRESS_WORDS + _FILLER_WORDS
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _word_draws(bitgen, count: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(coin, pick) for an even `count` of words, as per-word Generator calls
-    would draw them from `bitgen` (coin[t] is `random() < 0.6`, then pick[t] is
-    `integers(k)`, k = 12 if coin[t] else 16), or None if a half is rejected.
-
-    Words 2i and 2i + 1 read row i of a `random_raw` block of 3-draw rows: word
-    2i's `random()`, the draw whose low and high halves their `integers(k)`
-    take, then word 2i + 1's `random()`. `random()` is (r >> 11) * 2**-53 and
-    `integers(k)` is Lemire's (half * k) >> 32, which rejects a half when
-    (half * k) mod 2**32 < (2**32 - k) % k (k=12: a multiple of 2**30; k=16:
-    never) and takes the next one, shifting every later draw off this layout.
-    """
-    row = bitgen.random_raw(3 * count // 2).reshape(-1, 3)
-    coin = (row[:, [0, 2]] >> np.uint64(11)) * 2.0 ** -53 < 0.6
-    half = np.stack([row[:, 1] & _LOW32, row[:, 1] >> np.uint64(32)], axis=1)
-    k = np.where(coin, np.uint64(12), np.uint64(16))
-    m = half * k
-    if ((m & _LOW32) < (np.uint64(2 ** 32) - k) % k).any():
-        return None
-    return coin.ravel(), (m >> np.uint64(32)).astype(np.intp).ravel()
-
-
-def _loop_draws(bitgen, count: int) -> np.ndarray:
-    """(coin, pick) rows for `count` words as per-word Generator calls draw them from
-    `bitgen`: `random()` reads one raw draw, and `integers(k)` runs Lemire's
-    method on 32-bit halves, the low half of a raw draw first, its high half
-    kept for the next call. Raws are read 2 * count at a time."""
-    raws = rng.raw_draws(bitgen, 2 * count)
-    draws, high = np.zeros((2, count), dtype=np.intp), None
-    for t in range(count):
-        draws[0, t] = k12 = rng.next_double(next(raws)) < 0.6
-        k = 12 if k12 else 16
-        while True:
-            if high is None:
-                raw = next(raws)
-                half, high = raw & 0xFFFFFFFF, raw >> 32
-            else:
-                half, high = high, None
-            m = half * k
-            if m & 0xFFFFFFFF >= (2 ** 32 - k) % k:
-                break
-        draws[1, t] = m >> 32
-    return draws
 
 
 def synth_corpus(n: int, seed: int = 0) -> list[Record]:
@@ -259,19 +214,14 @@ def synth_corpus(n: int, seed: int = 0) -> list[Record]:
     pool, otherwise shared filler. Class pools are disjoint, so a text
     without any pool word is rare (0.4^10 ~ 1e-4) and Bayes accuracy is
     well above 0.95 by construction. Record i has label i % 2, and its words
-    are the ones a word-by-word loop of `random()` and `integers()` calls on
-    one NumPy PCG64 generator picks, drawn from `rng.PCG64`, the same
-    stream computed in-house: `_word_draws` reads them from one block, and
-    if it holds a rejected half, `_loop_draws` replays that loop on a fresh
-    copy of the stream.
+    are the ones a word-by-word loop of `random() < 0.6`, then `integers(12)`
+    (a pool word) or `integers(16)` (filler), picks on one seeded NumPy
+    `Generator`: one `rng.coin_then_pick` call computes them in-house.
     """
     if n < 2:
         raise DataError(f"synthetic corpus needs n >= 2, got {n}")
-    stream = rng.derive(seed, "synth")
-    draws = _word_draws(rng.PCG64(stream), 10 * n)
-    if draws is None:  # a rejected half, 3 seeds in 100,000 at n=2000: draw word by word
-        draws = _loop_draws(rng.PCG64(stream), 10 * n)
-    coin, pick = draws
+    coin, pick = rng.coin_then_pick(rng.derive(seed, "synth"), 10 * n, 0.6,
+                                    len(_CALM_WORDS), len(_FILLER_WORDS))
     label = np.arange(10 * n) // 10 % 2
     # _WORDS holds the calm pool, the stress pool, then the filler
     first = np.where(coin, label * len(_CALM_WORDS), 2 * len(_CALM_WORDS))

@@ -254,14 +254,16 @@ class Helpers:
                 raise ProtocolError(f"the helpers were started with another {name}")
 
     def _fork(self):
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
+        fds = []
         try:
+            for _ in range(2):  # the request pipe, then the reply pipe
+                fds.extend(os.pipe())
             pid = os.fork()
-        except OSError:
-            for fd in (request_r, request_w, reply_r, reply_w):
+        except BaseException:  # a pipe or the fork failed: no descriptor stays open
+            for fd in fds:
                 os.close(fd)
             raise
+        request_r, request_w, reply_r, reply_w = fds
         if pid == 0:
             self._serve(request_r, reply_w, request_w, reply_r)
         os.close(request_r)

@@ -6,15 +6,16 @@ arrays are generated vectorized and bit-reproducibly, independent of call
 order or platform.
 
 Every shuffle, split and partition order is `permutation`, an argsort of
-that SplitMix64 stream. The synthetic corpus's words and the label-skew
-Dirichlet proportions come from `PCG64`: NumPy's PCG64 stream (SeedSequence
+that SplitMix64 stream. `PCG64` is NumPy's PCG64 stream (SeedSequence
 seeding, a 128-bit LCG, XSL-RR output) computed in-house, bit-equal to
-NumPy's own. `dirichlet` draws NumPy's Dirichlet from it at
-0.1 <= alpha < 1 (the exponential ziggurat feeding NumPy's gamma rejection
-loop), equal to NumPy's on every seed tested. So a run imports NumPy's
-random module only for a label skew with alpha outside that range, which a
-NumPy `Generator` (`np_generator`) draws; the import adds about 6 MB to the
-run process's peak RSS (README, "Memory").
+NumPy's own, and this module alone turns its raw draws into a NumPy
+`Generator`'s: `coin_then_pick` draws the synthetic corpus's words exactly,
+and `dirichlet` the label-skew proportions at 0.1 <= alpha < 1 (the
+exponential ziggurat feeding NumPy's gamma rejection loop), equal to
+NumPy's on every seed tested. So a run imports NumPy's random module only
+for a label skew with alpha outside that range, which a NumPy `Generator`
+(`np_generator`) draws; the import adds about 6 MB to the run process's
+peak RSS (README, "Memory").
 """
 
 from __future__ import annotations
@@ -193,6 +194,62 @@ class PCG64:
         return raws
 
 
+# NumPy's Generator draws, from PCG64's raw draws
+def _raw_draws(stream, n: int):
+    """The draws of `stream` (a `random_raw(n)` bit generator) one by one as
+    Python ints, read from it n at a time."""
+    while True:
+        yield from stream.random_raw(n).tolist()
+
+
+def _next_double(raw):
+    """NumPy's `next_double`: the top 53 bits of a raw draw, in [0, 1), for a
+    Python int or, elementwise, a uint64 array."""
+    return (raw >> 11) * 2.0 ** -53
+
+
+def _lemire(half, k):
+    """Lemire's bounded draw in [0, k) from a 32-bit half, as NumPy's
+    `integers(k)` takes it (arXiv 1805.10941): (pick, accepted), for Python
+    ints or, elementwise, uint64 arrays."""
+    m = half * k
+    return m >> 32, m & _M32 >= (2 ** 32 - k) % k
+
+
+def coin_then_pick(seed: int, count: int, p: float, k_heads: int,
+                   k_tails: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coin, pick) arrays that `count` rounds of `coin = g.random() < p`, then
+    `pick = g.integers(k_heads if coin else k_tails)`, draw on NumPy's
+    `Generator(PCG64(seed))`, 2 <= k <= 2**32, computed from `PCG64(seed)`.
+
+    `integers` takes 32-bit halves, a raw draw's low half first; the bit
+    generator keeps its high half for the next `integers` call. So rounds 2i
+    and 2i + 1 read row i of one block of 3-draw rows: round 2i's coin, the
+    draw whose halves their picks take, then round 2i + 1's coin, unless a
+    half is rejected (in 3 of 100,000 synthetic corpora of 2000 records).
+    Then the rounds are replayed one by one on a fresh stream.
+    """
+    rows = PCG64(seed).random_raw(3 * -(-count // 2)).reshape(-1, 3)
+    coin = (_next_double(rows[:, [0, 2]]) < p).ravel()[:count]
+    halves = np.stack([rows[:, 1] & _M32, rows[:, 1] >> 32], axis=1).ravel()[:count]
+    pick, accepted = _lemire(halves, np.where(coin, np.uint64(k_heads), np.uint64(k_tails)))
+    if accepted.all():
+        return coin, pick.astype(np.intp)
+    draws = _raw_draws(PCG64(seed), 2 * count)
+    coin, pick, high = np.zeros(count, dtype=bool), np.zeros(count, dtype=np.intp), None
+    for t in range(count):
+        coin[t] = _next_double(next(draws)) < p
+        accepted = False
+        while not accepted:
+            if high is None:
+                raw = next(draws)
+                half, high = raw & _M32, raw >> 32
+            else:
+                half, high = high, None
+            pick[t], accepted = _lemire(half, k_heads if coin[t] else k_tails)
+    return coin, pick
+
+
 # NumPy's Dirichlet at 0.1 <= alpha < 1, from the exponential ziggurat
 _ZIGGURAT_R, _ZIGGURAT_V = 7.69711747013104972, 3.949659822581572e-3
 
@@ -219,11 +276,6 @@ def _ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
     return tuple(ke), tuple(we), tuple(fe)
 
 
-def next_double(raw: int) -> float:
-    """NumPy's `next_double`: the top 53 bits of a raw draw, in [0, 1)."""
-    return (raw >> 11) * 2.0 ** -53
-
-
 def _exponential(draw) -> float:
     """NumPy's `random_standard_exponential`, from `draw()`'s raw draws."""
     ke, we, fe = _ziggurat()
@@ -233,8 +285,8 @@ def _exponential(draw) -> float:
     if ri < ke[idx]:
         return x  # fast accept, 97.8% of draws (the mean of ke / 2**53)
     if idx == 0:
-        return _ZIGGURAT_R - math.log1p(-next_double(draw()))  # idx-0 tail
-    if (fe[idx - 1] - fe[idx]) * next_double(draw()) + fe[idx] < math.exp(-x):
+        return _ZIGGURAT_R - math.log1p(-_next_double(draw()))  # idx-0 tail
+    if (fe[idx - 1] - fe[idx]) * _next_double(draw()) + fe[idx] < math.exp(-x):
         return x  # wedge accept
     return _exponential(draw)  # wedge reject: start again
 
@@ -243,7 +295,7 @@ def _gamma_below_one(draw, shape: float) -> float:
     """NumPy's `random_standard_gamma` at 0 < shape < 1: draw U, then an
     exponential V, until a proposal X from U passes its test against V."""
     while True:
-        u, v = next_double(draw()), _exponential(draw)
+        u, v = _next_double(draw()), _exponential(draw)
         if u <= 1.0 - shape:
             x = u ** (1.0 / shape)  # U <= 1 - shape
             if x <= v:
@@ -253,13 +305,6 @@ def _gamma_below_one(draw, shape: float) -> float:
             x = (1.0 - shape + shape * y) ** (1.0 / shape)
             if x <= v + y:
                 return x
-
-
-def raw_draws(stream, n: int):
-    """The draws of `stream` (a `random_raw(n)` bit generator) one by one as
-    Python ints, read from it n at a time."""
-    while True:
-        yield from stream.random_raw(n).tolist()
 
 
 def dirichlet(seed: int, alpha: float, k: int, rows: int) -> np.ndarray:
@@ -276,7 +321,7 @@ def dirichlet(seed: int, alpha: float, k: int, rows: int) -> np.ndarray:
     """
     if not 0.1 <= alpha < 1:
         return np_generator(seed).dirichlet(np.full(k, alpha), size=rows)
-    draw = raw_draws(PCG64(seed), 4 * k * rows).__next__
+    draw = _raw_draws(PCG64(seed), 4 * k * rows).__next__
     out = np.empty((rows, k))
     for row in out:
         gammas = [_gamma_below_one(draw, alpha) for _ in range(k)]

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import struct
@@ -328,3 +329,21 @@ def test_staging_removes_a_dead_processes_temp_files_and_keeps_a_live_ones(tmp_p
         open(tmp, "w", encoding="utf-8").close()
     assert not any(os.path.exists(path) for path in dead)
     assert all(os.path.exists(path) for path in kept) and target.exists()
+
+
+def test_staging_keeps_the_temp_file_of_a_process_it_may_not_signal(tmp_path, monkeypatch):
+    # os.kill(pid, 0) raises PermissionError for another user's live process
+    signalled = []
+
+    def kill(pid, sig):
+        signalled.append((pid, sig))
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    target = tmp_path / "summary.json"
+    others = f"{target}.tmp1"
+    open(others, "w", encoding="utf-8").close()
+    monkeypatch.setattr(os, "kill", kill)
+    with checkpoint.write_atomically(target) as [tmp]:
+        open(tmp, "w", encoding="utf-8").close()
+    assert signalled == [(1, 0)]
+    assert os.path.exists(others) and target.exists()

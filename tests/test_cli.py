@@ -379,6 +379,12 @@ def unreadable_rounds(tmp_path, make):
     return ["report", "run", "--plot-csv", "plot.csv"]
 
 
+def unreadable_summary(tmp_path, content):
+    write_rounds(tmp_path / "run", GOOD_ROUND)
+    (tmp_path / "run" / "summary.json").write_bytes(content)
+    return ["report", "run", "--plot-csv", "plot.csv"]
+
+
 UNREADABLE_FILES = {  # id: (makes the file and returns the CLI arguments, expected message)
     "config_not_utf8": (lambda tmp: (tmp / "exp.json").write_bytes(b'{"fed": "caf\xe9"}')
                         and ["train-federated", "exp.json"], "config file exp.json is not valid utf-8"),
@@ -390,6 +396,12 @@ UNREADABLE_FILES = {  # id: (makes the file and returns the CLI arguments, expec
                               "round log run/rounds.jsonl cannot be read"),
     "csv_field_over_limit": (lambda tmp: ["train-federated", long_field_csv(tmp)],
                              "CSV long.csv line 3: field larger than field limit"),
+    "summary_not_utf8": (lambda tmp: unreadable_summary(tmp, b'{"processes": "caf\xe9"}'),
+                         "run summary run/summary.json is not valid utf-8"),
+    "summary_not_json": (lambda tmp: unreadable_summary(tmp, b"{not json"),
+                         "run/summary.json is not valid JSON"),
+    "summary_not_an_object": (lambda tmp: unreadable_summary(tmp, b"[1, 2]"),
+                              "run/summary.json is not a run summary"),
 }
 
 
@@ -690,6 +702,48 @@ def test_report_rejects_malformed_round_line_naming_file_and_line(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {run / 'rounds.jsonl'}:3 ")
     assert captured.out == "" and not (tmp_path / "plot.csv").exists()
+
+
+REPORT_OF_TWO_ROUNDS = """\
+round  accuracy        F1    uplink B  downlink B
+    0    0.5000    0.5000          10          20
+    1    0.5000    0.5000          10          20
+total communication: 20 bytes up, 40 bytes down over 2 rounds
+"""
+
+SUMMARIES_WITHOUT_A_WARNING = {  # id: summary.json's content, None for no file
+    "no_summary": None, "one_blas_thread": {"blas_threads": 1, "processes": 3},
+    "one_process": {"blas_threads": 4, "processes": 1},
+    "blas_threads_null": {"blas_threads": None, "processes": 3},
+    "processes_null": {"blas_threads": 2, "processes": None},
+    "blas_threads_missing": {"processes": 3}, "processes_missing": {"blas_threads": 2},
+}
+
+
+def report_two_rounds(tmp_path, capsys, summary):
+    """main's exit code, stdout and stderr for `report` on two good rounds,
+    with `summary` as the run's summary.json (None: no summary.json)."""
+    run = tmp_path / "run"
+    write_rounds(run, GOOD_ROUND, GOOD_ROUND.replace('"round": 0', '"round": 1'))
+    if summary is not None:
+        (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    code = main(["report", str(run)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARIES_WITHOUT_A_WARNING))
+def test_report_without_oversubscription_prints_only_its_table(tmp_path, capsys, case):
+    assert report_two_rounds(tmp_path, capsys, SUMMARIES_WITHOUT_A_WARNING[case]) == (
+        0, REPORT_OF_TWO_ROUNDS, "")
+
+
+def test_report_warns_once_when_blas_threads_and_processes_both_exceed_1(tmp_path, capsys):
+    code, out, err = report_two_rounds(tmp_path, capsys, {"blas_threads": 2, "processes": 3,
+                                                          "usable_cores": 2})
+    assert (code, out) == (0, REPORT_OF_TWO_ROUNDS)
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    assert "3 processes" in err and "2 BLAS threads" in err
 
 
 def test_report_plot_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from fedlora import rng
 from fedlora.data import (_CALM_WORDS, _FILLER_WORDS, _STRESS_WORDS, PartitionSpec, Record,
-                          _largest_remainder, _loop_draws, _word_draws, load_corpus, make_shards,
+                          _largest_remainder, load_corpus, make_shards,
                           partition_clients, save_corpus, split_train_eval, synth_corpus)
 from fedlora.errors import ConfigError, DataError, SchemaError
 from fedlora.model import build_vocab, word_tokens
@@ -295,24 +295,6 @@ def test_synth_corpus_equals_the_word_by_word_loop(n, seed):
     assert synth_corpus(n, seed) == scalar_synth_corpus(n, seed)
 
 
-class CountingBitGen:
-    """Hands out a bit generator's raw draws and records each call's size."""
-
-    def __init__(self, bitgen):
-        self.bitgen, self.sizes = bitgen, []
-
-    def random_raw(self, size):
-        self.sizes.append(size)
-        return self.bitgen.random_raw(size)
-
-
-@pytest.mark.parametrize("n", [2000, 400])
-def test_word_draws_take_one_block_of_three_draws_per_two_words(n):
-    counting = CountingBitGen(rng.np_generator(rng.derive(3, "synth")).bit_generator)
-    assert _word_draws(counting, 10 * n) is not None
-    assert counting.sizes == [15 * n]
-
-
 def no_np_generator(seed):
     raise AssertionError("the synthetic corpus draws from rng.PCG64 only")
 
@@ -322,92 +304,12 @@ def test_synth_corpus_equals_the_loop_past_a_rejected_half(seed, monkeypatch):
     # Lemire's method rejects one 32-bit half in each of these corpora, which
     # shifts every later draw by a half
     expected = scalar_synth_corpus(2000, seed)
-    assert _word_draws(rng.PCG64(rng.derive(seed, "synth")), 20000) is None
     made, PCG64 = [], rng.PCG64
     monkeypatch.setattr(rng, "PCG64", lambda s: made.append(s) or PCG64(s))
     monkeypatch.setattr(rng, "np_generator", no_np_generator)
     records = synth_corpus(2000, seed)
     assert made == [rng.derive(seed, "synth")] * 2  # the block, then the fresh stream it replays on
     assert records == expected
-
-
-class ScriptedBitGen:
-    """A bit generator whose raw draws are given."""
-
-    def __init__(self, raws):
-        self.raws, self.pos = raws, 0
-
-    def random_raw(self, size):
-        out = np.array(self.raws[self.pos:self.pos + size], dtype=np.uint64)
-        assert out.size == size, "drew past the script"
-        self.pos += size
-        return out
-
-
-def loop_draws(raws, count):
-    """What Generator.random() and Generator.integers(k) take, word by word."""
-    draws, high_half_left = iter(raws), None
-    coins, picks = [], []
-    for _ in range(count):
-        coin = (next(draws) >> 11) * 2.0 ** -53 < 0.6
-        k = 12 if coin else 16
-        while True:
-            if high_half_left is None:
-                r = next(draws)
-                half, high_half_left = r & 0xFFFFFFFF, r >> 32
-            else:
-                half, high_half_left = high_half_left, None
-            m = half * k
-            if m & 0xFFFFFFFF >= (2 ** 32 - k) % k:
-                break
-        coins.append(coin)
-        picks.append(m >> 32)
-    return coins, picks
-
-
-K12_COIN, K16_COIN = 0, 2 ** 64 - 1  # random() reads 0.0 (< 0.6) and 1 - 2**-53
-
-
-def scripted_raws(word, coin, half):
-    """300 raws for 200 words, with `word`'s coin draw and its 32-bit half set."""
-    gen = np.random.default_rng(0)
-    raws = [int(r) for r in gen.integers(0, 2 ** 64, size=300, dtype=np.uint64)]
-    pair, high = divmod(word, 2)
-    raws[3 * pair + 2 * high] = coin
-    shift = 32 * high
-    raws[3 * pair + 1] = raws[3 * pair + 1] & ~(0xFFFFFFFF << shift) | half << shift
-    return raws
-
-
-HALVES_12_REJECTS = [0, 2 ** 30, 2 ** 31, 3 * 2 ** 30]
-
-
-@pytest.mark.parametrize("word", [0, 1, 98, 199])
-@pytest.mark.parametrize("half", HALVES_12_REJECTS)
-def test_word_draws_report_a_half_that_integers_12_rejects(word, half):
-    assert _word_draws(ScriptedBitGen(scripted_raws(word, K12_COIN, half)), 200) is None
-
-
-@pytest.mark.parametrize("word", [0, 1, 98, 199])
-@pytest.mark.parametrize("coin, half", [(K16_COIN, h) for h in HALVES_12_REJECTS]
-                         + [(K12_COIN, 2 ** 30 - 1), (K12_COIN, 2 ** 30 + 1)])
-def test_word_draws_equal_the_loop_next_to_the_rejected_halves(word, coin, half):
-    raws = scripted_raws(word, coin, half)
-    coins, picks = loop_draws(raws, 200)
-    draws = _word_draws(ScriptedBitGen(raws), 200)
-    assert draws is not None
-    assert draws[0].tolist() == coins and draws[1].tolist() == picks
-    assert coins[word] == (coin == K12_COIN)
-
-
-def test_loop_draws_read_past_their_first_block_of_raws():
-    # word 0's k=12 draw rejects the six halves of raws 1-3 and takes raw 4's
-    # low half; word 1's integers(16) takes raw 4's high half
-    raws = [K12_COIN, 0, 0, 0, 2 ** 31 + 1 | 7 << 32, K16_COIN, 11, 12]
-    bitgen = ScriptedBitGen(raws)
-    draws = _loop_draws(bitgen, 2)
-    assert bitgen.pos == 8  # two blocks of 2 * count raws
-    assert (draws[0].tolist(), draws[1].tolist()) == loop_draws(raws, 2) == ([True, False], [6, 0])
 
 
 def test_unigram_count_classifier_oracle():

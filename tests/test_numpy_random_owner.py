@@ -1,9 +1,10 @@
-"""`rng.np_generator` is the one code in `src/fedlora` that names NumPy's
-random module, and only a label-skew Dirichlet outside `rng.dirichlet`'s
-in-house range (0.1 <= alpha < 1) calls it: the synthetic corpus and the
-in-house Dirichlet read `rng.PCG64`, so a set-up with an iid or
-quantity-skew partition, or a label skew with alpha in that range, never
-imports `numpy.random`."""
+"""`rng` is the one owner of NumPy's randomness in `src/fedlora`:
+`rng.np_generator` is the one code that names NumPy's random module, and
+only a label-skew Dirichlet outside `rng.dirichlet`'s in-house range
+(0.1 <= alpha < 1) calls it. The synthetic corpus's words (one
+`rng.coin_then_pick` call) and the in-house Dirichlet read `rng.PCG64`, so a
+set-up with an iid or quantity-skew partition, or a label skew with alpha
+in that range, never imports `numpy.random`."""
 
 import inspect
 import json

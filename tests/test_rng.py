@@ -78,6 +78,142 @@ def test_pcg64_stream_read_in_pieces_computes_only_the_draws_it_returns(monkeypa
     assert got.tobytes() == whole.tobytes() == np.random.PCG64(11).random_raw(sum(pieces)).tobytes()
 
 
+# coin_then_pick ---------------------------------------------------------------
+
+def numpys_coin_then_pick(seed, count, p, k_heads, k_tails):
+    """The loop coin_then_pick computes, on NumPy's own Generator."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    coins, picks = [], []
+    for _ in range(count):
+        coins.append(gen.random() < p)
+        picks.append(int(gen.integers(k_heads if coins[-1] else k_tails)))
+    return coins, picks
+
+
+# the corpus's draws; a k that rejects about half its halves, so the rounds
+# are replayed; and the smallest and largest k
+@pytest.mark.parametrize("p, k_heads, k_tails", [(0.6, 12, 16), (0.3, 3, 2 ** 31 + 1),
+                                                 (0.5, 2, 2 ** 32)])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 100])
+def test_coin_then_pick_is_numpys_generator(count, p, k_heads, k_tails):
+    seed = rng.derive(count, k_tails, "coin_then_pick")
+    coin, pick = rng.coin_then_pick(seed, count, p, k_heads, k_tails)
+    assert coin.shape == pick.shape == (count,)
+    assert (coin.tolist(), pick.tolist()) == numpys_coin_then_pick(seed, count, p, k_heads, k_tails)
+
+
+class CountingBitGen:
+    """Hands out a bit generator's raw draws and records each call's size."""
+
+    def __init__(self, bitgen):
+        self.bitgen, self.sizes = bitgen, []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.bitgen.random_raw(size)
+
+
+@pytest.mark.parametrize("n", [2000, 400])
+def test_coin_then_pick_takes_one_block_of_three_draws_per_two_rounds(n, monkeypatch):
+    made = []
+    monkeypatch.setattr(rng, "PCG64", lambda seed: made.append(CountingBitGen(np.random.PCG64(seed)))
+                        or made[-1])
+    rng.coin_then_pick(rng.derive(3, "synth"), 10 * n, 0.6, 12, 16)
+    assert [bitgen.sizes for bitgen in made] == [[15 * n]]
+
+
+class ScriptedBitGen:
+    """A bit generator whose raw draws are given."""
+
+    def __init__(self, raws):
+        self.raws, self.pos = raws, 0
+
+    def random_raw(self, size):
+        out = np.array(self.raws[self.pos:self.pos + size], dtype=np.uint64)
+        assert out.size == size, "drew past the script"
+        self.pos += size
+        return out
+
+
+def scripted(monkeypatch, raws):
+    """Make every rng.PCG64 a new ScriptedBitGen of `raws`; the list of those made."""
+    made = []
+    monkeypatch.setattr(rng, "PCG64", lambda seed: made.append(ScriptedBitGen(raws)) or made[-1])
+    return made
+
+
+def loop_draws(raws, count):
+    """What Generator.random() and Generator.integers(k) take, word by word."""
+    draws, high_half_left = iter(raws), None
+    coins, picks = [], []
+    for _ in range(count):
+        coin = (next(draws) >> 11) * 2.0 ** -53 < 0.6
+        k = 12 if coin else 16
+        while True:
+            if high_half_left is None:
+                r = next(draws)
+                half, high_half_left = r & 0xFFFFFFFF, r >> 32
+            else:
+                half, high_half_left = high_half_left, None
+            m = half * k
+            if m & 0xFFFFFFFF >= (2 ** 32 - k) % k:
+                break
+        coins.append(coin)
+        picks.append(m >> 32)
+    return coins, picks
+
+
+K12_COIN, K16_COIN = 0, 2 ** 64 - 1  # random() reads 0.0 (< 0.6) and 1 - 2**-53
+
+
+def scripted_raws(word, coin, half):
+    """400 raws for 200 words (one block of 300, or the replay's first 400),
+    with `word`'s coin draw and its 32-bit half set."""
+    gen = np.random.default_rng(0)
+    raws = [int(r) for r in gen.integers(0, 2 ** 64, size=400, dtype=np.uint64)]
+    pair, high = divmod(word, 2)
+    raws[3 * pair + 2 * high] = coin
+    shift = 32 * high
+    raws[3 * pair + 1] = raws[3 * pair + 1] & ~(0xFFFFFFFF << shift) | half << shift
+    return raws
+
+
+HALVES_12_REJECTS = [0, 2 ** 30, 2 ** 31, 3 * 2 ** 30]
+
+
+@pytest.mark.parametrize("word", [0, 1, 98, 199])
+@pytest.mark.parametrize("half", HALVES_12_REJECTS)
+def test_a_half_that_integers_12_rejects_replays_the_rounds_one_by_one(word, half, monkeypatch):
+    raws = scripted_raws(word, K12_COIN, half)
+    made = scripted(monkeypatch, raws)
+    coin, pick = rng.coin_then_pick(0, 200, 0.6, 12, 16)
+    assert [bitgen.pos for bitgen in made] == [300, 400]  # the block, then the replay
+    assert (coin.tolist(), pick.tolist()) == loop_draws(raws, 200)
+
+
+@pytest.mark.parametrize("word", [0, 1, 98, 199])
+@pytest.mark.parametrize("coin, half", [(K16_COIN, h) for h in HALVES_12_REJECTS]
+                         + [(K12_COIN, 2 ** 30 - 1), (K12_COIN, 2 ** 30 + 1)])
+def test_one_block_equals_the_loop_next_to_the_rejected_halves(word, coin, half, monkeypatch):
+    raws = scripted_raws(word, coin, half)
+    made = scripted(monkeypatch, raws)
+    coins, picks = loop_draws(raws, 200)
+    got = rng.coin_then_pick(0, 200, 0.6, 12, 16)
+    assert [bitgen.pos for bitgen in made] == [300]
+    assert got[0].tolist() == coins and got[1].tolist() == picks
+    assert coins[word] == (coin == K12_COIN)
+
+
+def test_the_replay_reads_past_its_first_block_of_raws(monkeypatch):
+    # word 0's k=12 draw rejects the six halves of raws 1-3 and takes raw 4's
+    # low half; word 1's integers(16) takes raw 4's high half
+    raws = [K12_COIN, 0, 0, 0, 2 ** 31 + 1 | 7 << 32, K16_COIN, 11, 12]
+    made = scripted(monkeypatch, raws)
+    coin, pick = rng.coin_then_pick(0, 2, 0.6, 12, 16)
+    assert [bitgen.pos for bitgen in made] == [3, 8]  # the replay reads two blocks of 2 * count
+    assert (coin.tolist(), pick.tolist()) == loop_draws(raws, 2) == ([True, False], [6, 0])
+
+
 # Dirichlet --------------------------------------------------------------------
 
 IN_HOUSE = [(alpha, k, rows) for alpha in (0.1, 0.3, 0.5, 0.9, 0.999)
@@ -150,7 +286,7 @@ def test_exponential_is_numpys_up_to_the_rounding_of_its_tables():
     def draws():
         for i in range(200):
             seed = rng.derive(i, "exponential")
-            stream = rng.raw_draws(rng.PCG64(seed), 64)
+            stream = rng._raw_draws(rng.PCG64(seed), 64)
             got = [rng._exponential(stream.__next__) for _ in range(50)]
             gen = np.random.Generator(np.random.PCG64(seed))
             np.testing.assert_allclose(got, gen.standard_exponential(50), rtol=1e-11, atol=0)

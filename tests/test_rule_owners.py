@@ -5,12 +5,15 @@ processes a phase of a round takes, is computed in one place in
 PAD mask, the `.any(axis=0)` reduction over a set's or a batch's columns.
 Only `Helpers.__init__` reads the usable cores and applies
 `federation.phase_processes`, once per phase and run, and only
-`phase_processes` splits a phase with `federation.assign`."""
+`phase_processes` splits a phase with `federation.assign`. Only `rng` turns
+PCG64's raw draws into NumPy's `random()` (`2.0 ** -53`) and `integers(k)`
+(Lemire's `% k` threshold), and `data` reaches that stream only through
+`rng.coin_then_pick`."""
 
 import inspect
 from pathlib import Path
 
-from fedlora import federation, model
+from fedlora import federation, model, rng
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedlora"
 
@@ -55,3 +58,12 @@ def test_only_phase_processes_splits_a_phase():
     owner = federation.phase_processes
     assert readers("assign(", federation.assign, owner) == []
     assert "assign(" in inspect.getsource(owner)
+
+
+def test_only_rng_spells_numpys_draw_arithmetic():
+    assert readers("2.0 ** -53", rng) == [] and readers("% k", rng) == []
+    assert "2.0 ** -53" in inspect.getsource(rng._next_double)
+    assert "% k" in inspect.getsource(rng._lemire)
+    data = (PACKAGE / "data.py").read_text(encoding="utf-8")
+    assert [word for word in ("PCG64", "raw_draws", "next_double") if word in data] == []
+    assert "rng.coin_then_pick(" in data

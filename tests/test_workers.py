@@ -8,9 +8,11 @@ behind (`no_child_left` in conftest.py).
 """
 
 import dataclasses
+import errno
 import os
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,14 +401,63 @@ def test_killed_eval_worker_raises_round_error(monkeypatch):
         evaluate_on(am, eval_set)
 
 
-def test_idle_helper_killed_between_rounds_raises_round_error():
+def wait_until_zombie(pid):
+    """Wait until `pid`, a child not yet reaped, has exited: its state in
+    /proc/<pid>/stat (after the parenthesised name) reads Z."""
+    deadline = time.monotonic() + 10
+    while Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z":
+        assert time.monotonic() < deadline, f"helper {pid} is still running"
+        time.sleep(0.01)
+
+
+def test_idle_helper_killed_between_rounds_raises_round_error(monkeypatch):
     state, sets, cfg, eval_set = two_client_round()
     with Helpers(state.model, sets, cfg, eval_set) as helpers:
         run_round(state, sets, cfg, eval_set, helpers)
-        os.kill(helpers.procs[0][0], signal.SIGKILL)
+        pid = helpers.procs[0][0]
+        os.kill(pid, signal.SIGKILL)
+        wait_until_zombie(pid)  # so its request pipe has no reader left
+        broken, real_write = [], federation._write_all
+
+        def write(fd, data):
+            try:
+                real_write(fd, data)
+            except BrokenPipeError:
+                broken.append(fd)
+                raise
+
+        monkeypatch.setattr(federation, "_write_all", write)
         with pytest.raises(RoundError, match=r"round 1: clients \[1\].*killed by signal 9"):
             run_round(state, sets, cfg, eval_set, helpers)
+        assert len(broken) == 1
     assert state.round_idx == 1 and len(state.history) == 1
+
+
+def fail_on_call(monkeypatch, name, call):
+    """Make the `call`-th call of os.`name` raise EMFILE."""
+    real, calls = getattr(os, name), []
+
+    def fake(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real(*args)
+
+    monkeypatch.setattr(os, name, fake)
+
+
+# the reply pipe of the first helper, the request pipe of the second, and the
+# fork of the second
+@pytest.mark.parametrize("name, call", [("pipe", 2), ("pipe", 3), ("fork", 2)])
+def test_helpers_that_fail_to_start_close_every_pipe_end(monkeypatch, name, call):
+    force_cores(monkeypatch, 3)  # three clients on three cores: two helpers
+    state, sets, cfg, eval_set = client_round((24,) * 3)
+    before = sorted(os.listdir("/proc/self/fd"))
+    fail_on_call(monkeypatch, name, call)
+    with pytest.raises(OSError) as raised:
+        Helpers(state.model, sets, cfg, eval_set)
+    assert raised.value.errno == errno.EMFILE
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_a_round_after_a_helper_died_raises_round_error_before_any_request(monkeypatch):
